@@ -1,10 +1,13 @@
 """Propagation of state vectors and density operators, Liouvillians, steady states.
 
 Schroedinger and Lindblad dynamics are integrated with an adaptive
-embedded Runge-Kutta scheme (DOP853 by default); the density operator is
-propagated in matrix form and re-symmetrized only at the output samples.
-The vectorized Liouvillian (column-stacking convention) exists for
-steady-state extraction and structural checks.
+embedded Runge-Kutta scheme (DOP853 by default).  The density operator is
+propagated as its column-stacked vector under the sparse vectorized
+Liouvillian and re-symmetrized only at the output samples.  Steady states
+and the collision propagator work on the Liouvillian's invariant blocks:
+every dissipator here is phase-covariant and every Hamiltonian conserves
+an excitation number, so the generator splits exactly into small blocks
+that never couple (Buca & Prosen, New J. Phys. 14, 073007 (2012)).
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
 
 from .hilbert import (
     ComplexOperator,
@@ -151,17 +156,6 @@ def _hamiltonian_applier(H, layout: HilbertLayout):
     raise TypeError(f"unsupported Hamiltonian type {type(H)!r}")
 
 
-def _hamiltonian_matrix(H, layout: HilbertLayout, t: float = 0.0) -> np.ndarray | None:
-    if H is None:
-        return None
-    if isinstance(H, TimeDependentHamiltonian):
-        return H.matrix(t)
-    if isinstance(H, ComplexOperator):
-        return H.entries
-    op = H(t)
-    return op.entries if isinstance(op, ComplexOperator) else np.asarray(op)
-
-
 def evolve_state(
     H,
     psi0: StateVector,
@@ -217,48 +211,29 @@ def evolve_density(
     grid: TimeGrid,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Integrate the Lindblad master equation in matrix form.
+    """Integrate the Lindblad master equation for a static Hamiltonian (or None).
 
-    rho_dot = -i[H, rho] + sum_k (rate_k/2)(2 J rho J^dag - J^dag J rho - rho J^dag J).
+    rho_dot = -i[H, rho] + sum_k (rate_k/2)(2 J rho J^dag - J^dag J rho - rho J^dag J),
+    integrated as L vec(rho) on the full column-stacked vector.
     """
     layout = rho0.layout
     d = layout.dim
-    static_h = None
-    hmat_fn = None
-    if isinstance(H, ComplexOperator):
-        if H.layout != layout:
-            raise LayoutError("Hamiltonian layout mismatch")
-        static_h = H.entries
-    elif H is not None:
-        hmat_fn = lambda t: _hamiltonian_matrix(H, layout, t)
-
-    jumps = []
-    for term in terms:
-        if term.jump.layout != layout:
-            raise LayoutError("jump operator layout mismatch")
-        j = term.jump.entries
-        jumps.append((term.rate, j, j.conj().T, j.conj().T @ j))
-
     times = grid.times
-    if static_h is None and hmat_fn is None and not jumps:
+    if H is None and not terms:
         return Trajectory(
             times, [rho0 for _ in times], _top_two_population(rho0, layout)
         )
+    generator, gen_layout = _liouvillian_sparse(H, terms)
+    if gen_layout != layout:
+        raise LayoutError("generator and density operator layouts differ")
 
-    def rhs(t, flat):
-        rho = flat.reshape(d, d)
-        out = np.zeros_like(rho)
-        hm = static_h if static_h is not None else (hmat_fn(t) if hmat_fn else None)
-        if hm is not None:
-            out += -1j * (hm @ rho - rho @ hm)
-        for rate, j, jd, jdj in jumps:
-            out += (rate / 2.0) * (2.0 * (j @ rho @ jd) - jdj @ rho - rho @ jdj)
-        return out.ravel()
+    def rhs(t, vec):
+        return generator @ vec
 
     sol = solve_ivp(
         rhs,
         (times[0], times[-1]),
-        rho0.entries.astype(complex).ravel(),
+        rho0.entries.astype(complex).ravel(order="F"),
         method=cfg.method,
         t_eval=times,
         rtol=_TOL_SAFETY * cfg.rel_tol,
@@ -271,7 +246,7 @@ def evolve_density(
     states = []
     leakage = 0.0
     for k in range(sol.y.shape[1]):
-        rho = sol.y[:, k].reshape(d, d)
+        rho = sol.y[:, k].reshape((d, d), order="F")
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.real(np.trace(rho)))
         if abs(tr - 1.0) > TRACE_DRIFT_LIMIT:
@@ -291,37 +266,66 @@ def evolve_density(
     return Trajectory(times, states, leakage)
 
 
-def liouvillian_matrix(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
-    """Vectorized generator: L vec(rho) = vec(rho_dot), columns stacked."""
+def _liouvillian_sparse(H, terms: list[LindbladTerm]):
+    """The vectorized generator as a CSR matrix, with the layout it acts on."""
     if H is None and not terms:
         raise ValueError("need a Hamiltonian or at least one dissipator")
-    layout = H.layout if isinstance(H, ComplexOperator) else terms[0].jump.layout
+    if H is not None and not isinstance(H, ComplexOperator):
+        raise TypeError("the Liouvillian requires a static Hamiltonian")
+    layout = H.layout if H is not None else terms[0].jump.layout
     d = layout.dim
-    eye = np.eye(d)
-    L = np.zeros((d * d, d * d), dtype=complex)
+    eye = scipy.sparse.identity(d, dtype=complex, format="csr")
+    kron = scipy.sparse.kron
+    L = scipy.sparse.csr_matrix((d * d, d * d), dtype=complex)
     if H is not None:
-        if not isinstance(H, ComplexOperator):
-            raise TypeError("liouvillian_matrix requires a static Hamiltonian")
-        hm = H.entries
-        L += -1j * (np.kron(eye, hm) - np.kron(hm.T, eye))
+        hm = scipy.sparse.csr_matrix(H.entries)
+        L = L - 1j * (kron(eye, hm) - kron(hm.T, eye))
     for term in terms:
         if term.jump.layout != layout:
             raise LayoutError("jump operator layout mismatch")
-        j = term.jump.entries
-        jd = j.conj().T
-        jdj = jd @ j
-        L += (term.rate / 2.0) * (
-            2.0 * np.kron(j.conj(), j) - np.kron(eye, jdj) - np.kron(jdj.T, eye)
+        j = scipy.sparse.csr_matrix(term.jump.entries)
+        jdj = j.conj().T @ j
+        L = L + (term.rate / 2.0) * (
+            2.0 * kron(j.conj(), j) - kron(eye, jdj) - kron(jdj.T, eye)
         )
-    return LiouvillianMatrix(L, layout)
+    return L.tocsr(), layout
+
+
+def liouvillian_matrix(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
+    """Vectorized generator: L vec(rho) = vec(rho_dot), columns stacked."""
+    mat, layout = _liouvillian_sparse(H, terms)
+    return LiouvillianMatrix(mat.toarray(), layout)
+
+
+def invariant_blocks(mat) -> list[np.ndarray]:
+    """Index sets of the blocks of a generator that never couple to each other.
+
+    These are the weakly connected components of the non-zero pattern of
+    ``mat`` (dense or sparse), so ``mat`` has no entry between two blocks
+    and its spectrum, null vectors and exponential split block by block.
+    A generic dense generator is a single block.
+    """
+    count, labels = connected_components(
+        scipy.sparse.csr_matrix(mat != 0), directed=True, connection="weak"
+    )
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
 def steady_state(L: LiouvillianMatrix) -> DensityOperator:
-    """Unique null-space density operator of a trace-preserving Liouvillian."""
+    """Unique null-space density operator of a trace-preserving Liouvillian.
+
+    Each invariant block is eigendecomposed on its own: |L|_2 is the
+    largest block norm, and the null and degeneracy counts run over the
+    union of the block spectra.
+    """
     mat = L.entries
     d = L.layout.dim
-    norm = np.linalg.norm(mat, ord=2)
-    eigvals, eigvecs = scipy.linalg.eig(mat)
+    blocks = invariant_blocks(mat)
+    subs = [mat[np.ix_(idx, idx)] for idx in blocks]
+    norm = max(np.linalg.norm(sub, ord=2) for sub in subs)
+    spectra = [scipy.linalg.eig(sub) for sub in subs]
+    eigvals = np.concatenate([vals for vals, _ in spectra])
     order = np.argsort(np.abs(eigvals))
     lam_min = abs(eigvals[order[0]])
     if lam_min > 1e-9 * norm:
@@ -331,15 +335,21 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     if len(order) > 1 and abs(eigvals[order[1]]) <= 1e-9 * norm:
         dim = int(np.sum(np.abs(eigvals) <= 1e-9 * norm))
         raise DegenerateSteadyStateError(dim)
-    vec = eigvecs[:, order[0]]
+    # the block holding the null eigenvalue, which is unique past the checks
+    b = int(np.argmin([np.min(np.abs(vals)) for vals, _ in spectra]))
+    vals, vecs = spectra[b]
+    k = int(np.argmin(np.abs(vals)))
+    vec = vecs[:, k]
     if lam_min > 1e-12 * norm:
         # one inverse-iteration refinement about the located eigenvalue
-        shifted = mat - eigvals[order[0]] * np.eye(mat.shape[0])
+        shifted = subs[b] - vals[k] * np.eye(len(vals))
         refined, *_ = np.linalg.lstsq(shifted, vec, rcond=None)
         n = np.linalg.norm(refined)
         if n > 0:
             vec = refined / n
-    rho = vec.reshape((d, d), order="F")
+    full = np.zeros(d * d, dtype=complex)
+    full[blocks[b]] = vec
+    rho = full.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:

@@ -21,15 +21,15 @@ from .hilbert import (
     StateVector,
     annihilation,
     atom_field_layout,
-    partial_trace,
 )
 from .lindblad import (
     LEAKAGE_LIMIT,
     LeakageError,
     LindbladTerm,
     Trajectory,
+    _liouvillian_sparse,
     _top_two_population,
-    liouvillian_matrix,
+    invariant_blocks,
 )
 from .raman import LadderSpec, ladder_operator
 
@@ -106,6 +106,8 @@ def selective_dissipators(
     terms = []
     rates = []
     for k, gamma_k in channels:
+        if not 0 <= k < cutoff:
+            raise ValueError(f"ladder step {k} outside 0 <= k < cutoff = {cutoff}")
         if gamma_k < 0:
             raise ValueError("Gamma_k must be non-negative")
         mat = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
@@ -138,7 +140,9 @@ def collision_model_evolve(
     Interaction windows of length tau tile time back to back (tau = 1/r);
     the field bath acts during the windows.  Each window attaches a fresh
     atom in the injection state, evolves the joint state under the
-    engineered Hamiltonian plus bath, and traces the atom out.
+    engineered Hamiltonian plus bath, and traces the atom out.  These
+    three steps are contracted once into a map on the field state, so
+    each atom costs one matrix-vector product.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
@@ -153,22 +157,18 @@ def collision_model_evolve(
         LindbladTerm(t.rate, ComplexOperator(joint, np.kron(eye2, t.jump.entries)))
         for t in thermal_terms(bath, field_layout_)
     ]
-    L = liouvillian_matrix(engineered_h, bath_joint).entries
-    propagator = scipy.linalg.expm(L * inj.tau)
-
-    atom_amp = inj.atom_state.amplitudes
-    rho_atom = np.outer(atom_amp, atom_amp.conj())
+    L, _ = _liouvillian_sparse(engineered_h, bath_joint)
+    field_map = _field_map(L, inj, cutoff + 1)
 
     times = [0.0]
     states = [rho0_field]
     leakage = _top_two_population(rho0_field, field_layout_)
     rho_f = rho0_field.entries
-    d = joint.dim
+    shape = rho_f.shape
     for n in range(1, n_atoms + 1):
-        rho_joint = np.kron(rho_atom, rho_f)
-        rho_joint = (propagator @ rho_joint.ravel(order="F")).reshape((d, d), order="F")
-        reduced = partial_trace(DensityOperator(joint, rho_joint), "field").symmetrized()
-        rho_f = reduced.entries / np.real(np.trace(reduced.entries))
+        rho_f = (field_map @ rho_f.ravel(order="F")).reshape(shape, order="F")
+        rho_f = 0.5 * (rho_f + rho_f.conj().T)
+        rho_f = rho_f / np.real(np.trace(rho_f))
         leak = _top_two_population(rho_f, field_layout_)
         leakage = max(leakage, leak)
         if leak >= LEAKAGE_LIMIT:
@@ -178,3 +178,23 @@ def collision_model_evolve(
         times.append(n * inj.tau)
         states.append(DensityOperator(field_layout_, rho_f))
     return Trajectory(np.asarray(times), states, leakage)
+
+
+def _field_map(L, inj: AtomInjectionParams, df: int) -> np.ndarray:
+    """One collision as a map on column-stacked field states.
+
+    attach (rho_f -> rho_atom (x) rho_f), exp(L tau) and the trace over the
+    atom contracted into one (df^2, df^2) matrix, exponentiating L one
+    invariant block at a time.
+    """
+    amp = inj.atom_state.amplitudes
+    rho_atom = np.outer(amp, amp.conj())
+    eye_f = np.eye(df)
+    # joint vec index (b, m, a, n) holds <a,n| rho |b,m>; field vec index (m, n) holds <n| rho_f |m>
+    attach = np.einsum("ab,mM,nN->bmanMN", rho_atom, eye_f, eye_f).reshape(-1, df * df)
+    trace_out = np.einsum("ab,mM,nN->mnbMaN", np.eye(2), eye_f, eye_f).reshape(df * df, -1)
+    field_map = np.zeros((df * df, df * df), dtype=complex)
+    for idx in invariant_blocks(L):
+        block = scipy.linalg.expm(L[idx][:, idx].toarray() * inj.tau)
+        field_map += trace_out[:, idx] @ block @ attach[idx]
+    return field_map

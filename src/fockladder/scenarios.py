@@ -115,13 +115,26 @@ def _check_keys(d: dict, where: str, required: set[str], optional: set[str] = fr
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioValidationError(where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioValidationError(where, f"expected a finite number, got {value!r}")
+    return number
+
+
+def _index(value, where: str, top: int) -> int:
+    """An integer index in 0..top."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= top:
+        raise ScenarioValidationError(where, f"must be an integer in 0..{top}, got {value!r}")
+    return value
 
 
 def _amplitude(value, where: str) -> complex:
     """A real number or a [re, im] pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(value, where))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(value[0], where), _number(value[1], where))
     raise ScenarioValidationError(where, f"expected number or [re, im], got {value!r}")
@@ -205,7 +218,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         integrator = IntegratorConfig(
             rel_tol=_number(integ_doc.get("rel_tol", defaults.rel_tol), "integrator.rel_tol"),
             abs_tol=_number(integ_doc.get("abs_tol", defaults.abs_tol), "integrator.abs_tol"),
-            max_step=_number(integ_doc.get("max_step", defaults.max_step), "integrator.max_step"),
+            max_step=(_number(integ_doc["max_step"], "integrator.max_step")
+                      if "max_step" in integ_doc else defaults.max_step),
             method=str(integ_doc.get("method", defaults.method)),
         )
     except ValueError as exc:
@@ -292,8 +306,7 @@ def _validate_parameters(model: str, params: dict, cutoff: int) -> None:
         _validate_ladder(params["ladder"], f"{where}.ladder")
         for key in ("Gamma", "gamma", "n_bar"):
             _number(params[key], f"{where}.{key}")
-        if not isinstance(params["target_fock"], int) or params["target_fock"] > cutoff:
-            raise ScenarioValidationError(f"{where}.target_fock", "must be an integer <= cutoff")
+        _index(params["target_fock"], f"{where}.target_fock", cutoff)
     elif model == "selective-liouvillian":
         _check_keys(
             params, where,
@@ -304,17 +317,19 @@ def _validate_parameters(model: str, params: dict, cutoff: int) -> None:
         if not isinstance(channels, list) or not channels:
             raise ScenarioValidationError(f"{where}.channels", "must be a non-empty list")
         for i, ch in enumerate(channels):
-            if not (isinstance(ch, list) and len(ch) == 2 and isinstance(ch[0], int)):
+            if not (isinstance(ch, list) and len(ch) == 2):
                 raise ScenarioValidationError(
                     f"{where}.channels[{i}]", "must be a [k, Gamma_k] pair"
                 )
+            _index(ch[0], f"{where}.channels[{i}][0]", cutoff - 1)
             _number(ch[1], f"{where}.channels[{i}][1]")
+        for key in ("gamma", "n_bar"):
+            _number(params[key], f"{where}.{key}")
         if "recipe" in params:
             _check_keys(params["recipe"], f"{where}.recipe", {"tau", "zeta_unit"}, set())
             _number(params["recipe"]["tau"], f"{where}.recipe.tau")
             _number(params["recipe"]["zeta_unit"], f"{where}.recipe.zeta_unit")
-        if not isinstance(params["target_fock"], int) or params["target_fock"] > cutoff:
-            raise ScenarioValidationError(f"{where}.target_fock", "must be an integer <= cutoff")
+        _index(params["target_fock"], f"{where}.target_fock", cutoff)
     elif model == "collision-model":
         _check_keys(
             params, where,
@@ -328,6 +343,8 @@ def _validate_parameters(model: str, params: dict, cutoff: int) -> None:
                 raise ScenarioValidationError(f"{where}.{key}", "must be positive")
         if not isinstance(params["atom_state"], dict):
             raise ScenarioValidationError(f"{where}.atom_state", "must be a label -> amplitude map")
+        if "target_fock" in params:
+            _index(params["target_fock"], f"{where}.target_fock", cutoff)
 
 
 def _validate_initial_state(model: str, initial: dict, cutoff: int) -> None:
@@ -348,9 +365,7 @@ def _validate_initial_state(model: str, initial: dict, cutoff: int) -> None:
             if _number(initial["thermal_n_bar"], f"{where}.thermal_n_bar") < 0:
                 raise ScenarioValidationError(f"{where}.thermal_n_bar", "must be >= 0")
         elif "fock" in initial:
-            n = initial["fock"]
-            if not isinstance(n, int) or not 0 <= n <= cutoff:
-                raise ScenarioValidationError(f"{where}.fock", f"bad Fock index {n!r}")
+            _index(initial["fock"], f"{where}.fock", cutoff)
         else:
             raise ScenarioValidationError(where, "need thermal_n_bar or fock")
 
@@ -937,6 +952,10 @@ def preset_document(name: str) -> dict:
     return copy.deepcopy(_PRESETS[name])
 
 
+def _reject_constant(name: str):
+    raise ScenarioValidationError("scenario", f"non-finite number {name} in the JSON")
+
+
 def load_scenario(source) -> ScenarioConfig:
     """Load a scenario from a preset name, a JSON file path, or a dict."""
     if isinstance(source, dict):
@@ -946,7 +965,7 @@ def load_scenario(source) -> ScenarioConfig:
         return parse_config(preset_document(source))
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ScenarioValidationError(
             "scenario", f"{source!r} is neither a preset nor a readable file"

@@ -12,6 +12,7 @@ from fockladder import (
     LadderSpec,
     LeakageError,
     LindbladTerm,
+    TimeDependentHamiltonian,
     TimeGrid,
     annihilation,
     atom_field_layout,
@@ -20,6 +21,7 @@ from fockladder import (
     evolve_state,
     field_layout,
     fock_state,
+    load_scenario,
     liouvillian_matrix,
     mean_photon,
     product_state,
@@ -28,10 +30,34 @@ from fockladder import (
     thermal_state,
     thermal_terms,
     ThermalBathParams,
+    selective_dissipators,
     ub_dissipator,
 )
+from fockladder.lindblad import invariant_blocks
+from fockladder.scenarios import _ladder_from_doc
 
 FAST = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
+
+
+def preset_terms(name, cutoff):
+    """Dissipator plus thermal bath of a Liouvillian preset at another cutoff."""
+    p = load_scenario(name).parameters
+    layout = field_layout(cutoff)
+    if "channels" in p:
+        dis = selective_dissipators([(k, g) for k, g in p["channels"]], layout)
+    else:
+        dis = ub_dissipator(_ladder_from_doc(p["ladder"], zeta_ref=1.0), p["Gamma"], layout)
+    bath = ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"])
+    return list(dis.terms) + thermal_terms(bath, layout)
+
+
+def dense_null_state(L):
+    """Oracle: the null vector of one eig of the full generator, as a state."""
+    d = L.layout.dim
+    vals, vecs = scipy.linalg.eig(L.entries)
+    rho = vecs[:, np.argmin(np.abs(vals))].reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho)
 
 
 def static_hamiltonian(layout, seed, active=None):
@@ -130,6 +156,13 @@ class TestEvolveDensity:
             assert np.trace(state.entries).real == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.eigvalsh(state.entries).min() > -1e-7
 
+    def test_time_dependent_hamiltonian_rejected(self):
+        layout = field_layout(4)
+        h = TimeDependentHamiltonian(layout, [(1.0, 0.5, annihilation(4).entries)])
+        terms = [LindbladTerm(1.0, annihilation(4))]
+        with pytest.raises(TypeError):
+            evolve_density(h, terms, fock_state(1, 4).to_density(), TimeGrid(0.0, 1.0, 3), FAST)
+
     def test_hamiltonian_and_dissipator_together(self):
         # [DERIVED] compare against the vectorized Liouvillian propagator
         layout = field_layout(6)
@@ -178,7 +211,41 @@ class TestLiouvillianMatrix:
             liouvillian_matrix(None, [])
 
 
+class TestInvariantBlocks:
+    def test_generic_dense_generator_is_one_block(self):
+        rng = np.random.default_rng(3)
+        mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        blocks = invariant_blocks(mat)
+        assert len(blocks) == 1
+        assert sorted(blocks[0]) == list(range(16))
+
+    def test_fig4_splits_exactly(self):
+        mat = liouvillian_matrix(None, preset_terms("fig4", 24)).entries
+        blocks = invariant_blocks(mat)
+        assert len(blocks) == 49
+        assert max(len(idx) for idx in blocks) == 25
+        assert sorted(np.concatenate(blocks)) == list(range(625))
+        label = np.empty(625, dtype=int)
+        for b, idx in enumerate(blocks):
+            label[idx] = b
+        rows, cols = np.nonzero(mat)
+        assert np.all(label[rows] == label[cols])
+
+
 class TestSteadyState:
+    @pytest.mark.parametrize("name", ["fig4", "fig6a", "fig6b"])
+    def test_matches_dense_null_vector(self, name):
+        L = liouvillian_matrix(None, preset_terms(name, 12))
+        assert np.allclose(steady_state(L).entries, dense_null_state(L), atol=1e-10)
+
+    def test_matches_dense_null_vector_with_hamiltonian(self):
+        # an excitation-conserving H keeps the generator split into blocks
+        n = np.diag(np.arange(13.0))
+        h = ComplexOperator(field_layout(12), 0.7 * n + 0.3 * n @ n)
+        L = liouvillian_matrix(h, preset_terms("fig4", 12))
+        assert len(invariant_blocks(L.entries)) > 1
+        assert np.allclose(steady_state(L).entries, dense_null_state(L), atol=1e-10)
+
     def test_thermal_detailed_balance(self):
         # [DERIVED] Bose-Einstein populations from the null space
         n_bar = 0.25

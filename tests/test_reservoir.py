@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fockladder import (
     AtomInjectionParams,
+    ComplexOperator,
+    DensityOperator,
     IntegratorConfig,
     LadderSpec,
+    LindbladTerm,
     ThermalBathParams,
     TimeGrid,
     atom_field_layout,
@@ -16,6 +20,8 @@ from fockladder import (
     evolve_density,
     field_layout,
     gamma_from_injection,
+    liouvillian_matrix,
+    partial_trace,
     selective_dissipators,
     thermal_state,
     thermal_terms,
@@ -71,6 +77,12 @@ class TestDissipators:
     def test_selective_duplicate_steps_rejected(self):
         with pytest.raises(ValueError):
             selective_dissipators([(0, 1.0), (0, 2.0)], field_layout(5))
+
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_selective_step_outside_cutoff_rejected(self, k):
+        # k = 5 would need |6> at cutoff 5; k = -1 would wrap to |0><5|
+        with pytest.raises(ValueError):
+            selective_dissipators([(k, 1.0)], field_layout(5))
 
     def test_thermal_rates(self):
         terms = thermal_terms(ThermalBathParams(gamma=2.0, n_bar=0.05), field_layout(5))
@@ -141,6 +153,36 @@ class TestCollisionModel:
         traj = evolve_density(None, terms, thermal_state(0.05, cutoff), grid,
                               IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
         return traj, grid.times
+
+    @pytest.mark.parametrize("amps", [{"e": 1.0}, {"g": 0.6, "e": 0.8j}])
+    def test_field_map_matches_joint_propagation(self, amps):
+        # oracle: attach the atom, propagate the joint state with the dense
+        # exponential of the full generator, trace the atom out
+        cutoff, tau = 10, 0.35**2 / 63.0
+        spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.35 / tau)
+        joint = atom_field_layout(2, cutoff)
+        h = build_engineered_hamiltonian(spec, joint)
+        inj = AtomInjectionParams(tau=tau, rate=1.0 / tau,
+                                  atom_state=atom_state(amps, ("g", "e")))
+        bath = ThermalBathParams(gamma=1.0, n_bar=0.05)
+        rho0 = thermal_state(0.05, cutoff)
+        traj = collision_model_evolve(h, inj, bath, rho0, 20)
+
+        bath_joint = [
+            LindbladTerm(t.rate, ComplexOperator(joint, np.kron(np.eye(2), t.jump.entries)))
+            for t in thermal_terms(bath, field_layout(cutoff))
+        ]
+        propagator = scipy.linalg.expm(liouvillian_matrix(h, bath_joint).entries * tau)
+        amp = inj.atom_state.amplitudes
+        rho_atom = np.outer(amp, amp.conj())
+        d = joint.dim
+        rho_f = rho0.entries
+        for state in traj.states[1:]:
+            vec = propagator @ np.kron(rho_atom, rho_f).ravel(order="F")
+            reduced = partial_trace(DensityOperator(joint, vec.reshape((d, d), order="F")),
+                                    "field").symmetrized().entries
+            rho_f = reduced / np.real(np.trace(reduced))
+            assert np.allclose(state.entries, rho_f, atol=1e-13, rtol=0)
 
     def test_tracks_coarse_grained_dissipator(self):
         micro = self.run_collisions(0.35)

@@ -1,12 +1,14 @@
 """Scenario schema, presets, runner outputs, sweeps and the CLI."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from fockladder import (
     ScenarioValidationError,
+    collision_document,
     evaluate_check,
     list_presets,
     load_scenario,
@@ -282,6 +284,36 @@ class TestCli:
         # fig4 pumps |3> hard; cutoff 4 leaves the pumped level inside the
         # top-two leakage guard
         assert cli_main(["run", "--scenario", "fig4", "--cutoff", "4"]) == 3
+
+    @pytest.mark.parametrize("k", [12, -1])
+    def test_selective_channel_outside_cutoff_exits_2(self, tmp_path, capsys, k):
+        doc = preset_document("fig6b")
+        doc["cutoff"] = 12
+        doc["parameters"]["channels"][0][0] = k
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(path)]) == 2
+        assert "channels[0][0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["fig4", "fig6b", "collision"])
+    def test_negative_target_fock_exits_2(self, tmp_path, capsys, name):
+        doc = collision_document(0.2) if name == "collision" else preset_document(name)
+        doc["parameters"]["target_fock"] = -2
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(path)]) == 2
+        assert "target_fock" in capsys.readouterr().err
+
+    def test_nan_rate_exits_2_quickly(self, tmp_path, capsys):
+        doc = preset_document("fig6b")
+        doc["parameters"]["gamma"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # written as the bare token NaN
+        start = time.monotonic()
+        assert cli_main(["run", "--scenario", str(path)]) == 2
+        assert time.monotonic() - start < 5.0
+        with pytest.raises(ScenarioValidationError, match="parameters.gamma"):
+            parse_config(doc)
 
     def test_regime_threshold_controls_exit(self, capsys):
         assert cli_main(["regime", "--scenario", "fig2a", "--threshold", "5"]) == 0
