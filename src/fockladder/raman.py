@@ -186,26 +186,12 @@ class TimeDependentHamiltonian:
     def __init__(self, layout: HilbertLayout, terms: list[tuple[complex, float, np.ndarray]]):
         self.layout = layout
         self.terms = [(complex(c), float(w), np.ascontiguousarray(m)) for c, w, m in terms]
-        self._coeffs = np.array([c for c, _, _ in self.terms], dtype=complex)
-        self._freqs = np.array([w for _, w, _ in self.terms])
-        # [T_1; ...; T_n; T_1^dag; ...; T_n^dag], so apply is one matrix product
-        self._stacked = np.concatenate(
-            [m for _, _, m in self.terms] + [m.conj().T for _, _, m in self.terms]
-        ).astype(complex)
 
     def matrix(self, t: float) -> np.ndarray:
         h = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
         for c, w, m in self.terms:
             h += (c * cmath.exp(1j * w * t)) * m
         return h + h.conj().T
-
-    def __call__(self, t: float) -> ComplexOperator:
-        return ComplexOperator(self.layout, self.matrix(t))
-
-    def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
-        half = self._coeffs * np.exp(1j * self._freqs * t)
-        blocks = (self._stacked @ psi).reshape(2 * len(self.terms), -1)
-        return (np.concatenate([half, half.conj()]) @ blocks).reshape(psi.shape)
 
 
 def build_full_hamiltonian(

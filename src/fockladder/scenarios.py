@@ -351,6 +351,11 @@ def _validate_initial_state(model: str, initial: dict, cutoff: int) -> None:
     where = "initial_state"
     if model in HAMILTONIAN_MODELS:
         _check_keys(initial, where, {"field", "atom"})
+        for key in ("field", "atom"):
+            if not isinstance(initial[key], dict):
+                raise ScenarioValidationError(
+                    f"{where}.{key}", f"expected an object, got {type(initial[key]).__name__}"
+                )
         for n in initial["field"]:
             if not str(n).isdigit() or int(n) > cutoff:
                 raise ScenarioValidationError(f"{where}.field", f"bad Fock index {n!r}")
@@ -473,6 +478,11 @@ def _couplings_record(derived, spec) -> dict:
     }
 
 
+def _integrator_record(traj) -> dict:
+    """Magnus steps taken and the accepted error estimate of a Hamiltonian run."""
+    return {"steps": traj.steps, "error_estimate": traj.error_estimate}
+
+
 def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries | None:
     p = config.parameters
     params, derived, spec, report, input_tildes = _raman_setup(config)
@@ -504,6 +514,7 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
         for name, col in _probe_columns(traj_full.states, config.outputs, config.cutoff).items()
     }
     summary["leakage"] = {"full": traj_full.leakage}
+    summary["diagnostics"] = {"integrator": {"full": _integrator_record(traj_full)}}
 
     x_values = x_grid.times
     if p.get("compare_engineered", True):
@@ -529,6 +540,7 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
         eng_cols = _probe_columns(traj_eng.states, config.outputs, config.cutoff)
         cols.update({f"{name}_engineered": col for name, col in eng_cols.items()})
         summary["leakage"]["engineered"] = traj_eng.leakage
+        summary["diagnostics"]["integrator"]["engineered"] = _integrator_record(traj_eng)
 
         subspace = set(range(spec.base, spec.top + 1))
         devs, outside = [], [0.0]
@@ -578,6 +590,7 @@ def _run_engineered(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     traj = evolve_state(h_eng, psi0, t_grid, config.integrator)
     cols = _probe_columns(traj.states, config.outputs, config.cutoff)
     summary["leakage"] = {"engineered": traj.leakage}
+    summary["diagnostics"] = {"integrator": {"engineered": _integrator_record(traj)}}
 
     x_values = config.grid.times
     if p.get("analytic"):

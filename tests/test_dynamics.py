@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from fockladder import (
     ComplexOperator,
@@ -26,6 +27,12 @@ from fockladder import (
     mean_photon,
     product_state,
     atom_state,
+    build_full_hamiltonian,
+    field_superposition,
+    preset_document,
+    raman_params,
+    solve_dressed_resonance,
+    solve_resonance,
     steady_state,
     thermal_state,
     thermal_terms,
@@ -33,6 +40,7 @@ from fockladder import (
     selective_dissipators,
     ub_dissipator,
 )
+from fockladder import lindblad
 from fockladder.lindblad import invariant_blocks
 from fockladder.scenarios import _ladder_from_doc
 
@@ -71,6 +79,66 @@ def static_hamiltonian(layout, seed, active=None):
         h[active:, :] = 0.0
         h[:, active:] = 0.0
     return ComplexOperator(layout, h)
+
+
+def full_raman_case(name, kind="JC", cutoff=None):
+    """Resonance-solved full Hamiltonian of a preset and a state on three sectors."""
+    doc = preset_document(name)
+    p = doc["parameters"]
+    cutoff = cutoff or doc["cutoff"]
+    params = raman_params(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], kind=kind)
+    params = solve_dressed_resonance(solve_resonance(params, p["base"]), p["base"])
+    h = build_full_hamiltonian(params, atom_field_layout(len(params.atom_levels), cutoff))
+    base = p["base"]
+    psi0 = product_state(
+        atom_state({"g": 0.6, "e": 0.8j}, params.atom_levels),
+        field_superposition({base: 1.0, base + 1: 0.5, base + 2: 0.7j}, cutoff),
+    )
+    return h, psi0
+
+
+def cycle_case():
+    """Levels 0-1-2 closed in a cycle at incommensurate frequencies, a second
+    term on edge 0-1 that keeps a residual on a tree edge, and a block {3, 4}
+    that psi0 does not touch."""
+    layout = field_layout(4)
+
+    def edge(r, s):
+        m = np.zeros((5, 5))
+        m[r, s] = 1.0
+        return m
+
+    h = TimeDependentHamiltonian(layout, [
+        (0.3, 1.0, edge(1, 0)),
+        (0.2, np.sqrt(2.0), edge(2, 1)),
+        (0.25j, 0.5, edge(2, 0)),
+        (0.15, np.pi / 3, edge(1, 0)),
+        (0.4, 0.7, edge(4, 3)),
+    ])
+    return h, fock_state(0, 4)
+
+
+HAMILTONIAN_CASES = {
+    "fig2a-JC": lambda: full_raman_case("fig2a"),
+    "fig2a-AJC": lambda: full_raman_case("fig2a", kind="AJC"),
+    "fig3b-cutoff12": lambda: full_raman_case("fig3b", cutoff=12),
+    "cycle": cycle_case,
+}
+
+
+def dop853_states(h, psi0, times):
+    """Oracle: DOP853 on the full H.matrix(t) @ psi at rtol 1e-12."""
+    sol = solve_ivp(
+        lambda t, psi: -1j * (h.matrix(t) @ psi),
+        (times[0], times[-1]),
+        psi0.amplitudes.astype(complex),
+        method="DOP853",
+        t_eval=times,
+        rtol=1e-12,
+        atol=1e-14,
+    )
+    assert sol.success
+    return sol.y.T
 
 
 class TestEvolveState:
@@ -114,6 +182,47 @@ class TestEvolveState:
             psi = scipy.linalg.expm(-1j * h.matrix(t_mid) * dt) @ psi
         overlap = abs(np.vdot(psi, traj.states[-1].amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("case", sorted(HAMILTONIAN_CASES))
+    def test_time_dependent_matches_dop853(self, case):
+        h, psi0 = HAMILTONIAN_CASES[case]()
+        grid = TimeGrid(0.0, 30.0, 16)
+        traj = evolve_state(h, psi0, grid, FAST)
+        got = np.array([s.amplitudes for s in traj.states])
+        expected = dop853_states(h, psi0, grid.times)
+        assert np.max(np.abs(got - expected)) <= 1e-8
+        assert traj.steps > 0
+        assert 0.0 < traj.error_estimate <= FAST.rel_tol
+        # blocks that psi0 does not touch stay exactly zero
+        untouched = np.all(expected == 0.0, axis=0)
+        assert untouched.any()
+        assert np.all(got[:, untouched] == 0.0)
+
+    def test_step_chunking_leaves_states_unchanged(self, monkeypatch):
+        # with one step per chunk every interval spans several chunks
+        h, psi0 = cycle_case()
+        grid = TimeGrid(0.0, 30.0, 16)
+        whole = evolve_state(h, psi0, grid, FAST)
+        monkeypatch.setattr(lindblad, "_CHUNK_STEPS", 1)
+        chunked = evolve_state(h, psi0, grid, FAST)
+        assert chunked.steps == whole.steps
+        for a, b in zip(whole.states, chunked.states):
+            assert np.allclose(a.amplitudes, b.amplitudes, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("h", [None, lambda t: np.eye(5), np.eye(5)])
+    def test_unsupported_hamiltonian_rejected(self, h):
+        with pytest.raises(TypeError):
+            evolve_state(h, fock_state(0, 4), TimeGrid(0.0, 1.0, 3), FAST)
+
+    def test_non_hermitian_hamiltonian_rejected(self):
+        h = ComplexOperator(field_layout(4), annihilation(4).entries)
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve_state(h, fock_state(1, 4), TimeGrid(0.0, 1.0, 3), FAST)
+
+    def test_step_doubling_cap_raises(self):
+        h, psi0 = cycle_case()
+        with pytest.raises(IntegrationError, match="Magnus steps"):
+            evolve_state(h, psi0, TimeGrid(0.0, 20.0, 2), IntegratorConfig(rel_tol=1e-30))
 
     def test_leakage_guard_triggers(self):
         # resonant JC ladder across the whole space drives population to the top

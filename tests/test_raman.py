@@ -84,15 +84,6 @@ class TestFullHamiltonian:
             m = h.matrix(t)
             assert np.allclose(m, m.conj().T)
 
-    def test_apply_matches_matrix(self):
-        params = raman_params(**FIG3A)
-        layout = atom_field_layout(5, 5)
-        h = build_full_hamiltonian(params, layout)
-        rng = np.random.default_rng(7)
-        psi = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-        for t in (0.0, 1.3):
-            assert np.allclose(h.apply(t, psi), h.matrix(t) @ psi)
-
     def test_atom_dimension_enforced(self):
         params = raman_params(**FIG2A)
         from fockladder import LayoutError

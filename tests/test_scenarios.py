@@ -152,6 +152,19 @@ class TestRunner:
         # x = zeta_ref * t: P0 = cos^2 x starting from |e, 0>
         assert np.allclose(series.column("P0"), np.cos(series.times) ** 2, atol=1e-7)
 
+    def test_integrator_diagnostics_recorded(self):
+        engineered = run_scenario(parse_config(engineered_doc())).summary
+        assert engineered["diagnostics"]["integrator"] == {
+            "engineered": {"steps": 0, "error_estimate": 0.0}
+        }
+        doc = preset_document("fig2a")
+        first = summary_to_json(run_scenario(parse_config(doc)).summary)
+        assert summary_to_json(run_scenario(parse_config(doc)).summary) == first
+        integrator = json.loads(first)["diagnostics"]["integrator"]
+        assert integrator["full"]["steps"] > 0
+        assert 0.0 < integrator["full"]["error_estimate"] <= doc["integrator"]["rel_tol"]
+        assert integrator["engineered"] == {"steps": 0, "error_estimate": 0.0}
+
     def test_regime_only_skips_evolution(self):
         result = run_scenario(load_scenario("regime-check-fig2a"))
         assert result.series is None
@@ -303,6 +316,15 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli_main(["run", "--scenario", str(path)]) == 2
         assert "target_fock" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("atom", ["e"]), ("field", ["1"])])
+    def test_initial_state_list_exits_2(self, tmp_path, capsys, key, value):
+        doc = preset_document("fig2a")
+        doc["initial_state"][key] = value
+        path = tmp_path / "initial.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(path)]) == 2
+        assert f"initial_state.{key}: expected an object" in capsys.readouterr().err
 
     def test_nan_rate_exits_2_quickly(self, tmp_path, capsys):
         doc = preset_document("fig6b")
