@@ -28,6 +28,7 @@ from .hilbert import (
     fock_projector,
     fock_state,
     identity,
+    marginal,
     number_operator,
     partial_trace,
     product_state,
@@ -71,6 +72,7 @@ from .lindblad import (
     evolve_density,
     evolve_state,
     liouvillian_matrix,
+    sparse_liouvillian,
     steady_state,
 )
 from .reservoir import (
@@ -103,9 +105,12 @@ from .observables import (
     VacuumDominatedError,
     detect_steady,
     fidelity_fock,
+    field_populations,
     fock_probabilities,
     mandel_q,
     mean_photon,
+    photon_mandel_q,
+    photon_mean,
     purity,
     trace_distance,
 )

@@ -10,7 +10,7 @@ construction; every operation returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class HilbertLayout:
             if d < 2:
                 raise LayoutError(f"factor {label!r} has dimension {d} < 2")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return int(np.prod([d for _, d in self.factors]))
 
@@ -352,6 +352,19 @@ def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
         n -= 1
     kept = HilbertLayout((layout.factors[layout.axis(keep)],))
     return DensityOperator(kept, tens)
+
+
+def marginal(probs: np.ndarray, layout: HilbertLayout, keep: str) -> np.ndarray:
+    """Distribution over factor ``keep`` of basis-state probabilities.
+
+    ``probs`` holds one probability per basis state of ``layout`` along its
+    last axis (any leading axes are kept), e.g. |amplitudes|^2 or the real
+    diagonal of a density matrix; the other factors are summed out.
+    """
+    axis = layout.axis(keep)
+    lead = probs.ndim - 1
+    shaped = probs.reshape(probs.shape[:-1] + layout.dims)
+    return shaped.sum(axis=tuple(lead + i for i in range(len(layout.dims)) if i != axis))
 
 
 def expectation(op: ComplexOperator, state: StateVector | DensityOperator) -> complex:

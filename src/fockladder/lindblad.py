@@ -15,11 +15,14 @@ two-point Gauss fourth-order Magnus steps (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009)), with step doubling until the Richardson
 error estimate meets the requested tolerance.
 
-Density operators are integrated with an adaptive embedded Runge-Kutta
-scheme (DOP853 by default) as the column-stacked vector under the sparse
-vectorized Liouvillian, and re-symmetrized only at the output samples.
-Steady states and the collision propagator work on the Liouvillian's
-invariant blocks.
+Density operators are propagated as the column-stacked vector under the
+sparse vectorized Liouvillian, again only in the invariant blocks that
+vec(rho0) touches.  The generator is static, so each touched block
+advances exactly by one matrix exponential of one sample interval (Moler
+& Van Loan, SIAM Rev. 45, 3 (2003)); a thermal or Fock start touches only
+the block of the d populations, which makes this the population rate
+equation.  States are re-symmetrized at the output samples.  Steady
+states and the collision propagator work on the same invariant blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .hilbert import (
@@ -38,17 +40,13 @@ from .hilbert import (
     HilbertLayout,
     LayoutError,
     StateVector,
+    marginal,
 )
 from .raman import TimeDependentHamiltonian
 
 LEAKAGE_LIMIT = 1e-6
 TRACE_DRIFT_LIMIT = 1e-8
 NEGATIVITY_LIMIT = 1e-7
-
-# Internal safety factor on the solver tolerances: the global error
-# accumulated over long grids must stay within the advertised drift
-# bounds, which are stated against the *requested* tolerances.
-_TOL_SAFETY = 0.02
 
 # Magnus step control of Hamiltonian runs: a block that would need more
 # than _MAX_STEPS steps over the grid fails; step propagators are built
@@ -64,7 +62,7 @@ class LeakageError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The ODE solver failed or violated its conservation contract."""
+    """A propagator failed or violated its conservation contract."""
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -100,15 +98,13 @@ class IntegratorConfig:
 
     ``rel_tol`` is the global error target of Hamiltonian runs: the
     largest amplitude error estimate the Magnus step doubling accepts;
-    their norm-drift guard allows 10 * rel_tol.  ``abs_tol``, ``max_step``
-    and ``method`` apply to density runs only, which pass them to
-    ``solve_ivp`` together with ``rel_tol``.
+    their norm-drift guard allows 10 * rel_tol.  Density runs are
+    propagated exactly and read neither tolerance.  ``abs_tol`` is
+    accepted and validated, but no propagator reads it.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float = np.inf
-    method: str = "DOP853"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -127,9 +123,14 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class LiouvillianMatrix:
-    """d^2 x d^2 generator under the column-stacking convention vec(A rho B) = (B^T (x) A) vec(rho)."""
+    """d^2 x d^2 generator under the column-stacking convention vec(A rho B) = (B^T (x) A) vec(rho).
 
-    entries: np.ndarray
+    ``entries`` is a dense array (``liouvillian_matrix``) or a scipy sparse
+    matrix (``sparse_liouvillian``); ``evolve_density`` and
+    ``steady_state`` take either.
+    """
+
+    entries: np.ndarray | scipy.sparse.csr_matrix
     layout: HilbertLayout
     vectorization: str = "column-stacking"
 
@@ -141,7 +142,9 @@ class Trajectory:
     ``steps`` and ``error_estimate`` describe the Magnus propagation of a
     Hamiltonian run: the steps taken over every block and doubling level,
     and the largest Richardson estimate accepted.  Both are zero when
-    every block was propagated exactly, and for density runs.
+    every block was propagated exactly, and for density runs.  ``blocks``
+    holds the size of each invariant block a density run propagated;
+    every other entry of its states stayed exactly zero.
     """
 
     times: np.ndarray
@@ -149,22 +152,19 @@ class Trajectory:
     leakage: float
     steps: int = 0
     error_estimate: float = 0.0
+    blocks: tuple[int, ...] = ()
 
 
-def _top_two_population(state, layout: HilbertLayout) -> float:
-    """Summed population of the two highest Fock levels of the field factor."""
+def _top_two_population(probs: np.ndarray, layout: HilbertLayout) -> np.ndarray:
+    """Summed population of the two highest Fock levels of the field factor.
+
+    ``probs`` holds basis-state probabilities along its last axis (|psi|^2,
+    or the real diagonal of a density matrix); leading axes are kept.
+    """
     if "field" not in layout.labels:
-        return 0.0
-    dims = layout.dims
-    axis = layout.axis("field")
-    if isinstance(state, np.ndarray) and state.ndim == 1:
-        probs = np.abs(state.reshape(dims)) ** 2
-        pops = probs.sum(axis=tuple(i for i in range(len(dims)) if i != axis))
-    else:
-        mat = state if isinstance(state, np.ndarray) else state.entries
-        diag = np.real(np.diag(mat)).reshape(dims)
-        pops = diag.sum(axis=tuple(i for i in range(len(dims)) if i != axis))
-    return float(pops[-1] + pops[-2])
+        return np.zeros(probs.shape[:-1])
+    pops = marginal(probs, layout, "field")
+    return pops[..., -1] + pops[..., -2]
 
 
 def _half_terms(H, layout: HilbertLayout) -> list[tuple[float, np.ndarray]]:
@@ -355,7 +355,7 @@ def evolve_state(
         norm = np.linalg.norm(amps_k)
         if abs(norm - 1.0) > 10.0 * cfg.rel_tol:
             raise IntegrationError(f"norm drift {abs(norm - 1.0)} exceeds 10*rel_tol")
-        leak = _top_two_population(amps_k, layout)
+        leak = float(_top_two_population(np.abs(amps_k) ** 2, layout))
         leakage = max(leakage, leak)
         if leak >= LEAKAGE_LIMIT:
             raise LeakageError(
@@ -365,70 +365,64 @@ def evolve_state(
     return Trajectory(times, states, leakage, steps, error)
 
 
-def evolve_density(
-    H,
-    terms: list[LindbladTerm],
-    rho0: DensityOperator,
-    grid: TimeGrid,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> Trajectory:
-    """Integrate the Lindblad master equation for a static Hamiltonian (or None).
+def evolve_density(L: LiouvillianMatrix, rho0: DensityOperator, grid: TimeGrid) -> Trajectory:
+    """Propagate vec(rho) under the static generator ``L`` over the sampling grid.
 
-    rho_dot = -i[H, rho] + sum_k (rate_k/2)(2 J rho J^dag - J^dag J rho - rho J^dag J),
-    integrated as L vec(rho) on the full column-stacked vector.
+    ``L`` comes from ``sparse_liouvillian`` or ``liouvillian_matrix``:
+    rho_dot = -i[H, rho] + sum_k (rate_k/2)(2 J rho J^dag - J^dag J rho - rho J^dag J).
+    Only the invariant blocks of L that vec(rho0) touches are propagated,
+    each by exp(L_b dt) once per sample interval; every other entry stays
+    exactly zero.  The trace-drift, negativity and leakage guards run on
+    every sample, and the first sample that fails one raises.
     """
     layout = rho0.layout
+    if L.layout != layout:
+        raise LayoutError("generator and density operator layouts differ")
     d = layout.dim
     times = grid.times
-    if H is None and not terms:
-        return Trajectory(
-            times, [rho0 for _ in times], _top_two_population(rho0, layout)
-        )
-    generator, gen_layout = _liouvillian_sparse(H, terms)
-    if gen_layout != layout:
-        raise LayoutError("generator and density operator layouts differ")
+    dt = times[1] - times[0]  # a linspace: one step propagator serves every interval
+    mat = scipy.sparse.csr_matrix(L.entries)
+    vec0 = rho0.entries.astype(complex).ravel(order="F")
+    vecs = np.zeros((len(times), d * d), dtype=complex)
+    touched = [idx for idx in invariant_blocks(mat) if np.any(vec0[idx])]
+    for idx, sub in zip(touched, dense_blocks(mat, touched)):
+        step = scipy.linalg.expm(sub * dt)
+        block = np.empty((len(times), len(idx)), dtype=complex)
+        block[0] = vec0[idx]
+        for k in range(1, len(times)):
+            block[k] = step @ block[k - 1]
+        vecs[:, idx] = block
 
-    def rhs(t, vec):
-        return generator @ vec
-
-    sol = solve_ivp(
-        rhs,
-        (times[0], times[-1]),
-        rho0.entries.astype(complex).ravel(order="F"),
-        method=cfg.method,
-        t_eval=times,
-        rtol=_TOL_SAFETY * cfg.rel_tol,
-        atol=_TOL_SAFETY * cfg.abs_tol,
-        max_step=cfg.max_step,
+    # row k of vecs is rho_k stacked by columns
+    rho = vecs.reshape(len(times), d, d).transpose(0, 2, 1)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    drift = np.abs(np.real(np.trace(rho, axis1=1, axis2=2)) - 1.0)
+    lam_min = np.linalg.eigvalsh(rho).min(axis=1)
+    leak = _top_two_population(np.real(np.diagonal(rho, axis1=1, axis2=2)), layout)
+    failing = (
+        (drift > TRACE_DRIFT_LIMIT) | (lam_min < -NEGATIVITY_LIMIT) | (leak >= LEAKAGE_LIMIT)
     )
-    if not sol.success:
-        raise IntegrationError(f"density integration failed: {sol.message}")
-
-    states = []
-    leakage = 0.0
-    for k in range(sol.y.shape[1]):
-        rho = sol.y[:, k].reshape((d, d), order="F")
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = float(np.real(np.trace(rho)))
-        if abs(tr - 1.0) > TRACE_DRIFT_LIMIT:
-            raise IntegrationError(f"trace drift {abs(tr - 1.0)} exceeds {TRACE_DRIFT_LIMIT}")
-        lam_min = float(np.min(np.linalg.eigvalsh(rho)))
-        if lam_min < -NEGATIVITY_LIMIT:
+    if np.any(failing):
+        k = int(np.argmax(failing))
+        if drift[k] > TRACE_DRIFT_LIMIT:
+            raise IntegrationError(f"trace drift {drift[k]} exceeds {TRACE_DRIFT_LIMIT}")
+        if lam_min[k] < -NEGATIVITY_LIMIT:
             raise IntegrationError(
-                f"negative eigenvalue {lam_min}; truncation or step failure"
+                f"negative eigenvalue {lam_min[k]}; truncation or step failure"
             )
-        leak = _top_two_population(rho, layout)
-        leakage = max(leakage, leak)
-        if leak >= LEAKAGE_LIMIT:
-            raise LeakageError(
-                f"top-two Fock population {leak} >= {LEAKAGE_LIMIT}; raise the cutoff"
-            )
-        states.append(DensityOperator(layout, rho))
-    return Trajectory(times, states, leakage)
+        raise LeakageError(
+            f"top-two Fock population {leak[k]} >= {LEAKAGE_LIMIT}; raise the cutoff"
+        )
+    states = [DensityOperator(layout, r) for r in rho]
+    return Trajectory(times, states, float(np.max(leak)),
+                      blocks=tuple(len(idx) for idx in touched))
 
 
-def _liouvillian_sparse(H, terms: list[LindbladTerm]):
-    """The vectorized generator as a CSR matrix, with the layout it acts on."""
+def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
+    """Vectorized generator L vec(rho) = vec(rho_dot), columns stacked, as a CSR matrix.
+
+    ``H`` is a static ``ComplexOperator`` or None.
+    """
     if H is None and not terms:
         raise ValueError("need a Hamiltonian or at least one dissipator")
     if H is not None and not isinstance(H, ComplexOperator):
@@ -449,13 +443,13 @@ def _liouvillian_sparse(H, terms: list[LindbladTerm]):
         L = L + (term.rate / 2.0) * (
             2.0 * kron(j.conj(), j) - kron(eye, jdj) - kron(jdj.T, eye)
         )
-    return L.tocsr(), layout
+    return LiouvillianMatrix(L.tocsr(), layout)
 
 
 def liouvillian_matrix(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
-    """Vectorized generator: L vec(rho) = vec(rho_dot), columns stacked."""
-    mat, layout = _liouvillian_sparse(H, terms)
-    return LiouvillianMatrix(mat.toarray(), layout)
+    """The generator of ``sparse_liouvillian`` with dense entries."""
+    L = sparse_liouvillian(H, terms)
+    return LiouvillianMatrix(L.entries.toarray(), L.layout)
 
 
 def invariant_blocks(mat) -> list[np.ndarray]:
@@ -473,17 +467,42 @@ def invariant_blocks(mat) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
+def dense_blocks(mat, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The diagonal blocks mat[idx, idx] of a sparse generator as dense arrays.
+
+    ``blocks`` are invariant blocks of ``mat`` (or some of them), so every
+    stored entry in a listed block's rows lies inside that block.
+    """
+    coo = scipy.sparse.coo_matrix(mat)
+    coo.sum_duplicates()
+    label = np.full(mat.shape[0], -1)
+    position = np.empty(mat.shape[0], dtype=int)
+    for b, idx in enumerate(blocks):
+        label[idx] = b
+        position[idx] = np.arange(len(idx))
+    owner = label[coo.row]
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(len(blocks) + 1))
+    subs = []
+    for b, idx in enumerate(blocks):
+        entries = order[bounds[b]:bounds[b + 1]]
+        sub = np.zeros((len(idx), len(idx)), dtype=complex)
+        sub[position[coo.row[entries]], position[coo.col[entries]]] = coo.data[entries]
+        subs.append(sub)
+    return subs
+
+
 def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     """Unique null-space density operator of a trace-preserving Liouvillian.
 
-    Each invariant block is eigendecomposed on its own: |L|_2 is the
-    largest block norm, and the null and degeneracy counts run over the
-    union of the block spectra.
+    ``L`` may hold dense or sparse entries.  Each invariant block is
+    eigendecomposed on its own: |L|_2 is the largest block norm, and the
+    null and degeneracy counts run over the union of the block spectra.
     """
-    mat = L.entries
+    mat = scipy.sparse.csr_matrix(L.entries)
     d = L.layout.dim
     blocks = invariant_blocks(mat)
-    subs = [mat[np.ix_(idx, idx)] for idx in blocks]
+    subs = dense_blocks(mat, blocks)
     norm = max(np.linalg.norm(sub, ord=2) for sub in subs)
     spectra = [scipy.linalg.eig(sub) for sub in subs]
     eigvals = np.concatenate([vals for vals, _ in spectra])

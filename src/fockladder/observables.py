@@ -14,7 +14,7 @@ from .hilbert import (
     DensityOperator,
     LayoutError,
     StateVector,
-    partial_trace,
+    marginal,
 )
 
 MEAN_PHOTON_FLOOR = 1e-9
@@ -25,16 +25,23 @@ class VacuumDominatedError(ValueError):
 
 
 def _field_populations(state: StateVector | DensityOperator) -> np.ndarray:
-    layout = state.layout
+    return field_populations([state])[0]
+
+
+def field_populations(states) -> np.ndarray:
+    """P_n of the field factor of each state (atom summed out when present).
+
+    ``states`` is a non-empty sequence of state vectors or of density
+    operators on one layout; the result has one row per state.
+    """
+    layout = states[0].layout
     if "field" not in layout.labels:
         raise LayoutError("state has no field factor")
-    if isinstance(state, StateVector):
-        axis = layout.axis("field")
-        probs = np.abs(state.amplitudes.reshape(layout.dims)) ** 2
-        return probs.sum(axis=tuple(i for i in range(len(layout.dims)) if i != axis))
-    if len(layout.factors) > 1:
-        state = partial_trace(state, "field")
-    return np.real(np.diag(state.entries))
+    if isinstance(states[0], StateVector):
+        probs = np.abs(np.array([s.amplitudes for s in states])) ** 2
+    else:
+        probs = np.real(np.array([np.diagonal(s.entries) for s in states]))
+    return marginal(probs, layout, "field")
 
 
 def fock_probabilities(state: StateVector | DensityOperator, cutoff: int | None = None) -> np.ndarray:
@@ -54,20 +61,33 @@ def fidelity_fock(rho: StateVector | DensityOperator, n: int) -> float:
 
 
 def mean_photon(state: StateVector | DensityOperator) -> float:
-    pops = _field_populations(state)
-    return float(np.arange(len(pops)) @ pops)
+    return float(photon_mean(_field_populations(state)))
 
 
 def mandel_q(state: StateVector | DensityOperator) -> float:
     """Q = (<n^2> - <n>^2 - <n>) / <n>; -1 for Fock states, 0 for coherent."""
-    pops = _field_populations(state)
-    n = np.arange(len(pops))
-    mean = float(n @ pops)
-    if mean < MEAN_PHOTON_FLOOR:
+    return float(photon_mandel_q(_field_populations(state)))
+
+
+def photon_mean(pops: np.ndarray) -> np.ndarray:
+    """<n> of Fock populations along the last axis of ``pops``."""
+    return pops @ np.arange(pops.shape[-1])
+
+
+def photon_mandel_q(pops: np.ndarray) -> np.ndarray:
+    """Mandel Q of Fock populations along the last axis of ``pops``.
+
+    Raises VacuumDominatedError for the first population row whose mean
+    photon number is below MEAN_PHOTON_FLOOR.
+    """
+    n = np.arange(pops.shape[-1])
+    mean = pops @ n
+    low = np.flatnonzero(np.ravel(mean) < MEAN_PHOTON_FLOOR)
+    if low.size:
         raise VacuumDominatedError(
-            f"mean photon number {mean} below {MEAN_PHOTON_FLOOR}; Q undefined"
+            f"mean photon number {np.ravel(mean)[low[0]]} below {MEAN_PHOTON_FLOOR}; Q undefined"
         )
-    second = float((n ** 2) @ pops)
+    second = pops @ (n ** 2)
     return (second - mean ** 2 - mean) / mean
 
 

@@ -27,9 +27,10 @@ from .lindblad import (
     LeakageError,
     LindbladTerm,
     Trajectory,
-    _liouvillian_sparse,
     _top_two_population,
+    dense_blocks,
     invariant_blocks,
+    sparse_liouvillian,
 )
 from .raman import LadderSpec, ladder_operator
 
@@ -141,8 +142,10 @@ def collision_model_evolve(
     the field bath acts during the windows.  Each window attaches a fresh
     atom in the injection state, evolves the joint state under the
     engineered Hamiltonian plus bath, and traces the atom out.  These
-    three steps are contracted once into a map on the field state, so
-    each atom costs one matrix-vector product.
+    three steps are contracted once into a map on the field state, and
+    each atom applies that map only on the invariant blocks of the map
+    that vec(rho0) touches (the d populations for a thermal or Fock field
+    and a g or e atom); every other entry stays exactly zero.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
@@ -157,27 +160,50 @@ def collision_model_evolve(
         LindbladTerm(t.rate, ComplexOperator(joint, np.kron(eye2, t.jump.entries)))
         for t in thermal_terms(bath, field_layout_)
     ]
-    L, _ = _liouvillian_sparse(engineered_h, bath_joint)
-    field_map = _field_map(L, inj, cutoff + 1)
+    df = cutoff + 1
+    field_map = _field_map(sparse_liouvillian(engineered_h, bath_joint).entries, inj, df)
+
+    # vec index i + j*df holds <i|rho|j>; transpose[k] is the index of its
+    # transposed entry.  The map preserves Hermiticity, so its pattern is
+    # closed under transposing both indices; taking the union with the
+    # transposed pattern keeps it so under rounding, and the touched blocks
+    # then stay closed under the per-atom symmetrization.
+    transpose = np.arange(df * df).reshape(df, df).T.ravel()
+    pattern = field_map != 0
+    pattern |= pattern[np.ix_(transpose, transpose)]
+    vec0 = rho0_field.entries.astype(complex).ravel(order="F")
+    support = (vec0 != 0) | (vec0[transpose] != 0)
+    blocks = [idx for idx in invariant_blocks(pattern) if np.any(support[idx])]
+    touched = np.sort(np.concatenate(blocks))
+    step = field_map[np.ix_(touched, touched)]
+    position = np.full(df * df, -1)
+    position[touched] = np.arange(len(touched))
+    partner = position[transpose[touched]]
+    diagonal = position[np.arange(df) * (df + 1)]
+    diagonal = diagonal[diagonal >= 0]
+    top_two = position[np.array([df - 2, df - 1]) * (df + 1)]
+    top_two = top_two[top_two >= 0]
 
     times = [0.0]
     states = [rho0_field]
-    leakage = _top_two_population(rho0_field, field_layout_)
-    rho_f = rho0_field.entries
-    shape = rho_f.shape
+    leakage = float(_top_two_population(np.real(np.diag(rho0_field.entries)), field_layout_))
+    vec = vec0[touched]
+    full = np.zeros(df * df, dtype=complex)
     for n in range(1, n_atoms + 1):
-        rho_f = (field_map @ rho_f.ravel(order="F")).reshape(shape, order="F")
-        rho_f = 0.5 * (rho_f + rho_f.conj().T)
-        rho_f = rho_f / np.real(np.trace(rho_f))
-        leak = _top_two_population(rho_f, field_layout_)
+        vec = step @ vec
+        vec = 0.5 * (vec + vec[partner].conj())
+        vec /= vec[diagonal].real.sum()
+        leak = float(vec[top_two].real.sum())
         leakage = max(leakage, leak)
         if leak >= LEAKAGE_LIMIT:
             raise LeakageError(
                 f"top-two Fock population {leak} >= {LEAKAGE_LIMIT} after {n} collisions"
             )
         times.append(n * inj.tau)
-        states.append(DensityOperator(field_layout_, rho_f))
-    return Trajectory(np.asarray(times), states, leakage)
+        full[touched] = vec
+        states.append(DensityOperator(field_layout_, full.reshape((df, df), order="F")))
+    return Trajectory(np.asarray(times), states, leakage,
+                      blocks=tuple(len(idx) for idx in blocks))
 
 
 def _field_map(L, inj: AtomInjectionParams, df: int) -> np.ndarray:
@@ -194,7 +220,7 @@ def _field_map(L, inj: AtomInjectionParams, df: int) -> np.ndarray:
     attach = np.einsum("ab,mM,nN->bmanMN", rho_atom, eye_f, eye_f).reshape(-1, df * df)
     trace_out = np.einsum("ab,mM,nN->mnbMaN", np.eye(2), eye_f, eye_f).reshape(df * df, -1)
     field_map = np.zeros((df * df, df * df), dtype=complex)
-    for idx in invariant_blocks(L):
-        block = scipy.linalg.expm(L[idx][:, idx].toarray() * inj.tau)
-        field_map += trace_out[:, idx] @ block @ attach[idx]
+    blocks = invariant_blocks(L)
+    for idx, sub in zip(blocks, dense_blocks(L, blocks)):
+        field_map += trace_out[:, idx] @ scipy.linalg.expm(sub * inj.tau) @ attach[idx]
     return field_map

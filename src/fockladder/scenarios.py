@@ -39,16 +39,17 @@ from .lindblad import (
     TimeGrid,
     evolve_density,
     evolve_state,
-    liouvillian_matrix,
+    sparse_liouvillian,
     steady_state,
 )
 from .observables import (
     ObservableSeries,
     detect_steady,
     fidelity_fock,
-    fock_probabilities,
+    field_populations,
     mandel_q,
-    mean_photon,
+    photon_mandel_q,
+    photon_mean,
     purity,
     trace_distance,
 )
@@ -212,15 +213,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _validate_output_name(col, cutoff)
 
     integ_doc = doc.get("integrator", {})
-    _check_keys(integ_doc, "integrator", set(), {"rel_tol", "abs_tol", "max_step", "method"})
+    _check_keys(integ_doc, "integrator", set(), {"rel_tol", "abs_tol"})
     defaults = IntegratorConfig()
     try:
         integrator = IntegratorConfig(
             rel_tol=_number(integ_doc.get("rel_tol", defaults.rel_tol), "integrator.rel_tol"),
             abs_tol=_number(integ_doc.get("abs_tol", defaults.abs_tol), "integrator.abs_tol"),
-            max_step=(_number(integ_doc["max_step"], "integrator.max_step")
-                      if "max_step" in integ_doc else defaults.max_step),
-            method=str(integ_doc.get("method", defaults.method)),
         )
     except ValueError as exc:
         raise ScenarioValidationError("integrator", str(exc)) from None
@@ -379,23 +377,22 @@ def _validate_initial_state(model: str, initial: dict, cutoff: int) -> None:
 # observable columns
 
 
-def _probe_columns(states, outputs, cutoff) -> dict[str, np.ndarray]:
-    cols: dict[str, list[float]] = {name: [] for name in outputs}
-    for state in states:
-        pops = fock_probabilities(state)
-        for name in outputs:
-            if name.startswith("P") and name[1:].isdigit():
-                cols[name].append(float(pops[int(name[1:])]))
-            elif name.startswith("F") and name[1:].isdigit():
-                cols[name].append(float(pops[int(name[1:])]))
-            elif name == "Q":
-                cols[name].append(mandel_q(state))
-            elif name == "mean_n":
-                cols[name].append(mean_photon(state))
-            elif name == "purity":
-                rho = state.to_density() if isinstance(state, StateVector) else state
-                cols[name].append(purity(rho))
-    return {k: np.asarray(v) for k, v in cols.items()}
+def _probe_columns(states, outputs) -> dict[str, np.ndarray]:
+    """The requested columns over a trajectory, from one population array."""
+    pops = field_populations(states)
+    cols: dict[str, np.ndarray] = {}
+    for name in outputs:
+        if name[0] in "PF" and name[1:].isdigit():
+            cols[name] = pops[:, int(name[1:])]
+        elif name == "Q":
+            cols[name] = photon_mandel_q(pops)
+        elif name == "mean_n":
+            cols[name] = photon_mean(pops)
+        elif name == "purity":
+            cols[name] = np.array([
+                purity(s.to_density() if isinstance(s, StateVector) else s) for s in states
+            ])
+    return cols
 
 
 def _ladder_from_doc(doc: dict, zeta_ref: complex) -> LadderSpec:
@@ -483,6 +480,11 @@ def _integrator_record(traj) -> dict:
     return {"steps": traj.steps, "error_estimate": traj.error_estimate}
 
 
+def _density_record(traj) -> dict:
+    """Invariant blocks a density run propagated, and the size of the largest."""
+    return {"blocks": len(traj.blocks), "largest_block": max(traj.blocks)}
+
+
 def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries | None:
     p = config.parameters
     params, derived, spec, report, input_tildes = _raman_setup(config)
@@ -511,7 +513,7 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
     traj_full = evolve_state(h_full, psi0, t_grid, config.integrator)
     cols = {
         f"{name}_full": col
-        for name, col in _probe_columns(traj_full.states, config.outputs, config.cutoff).items()
+        for name, col in _probe_columns(traj_full.states, config.outputs).items()
     }
     summary["leakage"] = {"full": traj_full.leakage}
     summary["diagnostics"] = {"integrator": {"full": _integrator_record(traj_full)}}
@@ -537,15 +539,15 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
         )
         psi0e = product_state(atom_ge, field_superposition(field0, config.cutoff))
         traj_eng = evolve_state(h_eng, psi0e, t_grid, config.integrator)
-        eng_cols = _probe_columns(traj_eng.states, config.outputs, config.cutoff)
+        eng_cols = _probe_columns(traj_eng.states, config.outputs)
         cols.update({f"{name}_engineered": col for name, col in eng_cols.items()})
         summary["leakage"]["engineered"] = traj_eng.leakage
         summary["diagnostics"]["integrator"]["engineered"] = _integrator_record(traj_eng)
 
         subspace = set(range(spec.base, spec.top + 1))
         devs, outside = [], [0.0]
-        full_pops = np.array([fock_probabilities(s) for s in traj_full.states])
-        eng_pops = np.array([fock_probabilities(s) for s in traj_eng.states])
+        full_pops = field_populations(traj_full.states)
+        eng_pops = field_populations(traj_eng.states)
         for n in range(config.cutoff + 1):
             gap = float(np.max(np.abs(full_pops[:, n] - eng_pops[:, n])))
             if n in subspace:
@@ -588,13 +590,13 @@ def _run_engineered(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     psi0 = product_state(atom_ge, field_superposition(field0, config.cutoff))
     h_eng = build_engineered_hamiltonian(spec, atom_field_layout(2, config.cutoff))
     traj = evolve_state(h_eng, psi0, t_grid, config.integrator)
-    cols = _probe_columns(traj.states, config.outputs, config.cutoff)
+    cols = _probe_columns(traj.states, config.outputs)
     summary["leakage"] = {"engineered": traj.leakage}
     summary["diagnostics"] = {"integrator": {"engineered": _integrator_record(traj)}}
 
     x_values = config.grid.times
     if p.get("analytic"):
-        pops = np.array([fock_probabilities(s) for s in traj.states])
+        pops = field_populations(traj.states)
         ana = analytic_probabilities(p["analytic"], x_values)
         dev = 0.0
         for n, curve in ana.items():
@@ -630,15 +632,16 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
         if "recipe" in p:
             summary["gamma_eff"]["recipe"] = _selective_recipe_rates(p, channels)
 
-    terms = list(dissipator.terms) + thermal_terms(bath, layout)
+    generator = sparse_liouvillian(None, list(dissipator.terms) + thermal_terms(bath, layout))
     rho0 = _initial_field_density(config)
-    traj = evolve_density(None, terms, rho0, config.grid, config.integrator)
-    cols = _probe_columns(traj.states, config.outputs, config.cutoff)
+    traj = evolve_density(generator, rho0, config.grid)
+    cols = _probe_columns(traj.states, config.outputs)
     series = ObservableSeries(config.grid.times, cols)
     summary["leakage"] = {"density": traj.leakage}
+    summary["diagnostics"] = {"density": _density_record(traj)}
 
     target = p["target_fock"]
-    rho_ss = steady_state(liouvillian_matrix(None, terms))
+    rho_ss = steady_state(generator)
     # settling is judged on the target-fidelity column; the remaining
     # diagnostics may still creep within eps at the end of the grid
     fid_col = f"F{target}"
@@ -698,7 +701,7 @@ def _run_collision(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     bath = ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"])
     rho0 = _initial_field_density(config)
     traj = collision_model_evolve(h_eng, inj, bath, rho0, n_atoms)
-    cols = _probe_columns(traj.states, config.outputs, config.cutoff)
+    cols = _probe_columns(traj.states, config.outputs)
     summary["collision"] = {
         "tau": tau,
         "rate": 1.0 / tau,
@@ -708,6 +711,7 @@ def _run_collision(config: ScenarioConfig, summary: dict) -> ObservableSeries:
         "gamma_eff": gamma_from_injection(zeta, inj),
     }
     summary["leakage"] = {"density": traj.leakage}
+    summary["diagnostics"] = {"density": _density_record(traj)}
     summary["final"] = {name: float(col[-1]) for name, col in sorted(cols.items())}
     return ObservableSeries(traj.times, cols)
 

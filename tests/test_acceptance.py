@@ -172,7 +172,8 @@ class TestCriterion3Fig4:
         rho_ss = steady_state(liouvillian_matrix(None, terms))
         f3 = fidelity_fock(rho_ss, 3)
         q = mandel_q(rho_ss)
-        traj = evolve_density(None, terms, thermal_state(0.05, 12), TimeGrid(0.0, 10.0, 11))
+        traj = evolve_density(liouvillian_matrix(None, terms), thermal_state(0.05, 12),
+                              TimeGrid(0.0, 10.0, 11))
         dist = trace_distance(traj.states[-1], rho_ss)
         elapsed = time.perf_counter() - start
         ok = (abs(f3 - 0.92) <= 0.03 and abs(q + 0.96) <= 0.03
@@ -313,7 +314,8 @@ class TestCriterion8NumericalHygiene:
             terms = list(selective_dissipators(
                 [(int(k), float(g)) for k, g in p["channels"]], layout).terms)
         terms += thermal_terms(ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"]), layout)
-        traj = evolve_density(None, terms, thermal_state(0.05, cfg.cutoff), cfg.grid)
+        traj = evolve_density(liouvillian_matrix(None, terms), thermal_state(0.05, cfg.cutoff),
+                              cfg.grid)
         drift = max(abs(float(np.real(np.trace(s.entries))) - 1.0) for s in traj.states)
         min_eig = min(float(np.linalg.eigvalsh(s.entries).min()) for s in traj.states)
         ok = drift <= 1e-8 and min_eig >= -1e-9 and leak < 1e-6

@@ -1,5 +1,7 @@
 """Closed and open propagation, Liouvillian structure, steady states."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,6 +27,7 @@ from fockladder import (
     load_scenario,
     liouvillian_matrix,
     mean_photon,
+    number_operator,
     product_state,
     atom_state,
     build_full_hamiltonian,
@@ -33,6 +36,7 @@ from fockladder import (
     raman_params,
     solve_dressed_resonance,
     solve_resonance,
+    sparse_liouvillian,
     steady_state,
     thermal_state,
     thermal_terms,
@@ -253,14 +257,15 @@ class TestEvolveDensity:
         terms = [LindbladTerm(gamma, annihilation(9))]
         rho0 = fock_state(4, 9).to_density()
         grid = TimeGrid(0.0, 1.0, 6)
-        traj = evolve_density(None, terms, rho0, grid, FAST)
+        traj = evolve_density(liouvillian_matrix(None, terms), rho0, grid)
         for t, state in zip(grid.times, traj.states):
             assert mean_photon(state) == pytest.approx(4.0 * np.exp(-gamma * t), abs=1e-8)
 
     def test_trace_and_positivity_maintained(self):
         layout = field_layout(14)
         terms = thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.3), layout)
-        traj = evolve_density(None, terms, thermal_state(0.1, 14), TimeGrid(0.0, 2.0, 9), FAST)
+        traj = evolve_density(liouvillian_matrix(None, terms), thermal_state(0.1, 14),
+                              TimeGrid(0.0, 2.0, 9))
         for state in traj.states:
             assert np.trace(state.entries).real == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.eigvalsh(state.entries).min() > -1e-7
@@ -270,7 +275,8 @@ class TestEvolveDensity:
         h = TimeDependentHamiltonian(layout, [(1.0, 0.5, annihilation(4).entries)])
         terms = [LindbladTerm(1.0, annihilation(4))]
         with pytest.raises(TypeError):
-            evolve_density(h, terms, fock_state(1, 4).to_density(), TimeGrid(0.0, 1.0, 3), FAST)
+            evolve_density(liouvillian_matrix(h, terms), fock_state(1, 4).to_density(),
+                           TimeGrid(0.0, 1.0, 3))
 
     def test_hamiltonian_and_dissipator_together(self):
         # [DERIVED] compare against the vectorized Liouvillian propagator
@@ -279,12 +285,56 @@ class TestEvolveDensity:
         terms = [LindbladTerm(0.8, annihilation(6))]
         rho0 = fock_state(2, 6).to_density()
         grid = TimeGrid(0.0, 1.2, 4)
-        traj = evolve_density(h, terms, rho0, grid, FAST)
         L = liouvillian_matrix(h, terms).entries
+        traj = evolve_density(liouvillian_matrix(h, terms), rho0, grid)
         for t, state in zip(grid.times, traj.states):
             vec = scipy.linalg.expm(L * t) @ rho0.entries.ravel(order="F")
             expected = vec.reshape(6 + 1, 6 + 1, order="F")
             assert np.allclose(state.entries, expected, atol=1e-8)
+
+    def test_touched_blocks_match_dense_exponential(self):
+        # oracle: exp(L (t - t0)) of the dense generator at each sample.  The
+        # number-conserving H and the phase-covariant jumps never mix the
+        # coherence orders of rho, so a superposition of |1> and |3> touches
+        # orders 0 and +-2 only and every other entry stays exactly zero.
+        cutoff = 6
+        n = np.diag(np.arange(cutoff + 1.0))
+        h = ComplexOperator(field_layout(cutoff), 0.7 * n + 0.3 * n @ n)
+        terms = [LindbladTerm(0.8, annihilation(cutoff)),
+                 LindbladTerm(0.2, number_operator(cutoff))]
+        rho0 = field_superposition({1: 0.6, 3: 0.8j}, cutoff).to_density()
+        grid = TimeGrid(0.3, 1.5, 7)
+        traj = evolve_density(sparse_liouvillian(h, terms), rho0, grid)
+        assert sorted(traj.blocks) == [5, 5, 7]
+        L = liouvillian_matrix(h, terms).entries
+        i, j = np.indices((cutoff + 1, cutoff + 1))
+        untouched = ~np.isin(i - j, (-2, 0, 2))
+        for t, state in zip(grid.times, traj.states):
+            vec = scipy.linalg.expm(L * (t - grid.t_start)) @ rho0.entries.ravel(order="F")
+            expected = vec.reshape(cutoff + 1, cutoff + 1, order="F")
+            assert np.allclose(state.entries, expected, atol=1e-12, rtol=0)
+            assert np.all(state.entries[untouched] == 0)
+
+    def test_leakage_guard_stops_at_first_leaking_sample(self):
+        # oracle: top-two Fock populations of the dense exponential per sample
+        cutoff = 4
+        a = annihilation(cutoff)
+        L = liouvillian_matrix(None, [LindbladTerm(1.0, a.dag()), LindbladTerm(0.5, a)])
+        rho0 = fock_state(0, cutoff).to_density()
+        grid = TimeGrid(0.0, 0.05, 26)
+        leak = []
+        for t in grid.times:
+            vec = scipy.linalg.expm(L.entries * t) @ rho0.entries.ravel(order="F")
+            pops = np.real(vec[:: cutoff + 2])
+            leak.append(pops[-1] + pops[-2])
+        first = int(np.argmax(np.array(leak) >= lindblad.LEAKAGE_LIMIT))
+        assert first > 5
+        with pytest.raises(LeakageError) as err:
+            evolve_density(L, rho0, grid)
+        reported = float(re.search(r"population (\S+) >=", str(err.value)).group(1))
+        assert reported == pytest.approx(leak[first], rel=1e-9)
+        clean = evolve_density(L, rho0, TimeGrid(0.0, grid.times[first - 1], first))
+        assert clean.leakage == pytest.approx(leak[first - 1], rel=1e-9)
 
 
 class TestLiouvillianMatrix:
@@ -346,6 +396,8 @@ class TestSteadyState:
     def test_matches_dense_null_vector(self, name):
         L = liouvillian_matrix(None, preset_terms(name, 12))
         assert np.allclose(steady_state(L).entries, dense_null_state(L), atol=1e-10)
+        sparse = sparse_liouvillian(None, preset_terms(name, 12))
+        assert np.allclose(steady_state(sparse).entries, dense_null_state(L), atol=1e-10)
 
     def test_matches_dense_null_vector_with_hamiltonian(self):
         # an excitation-conserving H keeps the generator split into blocks

@@ -8,7 +8,6 @@ from fockladder import (
     AtomInjectionParams,
     ComplexOperator,
     DensityOperator,
-    IntegratorConfig,
     LadderSpec,
     LindbladTerm,
     ThermalBathParams,
@@ -19,6 +18,7 @@ from fockladder import (
     collision_model_evolve,
     evolve_density,
     field_layout,
+    field_superposition,
     gamma_from_injection,
     liouvillian_matrix,
     partial_trace,
@@ -150,14 +150,18 @@ class TestCollisionModel:
         terms = list(ub_dissipator(spec, 63.0, layout).terms)
         terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
         grid = TimeGrid(0.0, float(times[-1]), 301)
-        traj = evolve_density(None, terms, thermal_state(0.05, cutoff), grid,
-                              IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
+        traj = evolve_density(liouvillian_matrix(None, terms), thermal_state(0.05, cutoff), grid)
         return traj, grid.times
 
-    @pytest.mark.parametrize("amps", [{"e": 1.0}, {"g": 0.6, "e": 0.8j}])
-    def test_field_map_matches_joint_propagation(self, amps):
+    @pytest.mark.parametrize("amps, coherences", [
+        pytest.param({"e": 1.0}, False, id="amps0"),
+        pytest.param({"g": 0.6, "e": 0.8j}, False, id="amps1"),
+        pytest.param({"e": 1.0}, True, id="field-coherences"),
+    ])
+    def test_field_map_matches_joint_propagation(self, amps, coherences):
         # oracle: attach the atom, propagate the joint state with the dense
-        # exponential of the full generator, trace the atom out
+        # exponential of the full generator, trace the atom out.  With
+        # coherences the field also starts with |1><2| and |0><2| terms.
         cutoff, tau = 10, 0.35**2 / 63.0
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.35 / tau)
         joint = atom_field_layout(2, cutoff)
@@ -166,6 +170,9 @@ class TestCollisionModel:
                                   atom_state=atom_state(amps, ("g", "e")))
         bath = ThermalBathParams(gamma=1.0, n_bar=0.05)
         rho0 = thermal_state(0.05, cutoff)
+        if coherences:
+            psi = field_superposition({0: 0.6, 1: 0.48, 2: 0.64j}, cutoff).to_density()
+            rho0 = DensityOperator(field_layout(cutoff), 0.5 * (rho0.entries + psi.entries))
         traj = collision_model_evolve(h, inj, bath, rho0, 20)
 
         bath_joint = [

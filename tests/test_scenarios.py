@@ -1,11 +1,16 @@
 """Scenario schema, presets, runner outputs, sweeps and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockladder
 from fockladder import (
     ScenarioValidationError,
     collision_document,
@@ -91,6 +96,12 @@ class TestSchema:
         with pytest.raises(ScenarioValidationError, match="cutoff"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key, value", [("method", "RK45"), ("max_step", 0.1)])
+    def test_removed_integrator_keys_rejected(self, key, value):
+        doc = engineered_doc(integrator={"rel_tol": 1e-8, key: value})
+        with pytest.raises(ScenarioValidationError, match="unknown keys"):
+            parse_config(doc)
+
     def test_complex_amplitude_pairs(self):
         doc = engineered_doc()
         doc["initial_state"]["field"] = {"0": [0.6, 0.0], "1": [0.0, 0.8]}
@@ -164,6 +175,18 @@ class TestRunner:
         assert integrator["full"]["steps"] > 0
         assert 0.0 < integrator["full"]["error_estimate"] <= doc["integrator"]["rel_tol"]
         assert integrator["engineered"] == {"steps": 0, "error_estimate": 0.0}
+
+    def test_density_diagnostics_recorded(self):
+        # a thermal field touches only the block of the 13 populations
+        fig4 = run_scenario(load_scenario("fig4")).summary
+        assert fig4["diagnostics"] == {"density": {"blocks": 1, "largest_block": 13}}
+        doc = collision_document(0.35, t_end=0.02)
+        collision = run_scenario(parse_config(doc)).summary
+        assert collision["diagnostics"] == {"density": {"blocks": 1, "largest_block": 13}}
+        # a g/e superposition atom couples every coherence order
+        doc["parameters"]["atom_state"] = {"g": 0.6, "e": [0.0, 0.8]}
+        mixed = run_scenario(parse_config(doc)).summary
+        assert mixed["diagnostics"] == {"density": {"blocks": 1, "largest_block": 169}}
 
     def test_regime_only_skips_evolution(self):
         result = run_scenario(load_scenario("regime-check-fig2a"))
@@ -257,6 +280,15 @@ class TestSweep:
 
 
 class TestCli:
+    def test_import_leaves_out_ode_solvers(self):
+        # no propagator integrates an ODE, so the CLI does not pay for scipy.integrate
+        code = ("import sys, fockladder.cli; "
+                "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+        src = str(Path(fockladder.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.stdout.strip() == "[]"
+
     def test_presets_lists(self, capsys):
         assert cli_main(["presets"]) == 0
         out = capsys.readouterr().out
