@@ -20,19 +20,14 @@ from .hilbert import (
     atom_field_layout,
     atom_state,
     atomic_sigma,
-    coherent_state,
     embed,
-    expectation,
     field_layout,
     field_superposition,
-    fock_projector,
     fock_state,
     identity,
     marginal,
     number_operator,
-    partial_trace,
     product_state,
-    tensor,
     thermal_state,
 )
 from .raman import (
@@ -43,7 +38,6 @@ from .raman import (
     RegimeEntry,
     RegimeReport,
     ResonanceError,
-    SelectiveRamanParams,
     TimeDependentHamiltonian,
     analytic_probabilities,
     build_engineered_hamiltonian,
@@ -51,12 +45,10 @@ from .raman import (
     check_regime,
     derive_couplings,
     dressed_residuals,
-    derive_selective,
     ladder_from_conditions,
     ladder_operator,
     raman_params,
     second_order_residuals,
-    selective_ladder,
     solve_dressed_resonance,
     solve_resonance,
 )

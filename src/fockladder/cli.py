@@ -56,7 +56,6 @@ def _load_with_overrides(scenario: str, args) -> "ScenarioConfig":
     if getattr(args, "tol", None) is not None:
         integ = dict(doc.get("integrator", {}))
         integ["rel_tol"] = args.tol
-        integ["abs_tol"] = args.tol * 1e-2
         doc["integrator"] = integ
         changed = True
     return parse_config(doc) if changed else config

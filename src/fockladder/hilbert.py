@@ -18,8 +18,6 @@ ATOM = "atom"
 FIELD = "field"
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-8
-POSITIVITY_TOL = 1e-9
 NORM_TOL = 1e-9
 
 
@@ -161,11 +159,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Density matrix on a layout.
-
-    Construction does not validate; call :meth:`validate` to assert the
-    Hermiticity / unit-trace / positivity invariants.
-    """
+    """Density matrix on a layout (construction does not check its invariants)."""
 
     layout: HilbertLayout
     entries: np.ndarray
@@ -177,22 +171,6 @@ class DensityOperator:
                 f"density matrix shape {mat.shape} incompatible with layout dim {self.layout.dim}"
             )
         object.__setattr__(self, "entries", mat)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def validate(self) -> "DensityOperator":
-        herm = np.max(np.abs(self.entries - self.entries.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise StateValidityError(f"density matrix not Hermitian: max deviation {herm}")
-        tr = self.trace
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateValidityError(f"density matrix trace {tr} != 1")
-        lam_min = float(np.min(np.linalg.eigvalsh(self.entries)))
-        if lam_min < -POSITIVITY_TOL:
-            raise StateValidityError(f"density matrix has eigenvalue {lam_min} < 0")
-        return self
 
     def symmetrized(self) -> "DensityOperator":
         return DensityOperator(self.layout, 0.5 * (self.entries + self.entries.conj().T))
@@ -221,15 +199,6 @@ def number_operator(cutoff: int) -> ComplexOperator:
     return a.dag() @ a
 
 
-def fock_projector(m: int, n: int, cutoff: int) -> ComplexOperator:
-    """Field transition operator |m><n| on a single field factor."""
-    if not (0 <= m <= cutoff and 0 <= n <= cutoff):
-        raise ValueError(f"Fock indices ({m}, {n}) out of range for cutoff {cutoff}")
-    mat = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    mat[m, n] = 1.0
-    return ComplexOperator(field_layout(cutoff), mat)
-
-
 def atomic_sigma(r: str, s: str, levels: tuple[str, ...]) -> ComplexOperator:
     """Atomic transition operator |r><s| over an ordered level list."""
     levels = tuple(levels)
@@ -240,11 +209,6 @@ def atomic_sigma(r: str, s: str, levels: tuple[str, ...]) -> ComplexOperator:
     mat = np.zeros((d, d), dtype=complex)
     mat[levels.index(r), levels.index(s)] = 1.0
     return ComplexOperator(HilbertLayout(((ATOM, d),)), mat)
-
-
-def tensor(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
-    """Kronecker product; the layout is the concatenated factor list."""
-    return ComplexOperator(a.layout * b.layout, np.kron(a.entries, b.entries))
 
 
 def embed(op: ComplexOperator, layout: HilbertLayout, label: str) -> ComplexOperator:
@@ -306,19 +270,6 @@ def product_state(*states: StateVector) -> StateVector:
     return StateVector(layout, amps)
 
 
-def coherent_state(alpha: complex, cutoff: int) -> StateVector:
-    """Truncated coherent state |alpha>, renormalized on the cutoff."""
-    from scipy.special import gammaln
-
-    if alpha == 0:
-        return fock_state(0, cutoff)
-    n = np.arange(cutoff + 1)
-    amps = np.exp(n * np.log(complex(alpha)) - 0.5 * gammaln(n + 1.0))
-    amps = np.asarray(amps, dtype=complex)
-    amps /= np.linalg.norm(amps)
-    return StateVector(field_layout(cutoff), amps)
-
-
 def thermal_state(n_bar: float, cutoff: int) -> DensityOperator:
     """Truncated Bose-Einstein thermal field state, renormalized on the cutoff."""
     if n_bar < 0:
@@ -337,23 +288,6 @@ def thermal_state(n_bar: float, cutoff: int) -> DensityOperator:
 # contractions
 
 
-def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
-    """Reduced density operator on the kept factor (all others traced out)."""
-    layout = rho.layout
-    axis = layout.axis(keep)
-    dims = layout.dims
-    tens = rho.entries.reshape(dims + dims)
-    n = len(dims)
-    while n > 1:
-        t = n - 1 if axis != n - 1 else n - 2
-        tens = np.trace(tens, axis1=t, axis2=t + n)
-        if t < axis:
-            axis -= 1
-        n -= 1
-    kept = HilbertLayout((layout.factors[layout.axis(keep)],))
-    return DensityOperator(kept, tens)
-
-
 def marginal(probs: np.ndarray, layout: HilbertLayout, keep: str) -> np.ndarray:
     """Distribution over factor ``keep`` of basis-state probabilities.
 
@@ -365,12 +299,3 @@ def marginal(probs: np.ndarray, layout: HilbertLayout, keep: str) -> np.ndarray:
     lead = probs.ndim - 1
     shaped = probs.reshape(probs.shape[:-1] + layout.dims)
     return shaped.sum(axis=tuple(lead + i for i in range(len(layout.dims)) if i != axis))
-
-
-def expectation(op: ComplexOperator, state: StateVector | DensityOperator) -> complex:
-    """<psi|O|psi> for a state vector, Tr(O rho) for a density operator."""
-    if op.layout != state.layout:
-        raise LayoutError("operator and state layouts differ")
-    if isinstance(state, StateVector):
-        return complex(state.amplitudes.conj() @ (op.entries @ state.amplitudes))
-    return complex(np.trace(op.entries @ state.entries))

@@ -3,7 +3,7 @@
 Builds the full time-dependent multi-branch Raman Hamiltonians, derives
 the second-order coupling parameters obtained after adiabatic elimination
 of the auxiliary levels, constructs the engineered weighted-ladder
-Hamiltonians (upper-bounded, sliced, selective), solves the resonance
+Hamiltonians (upper-bounded and sliced), solves the resonance
 conditions for the laser detunings, and checks the validity regime.
 
 All rates are dimensionless multiples of a declared reference rate
@@ -481,78 +481,6 @@ def check_regime(
         for j in range(steps)
     ) + tuple((f"dressed_phi({base + j},{j + 1})", dressed[j]) for j in range(steps))
     return RegimeReport(tuple(entries), residuals)
-
-
-# ---------------------------------------------------------------------------
-# selective interaction
-
-
-@dataclass(frozen=True)
-class SelectiveRamanParams:
-    """Three-level selective Raman configuration (one cavity leg, two lasers)."""
-
-    lam: complex
-    omega1: complex
-    omega2: complex
-    delta: float
-    delta1: float
-    delta2: float
-
-    def __post_init__(self):
-        if self.delta == 0 or self.delta1 == 0 or self.delta2 == 0:
-            raise ValueError("detunings must be nonzero")
-
-    @property
-    def xi(self) -> float:
-        return abs(self.lam) ** 2 / self.delta
-
-    @property
-    def varpi_g(self) -> float:
-        return abs(self.omega1) ** 2 / self.delta1
-
-    @property
-    def varpi_e(self) -> float:
-        return abs(self.omega2) ** 2 / self.delta2
-
-    @property
-    def zeta(self) -> complex:
-        return np.conj(self.lam) * self.omega2 * (1.0 / self.delta + 1.0 / self.delta2) / 2.0
-
-    @property
-    def small_delta(self) -> float:
-        return self.delta - self.delta2
-
-    def phi(self, n: int) -> float:
-        return (n + 1) * self.xi + self.small_delta - self.varpi_g - self.varpi_e
-
-
-def derive_selective(params: SelectiveRamanParams, k: int) -> SelectiveRamanParams:
-    """Enforce selectivity of the n = k ladder step.
-
-    Sets |Omega_1| = sqrt((k+1) Delta_1 / Delta) |lambda| so the laser shift
-    on g cancels the (k+1)-photon cavity shift, and moves Delta_2 so the
-    residual detuning equals the laser shift on e.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    arg = (k + 1) * params.delta1 / params.delta
-    if arg < 0:
-        raise ValueError("Delta_1 and Delta must have the same sign")
-    omega1_mag = np.sqrt(arg) * abs(params.lam)
-    disc = params.delta ** 2 - 4.0 * abs(params.omega2) ** 2
-    if disc < 0:
-        raise ValueError("Delta too small to place delta = varpi_e")
-    delta2 = 0.5 * (params.delta + np.sqrt(disc))
-    phase = params.omega1 / abs(params.omega1) if params.omega1 != 0 else 1.0
-    out = replace(params, omega1=phase * omega1_mag, delta2=float(delta2))
-    if abs(out.phi(k)) > 1e-10 * abs(out.xi):
-        raise ResonanceError(f"selectivity residual phi_{k} = {out.phi(k)} too large")
-    return out
-
-
-def selective_ladder(params: SelectiveRamanParams, k: int) -> LadderSpec:
-    """One-step ladder |k+1><k| with coupling zeta_k = sqrt(k+1) zeta."""
-    return LadderSpec(base=k, weights=(1.0,), zeta_ref=np.sqrt(k + 1) * params.zeta)
 
 
 # ---------------------------------------------------------------------------

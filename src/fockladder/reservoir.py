@@ -24,6 +24,7 @@ from .hilbert import (
 )
 from .lindblad import (
     LEAKAGE_LIMIT,
+    IntegrationError,
     LeakageError,
     LindbladTerm,
     Trajectory,
@@ -192,7 +193,10 @@ def collision_model_evolve(
     for n in range(1, n_atoms + 1):
         vec = step @ vec
         vec = 0.5 * (vec + vec[partner].conj())
-        vec /= vec[diagonal].real.sum()
+        trace = vec[diagonal].real.sum()
+        if not 0.0 < trace < np.inf:
+            raise IntegrationError(f"field trace {trace} after {n} collisions")
+        vec /= trace
         leak = float(vec[top_two].real.sum())
         leakage = max(leakage, leak)
         if leak >= LEAKAGE_LIMIT:

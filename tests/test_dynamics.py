@@ -48,7 +48,7 @@ from fockladder import lindblad
 from fockladder.lindblad import invariant_blocks
 from fockladder.scenarios import _ladder_from_doc
 
-FAST = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
+FAST = IntegratorConfig(rel_tol=1e-9)
 
 
 def preset_terms(name, cutoff):

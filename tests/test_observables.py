@@ -9,7 +9,6 @@ from fockladder import (
     DensityOperator,
     ObservableSeries,
     VacuumDominatedError,
-    coherent_state,
     detect_steady,
     fidelity_fock,
     field_layout,
@@ -23,6 +22,7 @@ from fockladder import (
     thermal_state,
     trace_distance,
 )
+from oracles import coherent_state
 
 
 def random_density(dim, seed):

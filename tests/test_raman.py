@@ -7,19 +7,16 @@ import pytest
 
 from fockladder import (
     LadderSpec,
-    SelectiveRamanParams,
     analytic_probabilities,
     atom_field_layout,
     build_engineered_hamiltonian,
     build_full_hamiltonian,
     check_regime,
     derive_couplings,
-    derive_selective,
     dressed_residuals,
     ladder_from_conditions,
     ladder_operator,
     raman_params,
-    selective_ladder,
     solve_dressed_resonance,
     solve_resonance,
 )
@@ -279,42 +276,6 @@ class TestRegime:
         d = derive_couplings(params)
         report = check_regime(params, d, 0, 2)
         json.dumps(report.as_dict())
-
-
-class TestSelective:
-    def base_params(self):
-        lam = 1.0
-        delta = 10.0 * math.sqrt(3.0) * lam  # k = 2 recipe scale
-        return SelectiveRamanParams(
-            lam=lam, omega1=math.sqrt(3.0) * lam, omega2=0.1 * math.sqrt(3.0) * lam,
-            delta=delta, delta1=delta, delta2=delta,
-        )
-
-    def test_selectivity_residual_vanishes(self):
-        k = 2
-        params = derive_selective(self.base_params(), k)
-        assert abs(params.phi(k)) <= 1e-10 * abs(params.xi)
-
-    def test_other_steps_detuned(self):
-        k = 2
-        params = derive_selective(self.base_params(), k)
-        for n in (0, 1, 3, 4):
-            assert abs(params.phi(n)) > 3 * abs(params.zeta)
-
-    def test_omega1_magnitude(self):
-        k = 2
-        base = self.base_params()
-        params = derive_selective(base, k)
-        expected = math.sqrt((k + 1) * params.delta1 / params.delta) * abs(params.lam)
-        assert abs(params.omega1) == pytest.approx(expected)
-
-    def test_selective_ladder(self):
-        k = 2
-        params = derive_selective(self.base_params(), k)
-        spec = selective_ladder(params, k)
-        assert spec.base == k
-        assert spec.steps == 1
-        assert spec.zeta_ref == pytest.approx(math.sqrt(k + 1) * params.zeta)
 
 
 class TestAnalyticCurves:

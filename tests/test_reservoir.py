@@ -21,13 +21,13 @@ from fockladder import (
     field_superposition,
     gamma_from_injection,
     liouvillian_matrix,
-    partial_trace,
     selective_dissipators,
     thermal_state,
     thermal_terms,
     trace_distance,
     ub_dissipator,
 )
+from oracles import partial_trace
 
 EXC = atom_state({"e": 1.0}, ("g", "e"))
 

@@ -96,7 +96,7 @@ class TestSchema:
         with pytest.raises(ScenarioValidationError, match="cutoff"):
             parse_config(doc)
 
-    @pytest.mark.parametrize("key, value", [("method", "RK45"), ("max_step", 0.1)])
+    @pytest.mark.parametrize("key, value", [("method", "RK45"), ("max_step", 0.1), ("abs_tol", 1e-9)])
     def test_removed_integrator_keys_rejected(self, key, value):
         doc = engineered_doc(integrator={"rel_tol": 1e-8, key: value})
         with pytest.raises(ScenarioValidationError, match="unknown keys"):
