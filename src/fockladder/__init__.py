@@ -97,7 +97,6 @@ from .observables import (
     VacuumDominatedError,
     detect_steady,
     fidelity_fock,
-    field_populations,
     fock_probabilities,
     mandel_q,
     mean_photon,

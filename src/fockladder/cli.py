@@ -61,8 +61,18 @@ def _load_with_overrides(scenario: str, args) -> "ScenarioConfig":
     return parse_config(doc) if changed else config
 
 
+def _make_dir(path: Path) -> None:
+    """Create ``path`` and its parents; a path that cannot be a directory is bad input."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioValidationError("--out", f"cannot create directory {path}: {exc.strerror}")
+
+
 def _cmd_run(args) -> int:
     config = _load_with_overrides(args.scenario, args)
+    if args.out:
+        _make_dir(Path(args.out))
     result = run_scenario(config)
     summary = dict(result.summary)
     if args.check:
@@ -71,7 +81,6 @@ def _cmd_run(args) -> int:
     out_json = summary_to_json(summary)
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if result.series is not None:
             csv_path = out_dir / f"{config.name}.csv"
             csv_path.write_text(series_to_csv(result.series, config.time_column))
@@ -130,6 +139,10 @@ def _cmd_sweep(args) -> int:
         raise ScenarioValidationError("--values", "must be a comma-separated number list")
     if not values:
         raise ScenarioValidationError("--values", "must name at least one value")
+    if args.out:
+        if Path(args.out).is_dir():
+            raise ScenarioValidationError("--out", f"{args.out} is a directory, not a file")
+        _make_dir(Path(args.out).parent)
     rows = sweep(config, args.param, values)
     keys = ["value"] + sorted({k for row in rows for k in row} - {"param", "value"})
     lines = [",".join(["value"] + keys[1:])]
@@ -138,7 +151,6 @@ def _cmd_sweep(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         print(f"wrote {path}")
     else:

@@ -21,13 +21,20 @@ vec(rho0) touches.  The generator is static, so each touched block
 advances exactly by one matrix exponential of one sample interval (Moler
 & Van Loan, SIAM Rev. 45, 3 (2003)); a thermal or Fock start touches only
 the block of the d populations, which makes this the population rate
-equation.  States are re-symmetrized at the output samples.  Steady
-states and the collision propagator work on the same invariant blocks.
+equation.  The collision model of ``reservoir`` runs through the same
+routine with its one-atom field map as the step.  A trajectory keeps only
+the touched entries of every sample, in one array; the trace-drift,
+negativity and leakage guards run on that array in one batch, the
+negativity guard over the connected components of the touched entries'
+d x d pattern.  States are built, re-symmetrized, only when a sample is
+read.  Steady states work on the same invariant blocks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -135,22 +142,76 @@ class LiouvillianMatrix:
 
 @dataclass
 class Trajectory:
-    """Sampled states, with the largest top-two Fock population reached.
+    """Sampled states, stored as the entries a run touched.
+
+    Row k of ``entries`` holds sample k at the flat positions ``index`` of
+    psi (``density`` false) or of the column-stacked vec(rho) (``density``
+    true); every other entry is exactly zero.  ``states`` reads the samples
+    as ``StateVector``s or ``DensityOperator``s, each built when it is read.
+    ``leakage`` is the largest top-two Fock population reached.
 
     ``steps`` and ``error_estimate`` describe the Magnus propagation of a
     Hamiltonian run: the steps taken over every block and doubling level,
     and the largest Richardson estimate accepted.  Both are zero when
     every block was propagated exactly, and for density runs.  ``blocks``
-    holds the size of each invariant block a density run propagated;
-    every other entry of its states stayed exactly zero.
+    holds the size of each invariant block a density run propagated.
     """
 
     times: np.ndarray
-    states: list
-    leakage: float
+    layout: HilbertLayout
+    index: np.ndarray
+    entries: np.ndarray
+    density: bool
+    leakage: float = 0.0
     steps: int = 0
     error_estimate: float = 0.0
     blocks: tuple[int, ...] = ()
+
+    @property
+    def states(self) -> "_States":
+        return _States(self)
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        """Field populations P_n, one row per sample (atom summed out)."""
+        d = self.layout.dim
+        probs = np.zeros((len(self.times), d))
+        if self.density:
+            diagonal = self.index % (d + 1) == 0  # vec index i + i*d
+            probs[:, self.index[diagonal] // (d + 1)] = self.entries[:, diagonal].real
+        else:
+            probs[:, self.index] = np.abs(self.entries) ** 2
+        return marginal(probs, self.layout, "field")
+
+    def purity(self) -> np.ndarray:
+        """tr(rho^2) of every sample."""
+        weight = np.sum(np.abs(self.entries) ** 2, axis=1)
+        return weight if self.density else weight**2
+
+    def state(self, k: int) -> StateVector | DensityOperator:
+        """Sample k as a state vector or a (re-symmetrized) density operator."""
+        d = self.layout.dim
+        full = np.zeros(d * d if self.density else d, dtype=complex)
+        full[self.index] = self.entries[k]
+        if not self.density:
+            return StateVector(self.layout, full)
+        rho = full.reshape((d, d), order="F")
+        return DensityOperator(self.layout, 0.5 * (rho + rho.conj().T))
+
+
+class _States(Sequence):
+    """Read-only sequence over a trajectory's samples, built on access."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        return self._traj.state(range(len(self))[k])
 
 
 def _top_two_population(probs: np.ndarray, layout: HilbertLayout) -> np.ndarray:
@@ -333,10 +394,11 @@ def evolve_state(
     times = grid.times
     psi = psi0.amplitudes.astype(complex)
     amps = np.zeros((len(times), layout.dim), dtype=complex)
-    steps, error = 0, 0.0
+    steps, error, touched = 0, 0.0, []
     for idx in invariant_blocks(sum(np.abs(m) for _, m in terms)):
         if not np.any(psi[idx]):
             continue
+        touched.append(idx)
         block = _FrameBlock(terms, idx)
         phi0 = np.exp(1j * block.energies * times[0]) * psi[idx]
         if len(block.residuals):
@@ -349,20 +411,21 @@ def evolve_state(
             phi = coeffs @ vec.T
         amps[:, idx] = np.exp(-1j * np.outer(times, block.energies)) * phi
 
-    states = []
-    leakage = 0.0
-    for amps_k in amps:
-        norm = np.linalg.norm(amps_k)
-        if not abs(norm - 1.0) <= 10.0 * cfg.rel_tol:  # also fails a NaN norm
-            raise IntegrationError(f"norm drift {abs(norm - 1.0)} exceeds 10*rel_tol")
-        leak = float(_top_two_population(np.abs(amps_k) ** 2, layout))
-        leakage = max(leakage, leak)
-        if leak >= LEAKAGE_LIMIT:
-            raise LeakageError(
-                f"top-two Fock population {leak} >= {LEAKAGE_LIMIT}; raise the cutoff"
-            )
-        states.append(StateVector(layout, amps_k / norm))
-    return Trajectory(times, states, leakage, steps, error)
+    norms = np.array([np.linalg.norm(a) for a in amps])
+    drift = np.abs(norms - 1.0)
+    leak = _top_two_population(np.abs(amps) ** 2, layout)
+    drifting = ~(drift <= 10.0 * cfg.rel_tol)  # also fails a NaN norm
+    failing = drifting | (leak >= LEAKAGE_LIMIT)
+    if np.any(failing):
+        k = int(np.argmax(failing))
+        if drifting[k]:
+            raise IntegrationError(f"norm drift {drift[k]} exceeds 10*rel_tol")
+        raise LeakageError(
+            f"top-two Fock population {leak[k]} >= {LEAKAGE_LIMIT}; raise the cutoff"
+        )
+    index = np.concatenate(touched)
+    return Trajectory(times, layout, index, amps[:, index] / norms[:, None], False,
+                      float(np.max(leak)), steps, error)
 
 
 def evolve_density(L: LiouvillianMatrix, rho0: DensityOperator, grid: TimeGrid) -> Trajectory:
@@ -378,51 +441,102 @@ def evolve_density(L: LiouvillianMatrix, rho0: DensityOperator, grid: TimeGrid) 
     layout = rho0.layout
     if L.layout != layout:
         raise LayoutError("generator and density operator layouts differ")
-    d = layout.dim
     times = grid.times
     dt = times[1] - times[0]  # a linspace: one step propagator serves every interval
     mat = scipy.sparse.csr_matrix(L.entries)
     vec0 = rho0.entries.astype(complex).ravel(order="F")
-    vecs = np.zeros((len(times), d * d), dtype=complex)
     touched = [idx for idx in invariant_blocks(mat) if np.any(vec0[idx])]
-    for idx, sub in zip(touched, dense_blocks(mat, touched)):
-        step = scipy.linalg.expm(sub * dt)
-        block = np.empty((len(times), len(idx)), dtype=complex)
-        block[0] = vec0[idx]
-        for k in range(1, len(times)):
-            block[k] = step @ block[k - 1]
-        vecs[:, idx] = block
+    step = scipy.linalg.block_diag(*(scipy.linalg.expm(sub * dt)
+                                     for sub in dense_blocks(mat, touched)))
+    return propagate_touched(step, touched, vec0, times, layout)
 
-    # row k of vecs is rho_k stacked by columns
-    rho = vecs.reshape(len(times), d, d).transpose(0, 2, 1)
-    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-    finite = np.isfinite(rho).all(axis=(1, 2))
-    drift = np.where(finite, np.abs(np.real(np.trace(rho, axis1=1, axis2=2)) - 1.0), np.nan)
-    rho[~finite] = 0.0  # such samples fail the drift guard; eigvalsh needs finite entries
-    lam_min = np.linalg.eigvalsh(rho).min(axis=1)
-    leak = _top_two_population(np.real(np.diagonal(rho, axis1=1, axis2=2)), layout)
+
+def propagate_touched(step: np.ndarray, blocks: list[np.ndarray], vec0: np.ndarray,
+                      times: np.ndarray, layout: HilbertLayout, step_name: str = "") -> Trajectory:
+    """Apply ``step`` to the touched entries of vec(rho0) once per sample, then guard.
+
+    ``blocks`` are the invariant blocks of the step map that vec(rho0)
+    touches, and ``step`` is the map on their concatenated entries.  The
+    guards run in one batch with the limits and order of a density run:
+    a non-finite entry or a trace drift above TRACE_DRIFT_LIMIT, an
+    eigenvalue below -NEGATIVITY_LIMIT, then a top-two Fock population at
+    or above LEAKAGE_LIMIT; the first failing sample raises.  ``step_name``
+    says what one step is (the collision model passes "collisions"), so
+    an error can say how many steps were taken.
+    """
+    index = np.concatenate(blocks)
+    entries = np.empty((len(times), len(index)), dtype=complex)
+    entries[0] = vec0[index]
+    for k in range(1, len(times)):
+        np.dot(step, entries[k - 1], out=entries[k])
+    traj = Trajectory(times, layout, index, entries, True,
+                      blocks=tuple(len(idx) for idx in blocks))
+
+    finite = np.isfinite(entries).all(axis=1)
+    safe = np.where(finite[:, None], entries, 0.0)  # eigvalsh needs finite entries
+    d = layout.dim
+    rows, cols = index % d, index // d
+    trace = safe[:, rows == cols].real.sum(axis=1)
+    drift = np.where(finite, np.abs(trace - 1.0), np.nan)
+    lam_min = _lowest_eigenvalues(safe, rows, cols, d)
+    pops = traj.populations if "field" in layout.labels else np.zeros((len(times), 2))
+    leak = pops[:, -1] + pops[:, -2]
+    traj.leakage = float(np.max(leak))
     drifting = ~(drift <= TRACE_DRIFT_LIMIT)
     failing = drifting | (lam_min < -NEGATIVITY_LIMIT) | (leak >= LEAKAGE_LIMIT)
     if np.any(failing):
         k = int(np.argmax(failing))
+        where = f" after {k} {step_name}" if step_name else ""
         if drifting[k]:
-            raise IntegrationError(f"trace drift {drift[k]} exceeds {TRACE_DRIFT_LIMIT}")
+            raise IntegrationError(f"trace drift {drift[k]} exceeds {TRACE_DRIFT_LIMIT}{where}")
         if lam_min[k] < -NEGATIVITY_LIMIT:
             raise IntegrationError(
-                f"negative eigenvalue {lam_min[k]}; truncation or step failure"
+                f"negative eigenvalue {lam_min[k]}{where}; truncation or step failure"
             )
         raise LeakageError(
-            f"top-two Fock population {leak[k]} >= {LEAKAGE_LIMIT}; raise the cutoff"
+            f"top-two Fock population {leak[k]} >= {LEAKAGE_LIMIT}{where}; raise the cutoff"
         )
-    states = [DensityOperator(layout, r) for r in rho]
-    return Trajectory(times, states, float(np.max(leak)),
-                      blocks=tuple(len(idx) for idx in touched))
+    return traj
+
+
+def _lowest_eigenvalues(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                        d: int) -> np.ndarray:
+    """Lowest eigenvalue of each sampled rho from its entries at (rows, cols).
+
+    rho splits along the connected components of the d x d pattern of
+    those entries; a component of one level is a population, and the
+    others take a stacked ``eigvalsh`` of their Hermitian part.
+    """
+    pattern = np.zeros((d, d), dtype=bool)
+    pattern[rows, cols] = True
+    lam_min = np.full(len(entries), np.inf)
+    for comp in invariant_blocks(pattern):  # each component's levels ascend
+        inside = np.isin(rows, comp)
+        if len(comp) == 1:
+            low = entries[:, inside].real.min(axis=1, initial=np.inf)
+        else:
+            sub = np.zeros((len(entries), len(comp), len(comp)), dtype=complex)
+            sub[:, np.searchsorted(comp, rows[inside]),
+                np.searchsorted(comp, cols[inside])] = entries[:, inside]
+            low = np.linalg.eigvalsh(0.5 * (sub + sub.conj().transpose(0, 2, 1))).min(axis=1)
+        lam_min = np.minimum(lam_min, low)
+    return lam_min
+
+
+def _kron_triplets(a: np.ndarray, b: np.ndarray, scale: complex):
+    """COO (rows, cols, values) of scale * kron(a, b) for square arrays a, b."""
+    ar, ac = np.nonzero(a)
+    br, bc = np.nonzero(b)
+    n = b.shape[0]
+    return ((ar[:, None] * n + br).ravel(), (ac[:, None] * n + bc).ravel(),
+            (scale * a[ar, ac][:, None] * b[br, bc]).ravel())
 
 
 def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
     """Vectorized generator L vec(rho) = vec(rho_dot), columns stacked, as a CSR matrix.
 
-    ``H`` is a static ``ComplexOperator`` or None.
+    ``H`` is a static ``ComplexOperator`` or None.  The Kronecker pieces
+    are gathered as COO triplets and summed once into CSR.
     """
     if H is None and not terms:
         raise ValueError("need a Hamiltonian or at least one dissipator")
@@ -430,21 +544,23 @@ def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
         raise TypeError("the Liouvillian requires a static Hamiltonian")
     layout = H.layout if H is not None else terms[0].jump.layout
     d = layout.dim
-    eye = scipy.sparse.identity(d, dtype=complex, format="csr")
-    kron = scipy.sparse.kron
-    L = scipy.sparse.csr_matrix((d * d, d * d), dtype=complex)
+    eye = np.eye(d)
+    pieces = []
     if H is not None:
-        hm = scipy.sparse.csr_matrix(H.entries)
-        L = L - 1j * (kron(eye, hm) - kron(hm.T, eye))
+        h = H.entries
+        pieces += [_kron_triplets(eye, h, -1j), _kron_triplets(h.T, eye, 1j)]
     for term in terms:
         if term.jump.layout != layout:
             raise LayoutError("jump operator layout mismatch")
-        j = scipy.sparse.csr_matrix(term.jump.entries)
+        j = term.jump.entries
         jdj = j.conj().T @ j
-        L = L + (term.rate / 2.0) * (
-            2.0 * kron(j.conj(), j) - kron(eye, jdj) - kron(jdj.T, eye)
-        )
-    return LiouvillianMatrix(L.tocsr(), layout)
+        half = term.rate / 2.0
+        pieces += [_kron_triplets(j.conj(), j, 2.0 * half),
+                   _kron_triplets(eye, jdj, -half), _kron_triplets(jdj.T, eye, -half)]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
+    L = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    L.eliminate_zeros()
+    return LiouvillianMatrix(L, layout)
 
 
 def liouvillian_matrix(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
@@ -505,8 +621,8 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     blocks = invariant_blocks(mat)
     subs = dense_blocks(mat, blocks)
     norm = max(np.linalg.norm(sub, ord=2) for sub in subs)
-    spectra = [scipy.linalg.eig(sub) for sub in subs]
-    eigvals = np.concatenate([vals for vals, _ in spectra])
+    spectra = [np.linalg.eigvals(sub) for sub in subs]
+    eigvals = np.concatenate(spectra)
     order = np.argsort(np.abs(eigvals))
     lam_min = abs(eigvals[order[0]])
     if lam_min > 1e-9 * norm:
@@ -516,10 +632,12 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     if len(order) > 1 and abs(eigvals[order[1]]) <= 1e-9 * norm:
         dim = int(np.sum(np.abs(eigvals) <= 1e-9 * norm))
         raise DegenerateSteadyStateError(dim)
-    # the block holding the null eigenvalue, which is unique past the checks
-    b = int(np.argmin([np.min(np.abs(vals)) for vals, _ in spectra]))
-    vals, vecs = spectra[b]
+    # eigenvectors only in the block holding the null eigenvalue, which is
+    # unique past the checks
+    b = int(np.argmin([np.min(np.abs(vals)) for vals in spectra]))
+    vals, vecs = scipy.linalg.eig(subs[b])
     k = int(np.argmin(np.abs(vals)))
+    lam_min = abs(vals[k])
     vec = vecs[:, k]
     if lam_min > 1e-12 * norm:
         # one inverse-iteration refinement about the located eigenvalue

@@ -25,22 +25,14 @@ class VacuumDominatedError(ValueError):
 
 
 def _field_populations(state: StateVector | DensityOperator) -> np.ndarray:
-    return field_populations([state])[0]
-
-
-def field_populations(states) -> np.ndarray:
-    """P_n of the field factor of each state (atom summed out when present).
-
-    ``states`` is a non-empty sequence of state vectors or of density
-    operators on one layout; the result has one row per state.
-    """
-    layout = states[0].layout
+    """P_n of the field factor of one state (atom summed out when present)."""
+    layout = state.layout
     if "field" not in layout.labels:
         raise LayoutError("state has no field factor")
-    if isinstance(states[0], StateVector):
-        probs = np.abs(np.array([s.amplitudes for s in states])) ** 2
+    if isinstance(state, StateVector):
+        probs = np.abs(state.amplitudes) ** 2
     else:
-        probs = np.real(np.array([np.diagonal(s.entries) for s in states]))
+        probs = np.real(np.diagonal(state.entries))
     return marginal(probs, layout, "field")
 
 
@@ -135,11 +127,13 @@ def detect_steady(series: ObservableSeries, window: float, eps: float) -> float 
     span = times[-1] - times[0]
     if window > span:
         raise ValueError(f"window {window} longer than series span {span}")
-    cols = list(series.columns.values())
-    for i, t in enumerate(times):
-        if times[-1] - t < window:
-            break
-        tail = slice(i, None)
-        if all(np.ptp(c[tail]) < eps for c in cols):
-            return float(t)
-    return None
+    # the earliest start is searched only while a full window remains after it
+    short = np.flatnonzero(times[-1] - times < window)
+    limit = short[0] if short.size else times.size
+    settled = np.ones(limit, dtype=bool)
+    for c in series.columns.values():
+        tail = c[::-1]
+        spread = np.maximum.accumulate(tail)[::-1] - np.minimum.accumulate(tail)[::-1]
+        settled &= spread[:limit] < eps
+    first = np.flatnonzero(settled)
+    return float(times[first[0]]) if first.size else None

@@ -4,6 +4,9 @@ A beam of two-level atoms crosses the cavity one at a time, each coupled
 through an engineered ladder Hamiltonian for a transit time tau.  Coarse
 graining yields a Lindblad pump with rate Gamma = r (|zeta| tau)^2; the
 atom-by-atom micro-simulation is also available for consistency checks.
+One collision is contracted into a map on the field state, and the atoms
+are applied through the density runs' block propagator
+(``lindblad.propagate_touched``), with its guards.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Literal
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .hilbert import (
     ComplexOperator,
@@ -23,14 +27,11 @@ from .hilbert import (
     atom_field_layout,
 )
 from .lindblad import (
-    LEAKAGE_LIMIT,
-    IntegrationError,
-    LeakageError,
     LindbladTerm,
     Trajectory,
-    _top_two_population,
     dense_blocks,
     invariant_blocks,
+    propagate_touched,
     sparse_liouvillian,
 )
 from .raman import LadderSpec, ladder_operator
@@ -146,7 +147,11 @@ def collision_model_evolve(
     three steps are contracted once into a map on the field state, and
     each atom applies that map only on the invariant blocks of the map
     that vec(rho0) touches (the d populations for a thermal or Fock field
-    and a g or e atom); every other entry stays exactly zero.
+    and a g or e atom); every other entry stays exactly zero.  The map
+    preserves trace and Hermiticity, so states are neither renormalized
+    nor symmetrized per atom; the trace-drift, negativity and leakage
+    guards of a density run check every atom, and their errors name the
+    atom count.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
@@ -161,53 +166,13 @@ def collision_model_evolve(
         LindbladTerm(t.rate, ComplexOperator(joint, np.kron(eye2, t.jump.entries)))
         for t in thermal_terms(bath, field_layout_)
     ]
-    df = cutoff + 1
-    field_map = _field_map(sparse_liouvillian(engineered_h, bath_joint).entries, inj, df)
-
-    # vec index i + j*df holds <i|rho|j>; transpose[k] is the index of its
-    # transposed entry.  The map preserves Hermiticity, so its pattern is
-    # closed under transposing both indices; taking the union with the
-    # transposed pattern keeps it so under rounding, and the touched blocks
-    # then stay closed under the per-atom symmetrization.
-    transpose = np.arange(df * df).reshape(df, df).T.ravel()
-    pattern = field_map != 0
-    pattern |= pattern[np.ix_(transpose, transpose)]
+    field_map = _field_map(sparse_liouvillian(engineered_h, bath_joint).entries, inj, cutoff + 1)
     vec0 = rho0_field.entries.astype(complex).ravel(order="F")
-    support = (vec0 != 0) | (vec0[transpose] != 0)
-    blocks = [idx for idx in invariant_blocks(pattern) if np.any(support[idx])]
-    touched = np.sort(np.concatenate(blocks))
-    step = field_map[np.ix_(touched, touched)]
-    position = np.full(df * df, -1)
-    position[touched] = np.arange(len(touched))
-    partner = position[transpose[touched]]
-    diagonal = position[np.arange(df) * (df + 1)]
-    diagonal = diagonal[diagonal >= 0]
-    top_two = position[np.array([df - 2, df - 1]) * (df + 1)]
-    top_two = top_two[top_two >= 0]
-
-    times = [0.0]
-    states = [rho0_field]
-    leakage = float(_top_two_population(np.real(np.diag(rho0_field.entries)), field_layout_))
-    vec = vec0[touched]
-    full = np.zeros(df * df, dtype=complex)
-    for n in range(1, n_atoms + 1):
-        vec = step @ vec
-        vec = 0.5 * (vec + vec[partner].conj())
-        trace = vec[diagonal].real.sum()
-        if not 0.0 < trace < np.inf:
-            raise IntegrationError(f"field trace {trace} after {n} collisions")
-        vec /= trace
-        leak = float(vec[top_two].real.sum())
-        leakage = max(leakage, leak)
-        if leak >= LEAKAGE_LIMIT:
-            raise LeakageError(
-                f"top-two Fock population {leak} >= {LEAKAGE_LIMIT} after {n} collisions"
-            )
-        times.append(n * inj.tau)
-        full[touched] = vec
-        states.append(DensityOperator(field_layout_, full.reshape((df, df), order="F")))
-    return Trajectory(np.asarray(times), states, leakage,
-                      blocks=tuple(len(idx) for idx in blocks))
+    blocks = [idx for idx in invariant_blocks(field_map) if np.any(vec0[idx])]
+    touched = np.concatenate(blocks)
+    times = inj.tau * np.arange(n_atoms + 1)
+    return propagate_touched(field_map[np.ix_(touched, touched)], blocks, vec0, times,
+                             field_layout_, step_name="collisions")
 
 
 def _field_map(L, inj: AtomInjectionParams, df: int) -> np.ndarray:
@@ -215,16 +180,26 @@ def _field_map(L, inj: AtomInjectionParams, df: int) -> np.ndarray:
 
     attach (rho_f -> rho_atom (x) rho_f), exp(L tau) and the trace over the
     atom contracted into one (df^2, df^2) matrix, exponentiating L one
-    invariant block at a time.
+    invariant block at a time.  Attach and trace are index maps, so the
+    contraction is a product of sparse matrices.
     """
     amp = inj.atom_state.amplitudes
     rho_atom = np.outer(amp, amp.conj())
-    eye_f = np.eye(df)
+    dj = (2 * df) ** 2
     # joint vec index (b, m, a, n) holds <a,n| rho |b,m>; field vec index (m, n) holds <n| rho_f |m>
-    attach = np.einsum("ab,mM,nN->bmanMN", rho_atom, eye_f, eye_f).reshape(-1, df * df)
-    trace_out = np.einsum("ab,mM,nN->mnbMaN", np.eye(2), eye_f, eye_f).reshape(df * df, -1)
-    field_map = np.zeros((df * df, df * df), dtype=complex)
+    b, m, a, n = np.unravel_index(np.arange(dj), (2, df, 2, df))
+    joint, field = np.arange(dj), m * df + n
+    weight = rho_atom[a, b]
+    attach = scipy.sparse.csr_matrix(
+        (weight[weight != 0], (joint[weight != 0], field[weight != 0])), shape=(dj, df * df))
+    same = a == b
+    trace_out = scipy.sparse.csr_matrix(
+        (np.ones(int(same.sum())), (field[same], joint[same])), shape=(df * df, dj))
     blocks = invariant_blocks(L)
-    for idx, sub in zip(blocks, dense_blocks(L, blocks)):
-        field_map += trace_out[:, idx] @ scipy.linalg.expm(sub * inj.tau) @ attach[idx]
-    return field_map
+    steps = [scipy.linalg.expm(sub * inj.tau) for sub in dense_blocks(L, blocks)]
+    propagator = scipy.sparse.csr_matrix((
+        np.concatenate([step.ravel() for step in steps]),
+        (np.concatenate([np.repeat(idx, len(idx)) for idx in blocks]),
+         np.concatenate([np.tile(idx, len(idx)) for idx in blocks])),
+    ), shape=(dj, dj))
+    return (trace_out @ propagator @ attach).toarray()

@@ -50,11 +50,9 @@ from .observables import (
     ObservableSeries,
     detect_steady,
     fidelity_fock,
-    field_populations,
     mandel_q,
     photon_mandel_q,
     photon_mean,
-    purity,
     trace_distance,
 )
 from .raman import (
@@ -407,9 +405,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
 # observable columns
 
 
-def _probe_columns(states, outputs) -> dict[str, np.ndarray]:
-    """The requested columns over a trajectory, from one population array."""
-    pops = field_populations(states)
+def _probe_columns(traj, outputs) -> dict[str, np.ndarray]:
+    """The requested columns over a trajectory, from its population array."""
+    pops = traj.populations
     cols: dict[str, np.ndarray] = {}
     for name in outputs:
         if name[0] in "PF" and name[1:].isdigit():
@@ -419,9 +417,7 @@ def _probe_columns(states, outputs) -> dict[str, np.ndarray]:
         elif name == "mean_n":
             cols[name] = photon_mean(pops)
         elif name == "purity":
-            cols[name] = np.array([
-                purity(s.to_density() if isinstance(s, StateVector) else s) for s in states
-            ])
+            cols[name] = traj.purity()
     return cols
 
 
@@ -539,7 +535,7 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
     traj_full = evolve_state(h_full, psi0, t_grid, config.integrator)
     cols = {
         f"{name}_full": col
-        for name, col in _probe_columns(traj_full.states, config.outputs).items()
+        for name, col in _probe_columns(traj_full, config.outputs).items()
     }
     summary["leakage"] = {"full": traj_full.leakage}
     summary["diagnostics"] = {"integrator": {"full": _integrator_record(traj_full)}}
@@ -564,15 +560,15 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
         )
         psi0e = product_state(atom_ge, field_superposition(field0, config.cutoff))
         traj_eng = evolve_state(h_eng, psi0e, t_grid, config.integrator)
-        eng_cols = _probe_columns(traj_eng.states, config.outputs)
+        eng_cols = _probe_columns(traj_eng, config.outputs)
         cols.update({f"{name}_engineered": col for name, col in eng_cols.items()})
         summary["leakage"]["engineered"] = traj_eng.leakage
         summary["diagnostics"]["integrator"]["engineered"] = _integrator_record(traj_eng)
 
         subspace = set(range(spec.base, spec.top + 1))
         devs, outside = [], [0.0]
-        full_pops = field_populations(traj_full.states)
-        eng_pops = field_populations(traj_eng.states)
+        full_pops = traj_full.populations
+        eng_pops = traj_eng.populations
         for n in range(config.cutoff + 1):
             gap = float(np.max(np.abs(full_pops[:, n] - eng_pops[:, n])))
             if n in subspace:
@@ -610,13 +606,13 @@ def _run_engineered(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     psi0 = product_state(atom_ge, field_superposition(config.initial_state["field"], config.cutoff))
     h_eng = build_engineered_hamiltonian(spec, atom_field_layout(2, config.cutoff))
     traj = evolve_state(h_eng, psi0, t_grid, config.integrator)
-    cols = _probe_columns(traj.states, config.outputs)
+    cols = _probe_columns(traj, config.outputs)
     summary["leakage"] = {"engineered": traj.leakage}
     summary["diagnostics"] = {"integrator": {"engineered": _integrator_record(traj)}}
 
     x_values = config.grid.times
     if p["analytic"]:
-        pops = field_populations(traj.states)
+        pops = traj.populations
         ana = analytic_probabilities(p["analytic"], x_values)
         dev = 0.0
         for n, curve in ana.items():
@@ -654,7 +650,7 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     generator = sparse_liouvillian(None, list(dissipator.terms) + thermal_terms(bath, layout))
     rho0 = _initial_field_density(config)
     traj = evolve_density(generator, rho0, config.grid)
-    cols = _probe_columns(traj.states, config.outputs)
+    cols = _probe_columns(traj, config.outputs)
     series = ObservableSeries(config.grid.times, cols)
     summary["leakage"] = {"density": traj.leakage}
     summary["diagnostics"] = {"density": _density_record(traj)}
@@ -678,8 +674,8 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
         "null_space_mandel_q": mandel_q(rho_ss),
     }
     summary["final"] = {name: float(col[-1]) for name, col in sorted(cols.items())}
-    summary["final"][f"F{target}"] = fidelity_fock(traj.states[-1], target)
-    summary["final"]["Q"] = mandel_q(traj.states[-1])
+    summary["final"][f"F{target}"] = float(traj.populations[-1, target])
+    summary["final"]["Q"] = float(photon_mandel_q(traj.populations[-1]))
     return series
 
 
@@ -716,7 +712,7 @@ def _run_collision(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     bath = ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"])
     rho0 = _initial_field_density(config)
     traj = collision_model_evolve(h_eng, inj, bath, rho0, n_atoms)
-    cols = _probe_columns(traj.states, config.outputs)
+    cols = _probe_columns(traj, config.outputs)
     summary["collision"] = {
         "tau": tau,
         "rate": 1.0 / tau,
@@ -1050,10 +1046,11 @@ def _slot(node, key: str, path: str):
 def series_to_csv(series: ObservableSeries, time_column: str) -> str:
     """CSV with a header row and 17-significant-digit values."""
     names = list(series.columns)
+    table = np.column_stack([series.times] + [series.columns[n] for n in names])
+    row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join([time_column] + names)]
-    for i, t in enumerate(series.times):
-        row = [f"{t:.17g}"] + [f"{series.columns[n][i]:.17g}" for n in names]
-        lines.append(",".join(row))
+    if len(table):
+        lines.append("\n".join([row] * len(table)) % tuple(table.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -5,6 +5,7 @@ from its definition so that it can serve as an independent check.
 """
 
 import numpy as np
+import scipy.sparse
 from scipy.special import gammaln
 
 from fockladder import ComplexOperator, DensityOperator, HilbertLayout, StateVector, field_layout
@@ -36,3 +37,27 @@ def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
             axis -= 1
         n -= 1
     return DensityOperator(HilbertLayout((layout.factors[layout.axis(keep)],)), tens)
+
+
+def kron_liouvillian(H, terms) -> scipy.sparse.csr_matrix:
+    """Column-stacked Lindblad generator summed from ``scipy.sparse.kron`` pieces.
+
+    vec(A rho B) = (B^T (x) A) vec(rho), so -i[H, rho] is
+    -i (1 (x) H - H^T (x) 1) and each jump J at rate g adds
+    (g/2) (2 conj(J) (x) J - 1 (x) J^dag J - (J^dag J)^T (x) 1).
+    """
+    layout = H.layout if H is not None else terms[0].jump.layout
+    d = layout.dim
+    eye = scipy.sparse.identity(d, dtype=complex, format="csr")
+    kron = scipy.sparse.kron
+    L = scipy.sparse.csr_matrix((d * d, d * d), dtype=complex)
+    if H is not None:
+        hm = scipy.sparse.csr_matrix(H.entries)
+        L = L - 1j * (kron(eye, hm) - kron(hm.T, eye))
+    for term in terms:
+        j = scipy.sparse.csr_matrix(term.jump.entries)
+        jdj = j.conj().T @ j
+        L = L + (term.rate / 2.0) * (
+            2.0 * kron(j.conj(), j) - kron(eye, jdj) - kron(jdj.T, eye)
+        )
+    return L.tocsr()

@@ -45,8 +45,9 @@ from fockladder import (
     ub_dissipator,
 )
 from fockladder import lindblad
-from fockladder.lindblad import invariant_blocks
+from fockladder.lindblad import invariant_blocks, propagate_touched
 from fockladder.scenarios import _ladder_from_doc
+from oracles import kron_liouvillian
 
 FAST = IntegratorConfig(rel_tol=1e-9)
 
@@ -128,6 +129,14 @@ HAMILTONIAN_CASES = {
     "fig3b-cutoff12": lambda: full_raman_case("fig3b", cutoff=12),
     "cycle": cycle_case,
 }
+
+
+def ladder_jump(cutoff):
+    """A^dag of a three-step ladder from |0> with uneven weights."""
+    jump = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for k, w in enumerate((1.0, 0.8j, 1.1)):
+        jump[k + 1, k] = w
+    return jump
 
 
 def dop853_states(h, psi0, times):
@@ -337,6 +346,137 @@ class TestEvolveDensity:
         assert clean.leakage == pytest.approx(leak[first - 1], rel=1e-9)
 
 
+class TestTrajectoryStorage:
+    def density_run(self):
+        cutoff = 6
+        n = np.diag(np.arange(cutoff + 1.0))
+        h = ComplexOperator(field_layout(cutoff), 0.7 * n + 0.3 * n @ n)
+        terms = [LindbladTerm(0.8, annihilation(cutoff))]
+        rho0 = field_superposition({1: 0.6, 3: 0.8j}, cutoff).to_density()
+        return evolve_density(sparse_liouvillian(h, terms), rho0, TimeGrid(0.0, 1.0, 11))
+
+    def test_states_are_built_on_access(self, monkeypatch):
+        traj = self.density_run()
+        built = []
+        original = lindblad.Trajectory.state
+        monkeypatch.setattr(lindblad.Trajectory, "state",
+                            lambda self, k: built.append(k) or original(self, k))
+        assert len(traj.states) == 11 and built == []
+        assert traj.states[0].layout == field_layout(6)
+        assert traj.states[-1].entries.shape == (7, 7)
+        assert len(traj.states[2:5]) == 3
+        assert built == [0, 10, 2, 3, 4]
+        with pytest.raises(IndexError):
+            traj.states[11]
+
+    def test_touched_entries_only(self):
+        traj = self.density_run()
+        # coherence orders 0 and +-2 of a 7-level field: 7 + 5 + 5 entries
+        assert traj.entries.shape == (11, 17)
+        assert sorted(traj.blocks) == [5, 5, 7]
+        d = 7
+        full = np.zeros((11, d * d), dtype=complex)
+        full[:, traj.index] = traj.entries
+        for k, state in enumerate(traj.states):
+            rho = full[k].reshape(d, d, order="F")
+            assert np.array_equal(state.entries, 0.5 * (rho + rho.conj().T))
+
+    def test_populations_and_purity_match_states(self):
+        traj = self.density_run()
+        rhos = [s.entries for s in traj.states]
+        pops = np.array([np.real(np.diag(r)) for r in rhos])
+        assert np.array_equal(traj.populations, pops)
+        purity = [np.real(np.trace(r @ r)) for r in rhos]
+        assert np.allclose(traj.purity(), purity, atol=1e-14, rtol=0)
+
+    def test_state_run_populations_and_purity(self):
+        h, psi0 = full_raman_case("fig2a")
+        traj = evolve_state(h, psi0, TimeGrid(0.0, 20.0, 9), FAST)
+        amps = np.array([s.amplitudes for s in traj.states])
+        probs = (np.abs(amps) ** 2).reshape(9, -1, psi0.layout.dim_of("field"))
+        assert np.array_equal(traj.populations, probs.sum(axis=1))
+        assert np.allclose(traj.purity(), 1.0, atol=1e-12, rtol=0)
+        # only the blocks psi0 touches are stored
+        assert len(traj.index) < psi0.layout.dim
+        assert np.all(amps[:, np.setdiff1d(np.arange(psi0.layout.dim), traj.index)] == 0)
+
+
+class TestPropagateTouched:
+    """The batched guards of density runs and the collision model."""
+
+    layout = field_layout(5)
+
+    def run(self, step, rho0, samples=4, step_name="collisions"):
+        vec0 = rho0.ravel(order="F").astype(complex)
+        blocks = [idx for idx in invariant_blocks(np.abs(step) + np.eye(len(step)))
+                  if np.any(vec0[idx])]
+        touched = np.concatenate(blocks)
+        return propagate_touched(step[np.ix_(touched, touched)], blocks, vec0,
+                                 np.arange(samples, dtype=float), self.layout,
+                                 step_name=step_name)
+
+    @staticmethod
+    def population_step(m):
+        """A map on vec(rho) of a 6-level field acting as ``m`` on the populations."""
+        d = 6
+        step = np.zeros((d * d, d * d), dtype=complex)
+        diag = np.arange(d) * (d + 1)
+        step[np.ix_(diag, diag)] = m
+        return step
+
+    def test_trace_drift_names_the_step(self):
+        rho0 = np.diag([1.0, 0, 0, 0, 0, 0])
+        with pytest.raises(IntegrationError, match=r"trace drift .* after 1 collisions"):
+            self.run(self.population_step(1.01 * np.eye(6)), rho0)
+
+    def test_non_finite_entry_fails_drift_guard(self):
+        m = np.eye(6)
+        m[1, 0] = np.nan
+        with pytest.raises(IntegrationError, match="trace drift nan"):
+            self.run(self.population_step(m), np.diag([1.0, 0, 0, 0, 0, 0]))
+
+    def test_negative_population(self):
+        # trace-preserving, but |0><0| -> 1.5|0><0| - 0.5|1><1|
+        m = np.eye(6)
+        m[:2, 0] = (1.5, -0.5)
+        with pytest.raises(IntegrationError, match=r"negative eigenvalue -0\.5 after 1 collisions"):
+            self.run(self.population_step(m), np.diag([1.0, 0, 0, 0, 0, 0]))
+
+    def test_drift_is_checked_before_negativity(self):
+        m = np.eye(6)
+        m[:2, 0] = (1.6, -0.5)
+        with pytest.raises(IntegrationError, match="trace drift"):
+            self.run(self.population_step(m), np.diag([1.0, 0, 0, 0, 0, 0]))
+
+    def test_negative_eigenvalue_of_a_coherence_component(self):
+        # populations stay put while the |0><1| coherence grows: the 2x2
+        # component [[.5, c], [c, .5]] turns negative once |c| > .5
+        d = 6
+        step = np.eye(d * d, dtype=complex)
+        step[d, d] = step[1, 1] = 1.5  # vec index of |0><1| and |1><0|
+        rho0 = np.zeros((d, d))
+        rho0[:2, :2] = [[0.5, 0.3], [0.3, 0.5]]
+        traj = self.run(step, rho0, samples=2)
+        assert len(traj.index) == 4
+        with pytest.raises(IntegrationError, match=r"negative eigenvalue .* after 2 collisions"):
+            self.run(step, rho0, samples=3)
+
+    def test_leakage_is_checked_last(self):
+        # |0><0| -> |5><5|: the top level fills at the first step
+        m = np.zeros((6, 6))
+        m[5, 0] = 1.0
+        m[5, 5] = 1.0
+        with pytest.raises(LeakageError, match=r"population 1.0 >= 1e-06 after 1 collisions"):
+            self.run(self.population_step(m), np.diag([1.0, 0, 0, 0, 0, 0]))
+
+    def test_density_run_messages_name_no_step(self):
+        m = np.eye(6)
+        m[:2, 0] = (1.5, -0.5)
+        with pytest.raises(IntegrationError) as err:
+            self.run(self.population_step(m), np.diag([1.0, 0, 0, 0, 0, 0]), step_name="")
+        assert str(err.value) == "negative eigenvalue -0.5; truncation or step failure"
+
+
 class TestLiouvillianMatrix:
     def test_action_matches_master_equation(self):
         # [DERIVED] L vec(rho) == vec(-i[H,rho] + dissipator) elementwise
@@ -368,6 +508,25 @@ class TestLiouvillianMatrix:
     def test_requires_generator(self):
         with pytest.raises(ValueError):
             liouvillian_matrix(None, [])
+
+    @pytest.mark.parametrize("with_h", [False, True], ids=["dissipators", "with-H"])
+    def test_matches_kron_construction(self, with_h):
+        # oracle: the generator summed from scipy.sparse.kron pieces, on the
+        # atom (x) field layout of the collision model with a random H
+        layout = atom_field_layout(2, 5)
+        h = static_hamiltonian(layout, seed=3) if with_h else None
+        field = field_layout(5)
+        terms = [
+            LindbladTerm(t.rate, ComplexOperator(layout, np.kron(np.eye(2), t.jump.entries)))
+            for t in thermal_terms(ThermalBathParams(gamma=0.7, n_bar=0.3), field)
+        ]
+        terms.append(LindbladTerm(1.3, ComplexOperator(
+            layout, np.kron(np.eye(2), ladder_jump(5)))))
+        got = sparse_liouvillian(h, terms).entries
+        expected = kron_liouvillian(h, terms)
+        assert np.max(np.abs((got - expected).toarray())) <= 1e-13
+        # no stored zeros: the block split reads the stored pattern
+        assert np.all(got.data != 0)
 
 
 class TestInvariantBlocks:

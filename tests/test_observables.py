@@ -131,6 +131,35 @@ class TestSeries:
         series = ObservableSeries(times, {"x": times.copy()})
         assert detect_steady(series, window=0.2, eps=1e-3) is None
 
+    @staticmethod
+    def loop_detect_steady(series, window, eps):
+        """Oracle: the earliest start whose suffix spread stays below eps."""
+        times = series.times
+        for i, t in enumerate(times):
+            if times[-1] - t < window:
+                break
+            if all(np.ptp(c[i:]) < eps for c in series.columns.values()):
+                return float(t)
+        return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), samples=st.integers(2, 60),
+           columns=st.integers(0, 3), window=st.floats(0.0, 1.0),
+           eps=st.sampled_from([0.0, 1e-3, 0.05, 0.3, 2.0]))
+    def test_detect_steady_matches_loop(self, seed, samples, columns, window, eps):
+        rng = np.random.default_rng(seed)
+        times = np.linspace(0.0, 1.0, samples)
+        cols = {}
+        for c in range(columns):
+            # a random walk that freezes at a random sample, sometimes with a NaN
+            steps = rng.normal(scale=0.1, size=samples) * (np.arange(samples) < rng.integers(samples + 1))
+            col = np.cumsum(steps)
+            if rng.random() < 0.2:
+                col[rng.integers(samples)] = np.nan
+            cols[f"c{c}"] = col
+        series = ObservableSeries(times, cols)
+        assert detect_steady(series, window, eps) == self.loop_detect_steady(series, window, eps)
+
     def test_window_longer_than_span_rejected(self):
         times = np.linspace(0.0, 1.0, 10)
         series = ObservableSeries(times, {"x": np.zeros(10)})

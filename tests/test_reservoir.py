@@ -9,6 +9,7 @@ from fockladder import (
     ComplexOperator,
     DensityOperator,
     LadderSpec,
+    LeakageError,
     LindbladTerm,
     ThermalBathParams,
     TimeGrid,
@@ -30,6 +31,30 @@ from fockladder import (
 from oracles import partial_trace
 
 EXC = atom_state({"e": 1.0}, ("g", "e"))
+
+
+def joint_collisions(h, inj, bath, rho0, n_atoms):
+    """Oracle: field states after each atom, by attaching the atom, propagating
+    the joint state with the dense exponential of the full generator and
+    tracing the atom out (symmetrized and renormalized per atom)."""
+    joint = h.layout
+    bath_joint = [
+        LindbladTerm(t.rate, ComplexOperator(joint, np.kron(np.eye(2), t.jump.entries)))
+        for t in thermal_terms(bath, rho0.layout)
+    ]
+    propagator = scipy.linalg.expm(liouvillian_matrix(h, bath_joint).entries * inj.tau)
+    amp = inj.atom_state.amplitudes
+    rho_atom = np.outer(amp, amp.conj())
+    d = joint.dim
+    rho_f = rho0.entries
+    states = []
+    for _ in range(n_atoms):
+        vec = propagator @ np.kron(rho_atom, rho_f).ravel(order="F")
+        reduced = partial_trace(DensityOperator(joint, vec.reshape((d, d), order="F")),
+                                "field").symmetrized().entries
+        rho_f = reduced / np.real(np.trace(reduced))
+        states.append(rho_f)
+    return states
 
 
 class TestInjection:
@@ -174,22 +199,33 @@ class TestCollisionModel:
             psi = field_superposition({0: 0.6, 1: 0.48, 2: 0.64j}, cutoff).to_density()
             rho0 = DensityOperator(field_layout(cutoff), 0.5 * (rho0.entries + psi.entries))
         traj = collision_model_evolve(h, inj, bath, rho0, 20)
+        for state, expected in zip(traj.states[1:], joint_collisions(h, inj, bath, rho0, 20)):
+            assert np.allclose(state.entries, expected, atol=1e-13, rtol=0)
 
-        bath_joint = [
-            LindbladTerm(t.rate, ComplexOperator(joint, np.kron(np.eye(2), t.jump.entries)))
-            for t in thermal_terms(bath, field_layout(cutoff))
-        ]
-        propagator = scipy.linalg.expm(liouvillian_matrix(h, bath_joint).entries * tau)
-        amp = inj.atom_state.amplitudes
-        rho_atom = np.outer(amp, amp.conj())
-        d = joint.dim
-        rho_f = rho0.entries
-        for state in traj.states[1:]:
-            vec = propagator @ np.kron(rho_atom, rho_f).ravel(order="F")
-            reduced = partial_trace(DensityOperator(joint, vec.reshape((d, d), order="F")),
-                                    "field").symmetrized().entries
-            rho_f = reduced / np.real(np.trace(reduced))
-            assert np.allclose(state.entries, rho_f, atol=1e-13, rtol=0)
+    def test_leakage_guard_names_first_leaking_atom(self):
+        # oracle: the joint propagation above; a fig4-like pump with a warm
+        # bath into cutoff 6 fills the top two levels after some atoms
+        cutoff, tau = 6, 0.2**2 / 63.0
+        spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.2 / tau)
+        h = build_engineered_hamiltonian(spec, atom_field_layout(2, cutoff))
+        inj = AtomInjectionParams(tau=tau, rate=1.0 / tau, atom_state=EXC)
+        bath = ThermalBathParams(gamma=1.0, n_bar=0.5)
+        rho0 = thermal_state(0.05, cutoff)
+        leak = [np.real(r[-1, -1] + r[-2, -2])
+                for r in joint_collisions(h, inj, bath, rho0, 40)]
+        first = 1 + int(np.argmax(np.array(leak) >= 1e-6))
+        assert 1 < first < 40
+        with pytest.raises(LeakageError, match=f"after {first} collisions"):
+            collision_model_evolve(h, inj, bath, rho0, 40)
+        clean = collision_model_evolve(h, inj, bath, rho0, first - 1)
+        assert clean.leakage == pytest.approx(leak[first - 2], rel=1e-9)
+
+    def test_trace_is_kept_without_renormalizing(self):
+        # 7,560 atoms of the fig4 collision run at zeta tau = 0.05; the map
+        # preserves the trace, so no atom renormalizes the state
+        traj = self.run_collisions(0.05, t_end=0.3, cutoff=12)
+        assert len(traj.states) == 7561
+        assert np.max(np.abs(traj.populations.sum(axis=1) - 1.0)) <= 1e-11
 
     def test_tracks_coarse_grained_dissipator(self):
         micro = self.run_collisions(0.35)

@@ -12,6 +12,7 @@ import pytest
 
 import fockladder
 from fockladder import (
+    ObservableSeries,
     ScenarioValidationError,
     collision_document,
     evaluate_check,
@@ -256,6 +257,18 @@ class TestSerialization:
         csv = series_to_csv(result.series, "zeta1_t")
         assert f"{value:.17g}" in csv
 
+    def test_csv_matches_per_value_formatting(self):
+        # oracle: one f-string per value, the format the CSV has always had
+        times = np.array([0.0, 1e-300, 2.5, -0.0, 7.0])
+        cols = {"P0": np.array([-0.0, 1e-300, 1 / 3, 3, -2]),
+                "Q": np.array([1e300, -1e-310, 0.1 + 0.2, 12345678901234567, np.nan])}
+        series = ObservableSeries(times, cols)
+        lines = ["t,P0,Q"]
+        for i, t in enumerate(series.times):
+            lines.append(",".join([f"{t:.17g}"] + [f"{series.columns[n][i]:.17g}" for n in cols]))
+        assert series_to_csv(series, "t") == "\n".join(lines) + "\n"
+        assert "\n-0,3," in series_to_csv(series, "t")
+
     def test_summary_json_deterministic_and_sorted(self):
         doc = preset_document("fig4")
         a = summary_to_json(run_scenario(parse_config(doc)).summary)
@@ -307,6 +320,22 @@ class TestCli:
         summary = json.loads((tmp_path / "fig4.json").read_text())
         assert summary["name"] == "fig4"
         assert all(f["pass"] for f in summary["check"])
+
+    def test_run_out_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        monkeypatch.setattr("fockladder.cli.run_scenario", lambda config: pytest.fail("ran"))
+        assert cli_main(["run", "--scenario", "fig4", "--out", str(target)]) == 2
+        assert "--out: cannot create directory" in capsys.readouterr().err
+        assert target.read_text() == "keep"
+        assert cli_main(["run", "--scenario", "fig4", "--out", str(target / "sub")]) == 2
+
+    def test_sweep_out_naming_a_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fockladder.cli.sweep", lambda *args: pytest.fail("ran"))
+        code = cli_main(["sweep", "--scenario", "fig4", "--param", "parameters.Gamma",
+                         "--values", "50", "--out", str(tmp_path)])
+        assert code == 2
+        assert "is a directory" in capsys.readouterr().err
 
     def test_run_unknown_scenario_exits_2(self, capsys):
         assert cli_main(["run", "--scenario", "fig9"]) == 2
