@@ -52,8 +52,7 @@ def main():
         zeta = zeta_tau / tau
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=zeta)
         h = build_engineered_hamiltonian(spec, atom_field_layout(2, CUTOFF))
-        inj = AtomInjectionParams(tau=tau, rate=1.0 / tau,
-                                  atom_state=atom_state({"e": 1.0}, ("g", "e")))
+        inj = AtomInjectionParams(tau=tau, atom_state=atom_state({"e": 1.0}, ("g", "e")))
         micro = collision_model_evolve(
             h, inj, ThermalBathParams(gamma=1.0, n_bar=0.05),
             thermal_state(0.05, CUTOFF), int(np.ceil(T_END / tau)),

@@ -147,7 +147,9 @@ def _cmd_sweep(args) -> int:
     keys = ["value"] + sorted({k for row in rows for k in row} - {"param", "value"})
     lines = [",".join(["value"] + keys[1:])]
     for row in rows:
-        lines.append(",".join(f"{row.get(k, float('nan')):.17g}" for k in keys))
+        # a missing or null value (an undefined Q) is written as nan
+        cells = (row.get(k) for k in keys)
+        lines.append(",".join(f"{float('nan') if v is None else v:.17g}" for v in cells))
     text = "\n".join(lines) + "\n"
     if args.out:
         path = Path(args.out)

@@ -137,7 +137,6 @@ class LiouvillianMatrix:
 
     entries: np.ndarray | scipy.sparse.csr_matrix
     layout: HilbertLayout
-    vectorization: str = "column-stacking"
 
 
 @dataclass

@@ -40,16 +40,15 @@ class ResonanceError(RuntimeError):
 class RamanBranch:
     """One Raman branch: a cavity leg and a laser leg through one auxiliary level.
 
-    ``sign_cavity`` / ``sign_laser`` are the signs of the detuning exponents
-    e^{i * sign * Delta * t} multiplying the cavity and laser terms.
+    ``sign`` is the sign of the detuning exponents e^{i * sign * Delta * t}
+    multiplying the cavity and the laser term alike.
     """
 
     lam: float
     omega: float
     delta: float
     delta_tilde: float
-    sign_cavity: int
-    sign_laser: int
+    sign: int
     cavity_transition: tuple[str, str]
     laser_transition: tuple[str, str]
 
@@ -60,8 +59,8 @@ class RamanBranch:
             raise ValueError("laser coupling omega must be non-negative")
         if self.delta == 0 or self.delta_tilde == 0:
             raise ValueError("detunings must be nonzero")
-        if self.sign_cavity not in (-1, 1) or self.sign_laser not in (-1, 1):
-            raise ValueError("signs must be +1 or -1")
+        if self.sign not in (-1, 1):
+            raise ValueError("sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ def raman_params(
     aux = AUX_LABELS[:k]
     branches = []
     for j in range(k):
-        sign = -1 if j == 0 else 1
         cavity_lower, laser_lower = ("g", "e") if kind == "JC" else ("e", "g")
         branches.append(
             RamanBranch(
@@ -111,8 +109,7 @@ def raman_params(
                 omega=float(omegas[j]),
                 delta=float(deltas[j]),
                 delta_tilde=float(delta_tildes[j]),
-                sign_cavity=sign,
-                sign_laser=sign,
+                sign=-1 if j == 0 else 1,
                 cavity_transition=(aux[j], cavity_lower),
                 laser_transition=(aux[j], laser_lower),
             )
@@ -170,9 +167,7 @@ def derive_couplings(params: RamanLadderParams) -> DerivedCouplings:
         complex((br.lam * br.omega / 2.0) * (1.0 / br.delta + 1.0 / br.delta_tilde))
         for br in b
     )
-    theta = tuple(
-        (-1 if j == 0 else 1) * (br.delta_tilde - br.delta) for j, br in enumerate(b)
-    )
+    theta = tuple(br.sign * (br.delta_tilde - br.delta) for br in b)
     return DerivedCouplings(chi, chi_tilde, varpi, omega_shift, zeta, theta)
 
 
@@ -210,8 +205,8 @@ def build_full_hamiltonian(
         sig_l = atomic_sigma(*br.laser_transition, params.atom_levels)
         cav = np.kron(sig_c.entries, a.entries)
         las = np.kron(sig_l.entries, np.eye(cutoff + 1))
-        terms.append((br.lam, br.sign_cavity * br.delta, cav))
-        terms.append((br.omega, br.sign_laser * br.delta_tilde, las))
+        terms.append((br.lam, br.sign * br.delta, cav))
+        terms.append((br.omega, br.sign * br.delta_tilde, las))
     return TimeDependentHamiltonian(layout, terms)
 
 
@@ -308,6 +303,7 @@ def ladder_from_conditions(
 RESONANCE_DAMPING = 0.5
 RESONANCE_MAX_ITER = 200
 RESONANCE_REL_TOL = 1e-10
+HIERARCHY_THRESHOLD = 1.0  # regime threshold of the |chi_eff|/|zeta| (RWA) ratios
 
 
 def second_order_residuals(params: RamanLadderParams, base: int) -> list[float]:
@@ -340,14 +336,14 @@ def dressed_residuals(params: RamanLadderParams, base: int) -> list[float]:
     """
     b = params.branches
     laser = _nearest_zero_level(
-        [br.omega for br in b], [br.sign_laser * br.delta_tilde for br in b]
+        [br.omega for br in b], [br.sign * br.delta_tilde for br in b]
     )
     theta = derive_couplings(params).theta
     out = []
     for j in range(params.n_branches):
         photons = base + j + 1
         cavity = _nearest_zero_level(
-            [br.lam * np.sqrt(photons) for br in b], [br.sign_cavity * br.delta for br in b]
+            [br.lam * np.sqrt(photons) for br in b], [br.sign * br.delta for br in b]
         )
         out.append(cavity - laser + theta[j])
     return out
@@ -356,17 +352,17 @@ def dressed_residuals(params: RamanLadderParams, base: int) -> list[float]:
 def _close_resonance(params: RamanLadderParams, base: int, residuals) -> RamanLadderParams:
     """Damped fixed point on the laser detunings until ``residuals`` vanish.
 
-    Branch j moves theta_j by minus its residual: theta_1 = Delta_1 - Delta~_1
-    and theta_j = Delta~_j - Delta_j for j >= 2.  The tolerance is relative
-    to |chi_eff|.
+    Branch j moves theta_j = s_j (Delta~_j - Delta_j) by minus its residual,
+    s_j being the branch's detuning sign.  The tolerance is relative to
+    |chi_eff|.
     """
     scale = abs(derive_couplings(params).chi_eff)
     current = params
     res = residuals(current, base)
     for _ in range(RESONANCE_MAX_ITER):
         branches = tuple(
-            replace(br, delta_tilde=br.delta_tilde + RESONANCE_DAMPING * (r if j == 0 else -r))
-            for j, (br, r) in enumerate(zip(current.branches, res))
+            replace(br, delta_tilde=br.delta_tilde - RESONANCE_DAMPING * br.sign * r)
+            for br, r in zip(current.branches, res)
         )
         current = replace(current, branches=branches)
         res = residuals(current, base)
@@ -441,15 +437,14 @@ def check_regime(
     steps: int,
     n_bar: float = 0.0,
     threshold: float = 10.0,
-    hierarchy_threshold: float = 1.0,
 ) -> RegimeReport:
     """Validity-regime report for the adiabatic elimination and the RWA.
 
     Both orientations of the elimination inequalities are reported (the
     primary one pairs lambda with Delta and Omega with Delta~; the ``alt``
     entries pair them the other way round).  ``threshold`` governs the
-    elimination ratios; the coupling-hierarchy (RWA) ratios have their own
-    ``hierarchy_threshold`` since their natural scale is weaker.
+    elimination ratios; the coupling-hierarchy (RWA) ratios are held to
+    HIERARCHY_THRESHOLD, since their natural scale is weaker.
     """
     entries = []
     root = np.sqrt(n_bar + 1.0)
@@ -472,7 +467,7 @@ def check_regime(
             RegimeEntry(
                 f"|chi_eff|/|zeta^{j}_{base + j}|",
                 _ratio(derived.chi_eff, small),
-                hierarchy_threshold,
+                HIERARCHY_THRESHOLD,
             )
         )
     dressed = dressed_residuals(params, base)

@@ -39,17 +39,23 @@ from .raman import LadderSpec, ladder_operator
 
 @dataclass(frozen=True)
 class AtomInjectionParams:
-    """Atom beam parameters: transit time tau, arrival rate r, reset state."""
+    """Atom beam parameters: transit time tau and reset state.
+
+    Interaction windows are back to back, so the arrival rate is r = 1/tau.
+    """
 
     tau: float
-    rate: float
     atom_state: StateVector
 
     def __post_init__(self):
-        if self.tau <= 0 or self.rate <= 0:
-            raise ValueError("tau and rate must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
         if self.atom_state.layout.dims != (2,):
             raise ValueError("atoms are two-level (g, e)")
+
+    @property
+    def rate(self) -> float:
+        return 1.0 / self.tau
 
     def weak_coupling_indicator(self, zeta: complex) -> float:
         """|zeta| tau; the coarse-grained pump assumes this is << 1."""

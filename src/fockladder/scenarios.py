@@ -22,7 +22,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -48,6 +48,7 @@ from .lindblad import (
 from .observables import (
     MEAN_PHOTON_FLOOR,
     ObservableSeries,
+    VacuumDominatedError,
     detect_steady,
     fidelity_fock,
     mandel_q,
@@ -465,27 +466,68 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     return RunResult(config, series, summary)
 
 
-def _raman_setup(config: ScenarioConfig):
+def _ladder_record(spec: LadderSpec) -> dict:
+    return {
+        "zeta_ref": _complex_pair(spec.zeta_ref),
+        "ladder_weights": [_complex_pair(w) for w in spec.weights],
+        "ladder_base": spec.base,
+        "ladder_top": spec.top,
+    }
+
+
+def _finish(summary: dict, times, cols: dict) -> ObservableSeries:
+    """Record the last sample of every column and return the series."""
+    summary["final"] = {name: float(col[-1]) for name, col in sorted(cols.items())}
+    return ObservableSeries(times, cols)
+
+
+def _hamiltonian_run(config: ScenarioConfig, summary: dict, key: str, build, levels, zeta_ref):
+    """Propagate the initial state on the atom's ``levels`` under ``build(layout)``.
+
+    The grid is in |zeta_ref| t; atom amplitudes outside ``levels`` are
+    dropped.  Leakage and the Magnus work are recorded under ``key``.
+    """
+    zr = abs(zeta_ref)
+    t_grid = TimeGrid(config.grid.t_start / zr, config.grid.t_end / zr, config.grid.samples)
+    init = config.initial_state
+    atom = atom_state({k: v for k, v in init["atom"].items() if k in levels}, levels)
+    psi0 = product_state(atom, field_superposition(init["field"], config.cutoff))
+    h = build(atom_field_layout(len(levels), config.cutoff))
+    traj = evolve_state(h, psi0, t_grid, config.integrator)
+    summary.setdefault("leakage", {})[key] = traj.leakage
+    summary.setdefault("diagnostics", {}).setdefault("integrator", {})[key] = {
+        "steps": traj.steps, "error_estimate": traj.error_estimate,
+    }
+    return traj
+
+
+def _engineered_run(config: ScenarioConfig, summary: dict, spec: LadderSpec, suffix: str = ""):
+    """The engineered ladder run: its columns named with ``suffix``, plus the closed forms."""
+    traj = _hamiltonian_run(config, summary, "engineered",
+                            partial(build_engineered_hamiltonian, spec), ("g", "e"), spec.zeta_ref)
+    cols = {name + suffix: col for name, col in _probe_columns(traj, config.outputs).items()}
+    analytic = config.parameters["analytic"]
+    if analytic:
+        pops, dev = traj.populations, 0.0
+        for n, curve in analytic_probabilities(analytic, config.grid.times).items():
+            cols[f"P{n}_analytic"] = curve
+            dev = max(dev, float(np.max(np.abs(pops[:, n] - curve))))
+        summary.setdefault("deviations", {})["engineered_vs_analytic"] = dev
+    return traj, cols
+
+
+def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries | None:
     p = config.parameters
-    params = raman_params(
-        p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], kind=p["kind"]
-    )
     base = p["base"]
+    params = raman_params(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], kind=p["kind"])
     input_tildes = [br.delta_tilde for br in params.branches]
     if p["solve_detunings"]:
         params = solve_dressed_resonance(solve_resonance(params, base), base)
     derived = derive_couplings(params)
     spec = ladder_from_conditions(derived, p["mode"], base, params.n_branches)
-    report = check_regime(
-        params, derived, base, spec.steps,
-        n_bar=p["n_bar_regime"],
-        threshold=p["regime_threshold"],
-    )
-    return params, derived, spec, report, input_tildes
-
-
-def _couplings_record(derived, spec) -> dict:
-    return {
+    report = check_regime(params, derived, base, spec.steps,
+                          n_bar=p["n_bar_regime"], threshold=p["regime_threshold"])
+    summary["couplings"] = {
         "chi": derived.chi,
         "chi_tilde": derived.chi_tilde,
         "varpi": derived.varpi,
@@ -493,134 +535,45 @@ def _couplings_record(derived, spec) -> dict:
         "chi_eff": derived.chi_eff,
         "zeta": [_complex_pair(z) for z in derived.zeta],
         "theta": list(derived.theta),
-        "zeta_ref": _complex_pair(spec.zeta_ref),
-        "ladder_weights": [_complex_pair(w) for w in spec.weights],
-        "ladder_base": spec.base,
-        "ladder_top": spec.top,
+        **_ladder_record(spec),
     }
-
-
-def _integrator_record(traj) -> dict:
-    """Magnus steps taken and the accepted error estimate of a Hamiltonian run."""
-    return {"steps": traj.steps, "error_estimate": traj.error_estimate}
-
-
-def _density_record(traj) -> dict:
-    """Invariant blocks a density run propagated, and the size of the largest."""
-    return {"blocks": len(traj.blocks), "largest_block": max(traj.blocks)}
-
-
-def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries | None:
-    p = config.parameters
-    params, derived, spec, report, input_tildes = _raman_setup(config)
-    summary["couplings"] = _couplings_record(derived, spec)
     summary["detunings"] = {
         "input_delta_tilde": input_tildes,
         "solved_delta_tilde": [br.delta_tilde for br in params.branches],
-        "residuals": second_order_residuals(params, p["base"]),
-        "dressed_residuals": dressed_residuals(params, p["base"]),
+        "residuals": second_order_residuals(params, base),
+        "dressed_residuals": dressed_residuals(params, base),
     }
     summary["regime"] = report.as_dict()
     if config.regime_only:
         return None
 
-    zr = abs(spec.zeta_ref)
-    x_grid = config.grid
-    t_grid = TimeGrid(x_grid.t_start / zr, x_grid.t_end / zr, x_grid.samples)
-
-    field0 = config.initial_state["field"]
-    atom_full = atom_state(config.initial_state["atom"], params.atom_levels)
-    psi0 = product_state(atom_full, field_superposition(field0, config.cutoff))
-    h_full = build_full_hamiltonian(params, atom_field_layout(2 + params.n_branches, config.cutoff))
-    traj_full = evolve_state(h_full, psi0, t_grid, config.integrator)
-    cols = {
-        f"{name}_full": col
-        for name, col in _probe_columns(traj_full, config.outputs).items()
-    }
-    summary["leakage"] = {"full": traj_full.leakage}
-    summary["diagnostics"] = {"integrator": {"full": _integrator_record(traj_full)}}
-
-    x_values = x_grid.times
+    traj = _hamiltonian_run(config, summary, "full", partial(build_full_hamiltonian, params),
+                            params.atom_levels, spec.zeta_ref)
+    cols = {f"{name}_full": col for name, col in _probe_columns(traj, config.outputs).items()}
     if p["compare_engineered"]:
         # The engineered reference is the ideal uniform-weight target ladder;
         # the drive parameters realize it only approximately, and the residual
         # weight mismatch is reported alongside the deviations.
-        ideal = LadderSpec(
-            base=spec.base, weights=(1.0,) * spec.steps,
-            zeta_ref=spec.zeta_ref, kind=spec.kind,
+        summary["couplings"]["weight_mismatch"] = max(abs(w - 1.0) for w in spec.weights)
+        traj_eng, eng_cols = _engineered_run(
+            config, summary, replace(spec, weights=(1.0,) * spec.steps), "_engineered")
+        cols.update(eng_cols)
+        full = traj.populations
+        n = np.arange(full.shape[1])
+        inside = (spec.base <= n) & (n <= spec.top)
+        summary.setdefault("deviations", {}).update(
+            full_vs_engineered=float(np.max(np.abs(full - traj_eng.populations)[:, inside])),
+            outside_subspace=float(np.max(full[:, ~inside], initial=0.0)),
         )
-        summary["couplings"]["weight_mismatch"] = max(
-            abs(w - 1.0) for w in spec.weights
-        )
-        layout2 = atom_field_layout(2, config.cutoff)
-        h_eng = build_engineered_hamiltonian(ideal, layout2)
-        atom_ge = atom_state(
-            {k: v for k, v in config.initial_state["atom"].items() if k in ("g", "e")},
-            ("g", "e"),
-        )
-        psi0e = product_state(atom_ge, field_superposition(field0, config.cutoff))
-        traj_eng = evolve_state(h_eng, psi0e, t_grid, config.integrator)
-        eng_cols = _probe_columns(traj_eng, config.outputs)
-        cols.update({f"{name}_engineered": col for name, col in eng_cols.items()})
-        summary["leakage"]["engineered"] = traj_eng.leakage
-        summary["diagnostics"]["integrator"]["engineered"] = _integrator_record(traj_eng)
-
-        subspace = set(range(spec.base, spec.top + 1))
-        devs, outside = [], [0.0]
-        full_pops = traj_full.populations
-        eng_pops = traj_eng.populations
-        for n in range(config.cutoff + 1):
-            gap = float(np.max(np.abs(full_pops[:, n] - eng_pops[:, n])))
-            if n in subspace:
-                devs.append(gap)
-            else:
-                outside.append(float(np.max(full_pops[:, n])))
-        summary["deviations"] = {
-            "full_vs_engineered": max(devs),
-            "outside_subspace": max(outside),
-        }
-        if p["analytic"]:
-            ana = analytic_probabilities(p["analytic"], x_values)
-            ana_dev = 0.0
-            for n, curve in ana.items():
-                cols[f"P{n}_analytic"] = curve
-                ana_dev = max(ana_dev, float(np.max(np.abs(eng_pops[:, n] - curve))))
-            summary["deviations"]["engineered_vs_analytic"] = ana_dev
-
-    summary["final"] = {name: float(col[-1]) for name, col in sorted(cols.items())}
-    return ObservableSeries(x_values, cols)
+    return _finish(summary, config.grid.times, cols)
 
 
 def _run_engineered(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     p = config.parameters
     spec = _ladder_from_doc(p["ladder"], p["zeta_ref"])
-    summary["couplings"] = {
-        "zeta_ref": _complex_pair(spec.zeta_ref),
-        "ladder_weights": [_complex_pair(w) for w in spec.weights],
-        "ladder_base": spec.base,
-        "ladder_top": spec.top,
-    }
-    zr = abs(spec.zeta_ref)
-    t_grid = TimeGrid(config.grid.t_start / zr, config.grid.t_end / zr, config.grid.samples)
-    atom_ge = atom_state(config.initial_state["atom"], ("g", "e"))
-    psi0 = product_state(atom_ge, field_superposition(config.initial_state["field"], config.cutoff))
-    h_eng = build_engineered_hamiltonian(spec, atom_field_layout(2, config.cutoff))
-    traj = evolve_state(h_eng, psi0, t_grid, config.integrator)
-    cols = _probe_columns(traj, config.outputs)
-    summary["leakage"] = {"engineered": traj.leakage}
-    summary["diagnostics"] = {"integrator": {"engineered": _integrator_record(traj)}}
-
-    x_values = config.grid.times
-    if p["analytic"]:
-        pops = traj.populations
-        ana = analytic_probabilities(p["analytic"], x_values)
-        dev = 0.0
-        for n, curve in ana.items():
-            cols[f"P{n}_analytic"] = curve
-            dev = max(dev, float(np.max(np.abs(pops[:, n] - curve))))
-        summary["deviations"] = {"engineered_vs_analytic": dev}
-    summary["final"] = {name: float(col[-1]) for name, col in sorted(cols.items())}
-    return ObservableSeries(x_values, cols)
+    summary["couplings"] = _ladder_record(spec)
+    _, cols = _engineered_run(config, summary, spec)
+    return _finish(summary, config.grid.times, cols)
 
 
 def _initial_field_density(config: ScenarioConfig) -> DensityOperator:
@@ -633,27 +586,37 @@ def _initial_field_density(config: ScenarioConfig) -> DensityOperator:
     return StateVector(layout, amps).to_density()
 
 
+def _density_finish(config: ScenarioConfig, summary: dict, traj) -> dict[str, np.ndarray]:
+    """The requested columns of a density run; records its leakage and the blocks it propagated."""
+    summary["leakage"] = {"density": traj.leakage}
+    summary["diagnostics"] = {"density": {"blocks": len(traj.blocks),
+                                          "largest_block": max(traj.blocks)}}
+    return _probe_columns(traj, config.outputs)
+
+
+def _defined_q(q_of, state) -> float | None:
+    """Mandel Q of ``state``, or None on a vacuum (mean photon number below the floor)."""
+    try:
+        return float(q_of(state))
+    except VacuumDominatedError:
+        return None
+
+
 def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     p = config.parameters
     layout = field_layout(config.cutoff)
     bath = ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"])
     if config.model == "ub-liouvillian":
-        spec = _ladder_from_doc(p["ladder"], zeta_ref=1.0)
-        dissipator = ub_dissipator(spec, p["Gamma"], layout)
-        summary["gamma_eff"] = {"configured": list(dissipator.gamma_eff)}
+        dissipator = ub_dissipator(_ladder_from_doc(p["ladder"], zeta_ref=1.0), p["Gamma"], layout)
     else:
         dissipator = selective_dissipators(p["channels"], layout)
-        summary["gamma_eff"] = {"configured": list(dissipator.gamma_eff)}
-        if "recipe" in p:
-            summary["gamma_eff"]["recipe"] = _selective_recipe_rates(p)
+    summary["gamma_eff"] = {"configured": list(dissipator.gamma_eff)}
+    if "recipe" in p:
+        summary["gamma_eff"]["recipe"] = _selective_recipe_rates(p)
 
     generator = sparse_liouvillian(None, list(dissipator.terms) + thermal_terms(bath, layout))
-    rho0 = _initial_field_density(config)
-    traj = evolve_density(generator, rho0, config.grid)
-    cols = _probe_columns(traj, config.outputs)
-    series = ObservableSeries(config.grid.times, cols)
-    summary["leakage"] = {"density": traj.leakage}
-    summary["diagnostics"] = {"density": _density_record(traj)}
+    traj = evolve_density(generator, _initial_field_density(config), config.grid)
+    series = _finish(summary, config.grid.times, _density_finish(config, summary, traj))
 
     target = p["target_fock"]
     rho_ss = steady_state(generator)
@@ -671,11 +634,10 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
         "detected_at": detect_steady(fid_series, p["steady_window"], p["steady_eps"]),
         "null_space_trace_distance": trace_distance(traj.states[-1], rho_ss),
         "null_space_fidelity": fidelity_fock(rho_ss, target),
-        "null_space_mandel_q": mandel_q(rho_ss),
+        "null_space_mandel_q": _defined_q(mandel_q, rho_ss),
     }
-    summary["final"] = {name: float(col[-1]) for name, col in sorted(cols.items())}
-    summary["final"][f"F{target}"] = float(traj.populations[-1, target])
-    summary["final"]["Q"] = float(photon_mandel_q(traj.populations[-1]))
+    summary["final"][fid_col] = float(traj.populations[-1, target])
+    summary["final"]["Q"] = _defined_q(photon_mandel_q, traj.populations[-1])
     return series
 
 
@@ -688,43 +650,30 @@ def _selective_recipe_rates(p: dict) -> list[float]:
     """
     tau = float(p["recipe"]["tau"])
     zeta_unit = float(p["recipe"]["zeta_unit"])
-    inj = AtomInjectionParams(
-        tau=tau, rate=1.0 / tau,
-        atom_state=atom_state({"e": 1.0}, ("g", "e")),
-    )
+    inj = AtomInjectionParams(tau=tau, atom_state=atom_state({"e": 1.0}, ("g", "e")))
     return [gamma_from_injection(zeta_unit * np.sqrt(k + 1), inj) for k, _ in p["channels"]]
 
 
 def _run_collision(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     p = config.parameters
     zeta_tau = float(p["zeta_tau"])
-    big_gamma = float(p["Gamma"])
-    tau = zeta_tau**2 / big_gamma
+    tau = zeta_tau**2 / float(p["Gamma"])
     zeta = zeta_tau / tau
     n_atoms = max(1, math.ceil((config.grid.t_end - config.grid.t_start) / tau))
     spec = _ladder_from_doc(p["ladder"], zeta_ref=zeta)
-    layout = atom_field_layout(2, config.cutoff)
-    h_eng = build_engineered_hamiltonian(spec, layout)
-    inj = AtomInjectionParams(
-        tau=tau, rate=1.0 / tau,
-        atom_state=atom_state(p["atom_state"], ("g", "e")),
-    )
+    h_eng = build_engineered_hamiltonian(spec, atom_field_layout(2, config.cutoff))
+    inj = AtomInjectionParams(tau=tau, atom_state=atom_state(p["atom_state"], ("g", "e")))
     bath = ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"])
-    rho0 = _initial_field_density(config)
-    traj = collision_model_evolve(h_eng, inj, bath, rho0, n_atoms)
-    cols = _probe_columns(traj, config.outputs)
+    traj = collision_model_evolve(h_eng, inj, bath, _initial_field_density(config), n_atoms)
     summary["collision"] = {
         "tau": tau,
-        "rate": 1.0 / tau,
+        "rate": inj.rate,
         "zeta": zeta,
         "zeta_tau": zeta_tau,
         "n_atoms": n_atoms,
         "gamma_eff": gamma_from_injection(zeta, inj),
     }
-    summary["leakage"] = {"density": traj.leakage}
-    summary["diagnostics"] = {"density": _density_record(traj)}
-    summary["final"] = {name: float(col[-1]) for name, col in sorted(cols.items())}
-    return ObservableSeries(traj.times, cols)
+    return _finish(summary, traj.times, _density_finish(config, summary, traj))
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +745,26 @@ def _full_raman_preset(name, description, *, lambdas, omegas, deltas, delta_tild
         },
         "anchor": anchor,
         "check": copy.deepcopy(_VALIDATION_CHECK),
+    }
+
+
+def _steady_preset(name, description, *, model, parameters, target, fidelity, q, tol,
+                   **anchor_targets):
+    """A steady-Fock-state preset: a thermal start pumped towards |target> for gamma t = 1."""
+    fock = f"F{target}"
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "name": name,
+        "description": description,
+        "model": model,
+        "reference_rate": {"unit": "gamma", "value_hz": 10.0},
+        "cutoff": 12,
+        "grid": {"start": 0.0, "stop": 1.0, "samples": 201},
+        "initial_state": {"thermal_n_bar": 0.05},
+        "outputs": [fock, "Q", "mean_n"] + [f"P{n}" for n in range(target + 1)],
+        "parameters": {**parameters, "gamma": 1.0, "n_bar": 0.05, "target_fock": target},
+        "anchor": {"figure": name[3:], "targets": {fock: fidelity, "Q": q, **anchor_targets}},
+        "check": {fock: {"target": fidelity, "tol": tol}, "Q": {"target": q, "tol": tol}},
     }
 
 
@@ -873,69 +842,32 @@ def _build_presets() -> dict[str, dict]:
         variant["check"] = {}
         presets[variant["name"]] = variant
 
-    presets["fig4"] = {
-        "schema_version": SCHEMA_VERSION,
-        "name": "fig4",
-        "description": "Steady Fock state |3> from the collective three-step "
+    presets["fig4"] = _steady_preset(
+        "fig4",
+        "Steady Fock state |3> from the collective three-step "
         "ladder dissipator (Gamma = 63 gamma) against a thermal bath.",
-        "model": "ub-liouvillian",
-        "reference_rate": {"unit": "gamma", "value_hz": 10.0},
-        "cutoff": 12,
-        "grid": {"start": 0.0, "stop": 1.0, "samples": 201},
-        "initial_state": {"thermal_n_bar": 0.05},
-        "outputs": ["F3", "Q", "mean_n", "P0", "P1", "P2", "P3"],
-        "parameters": {
-            "ladder": {"base": 0, "weights": [1.0, 1.0, 1.0]},
-            "Gamma": 63.0,
-            "gamma": 1.0,
-            "n_bar": 0.05,
-            "target_fock": 3,
-        },
-        "anchor": {"figure": "4", "targets": {"F3": 0.92, "Q": -0.96, "Q_start": 0.05}},
-        "check": {"F3": {"target": 0.92, "tol": 0.03}, "Q": {"target": -0.96, "tol": 0.03}},
-    }
-    presets["fig6a"] = {
-        "schema_version": SCHEMA_VERSION,
-        "name": "fig6a",
-        "description": "Steady Fock state |2> from two independent selective "
+        model="ub-liouvillian",
+        parameters={"ladder": {"base": 0, "weights": [1.0, 1.0, 1.0]}, "Gamma": 63.0},
+        target=3, fidelity=0.92, q=-0.96, tol=0.03, Q_start=0.05,
+    )
+    presets["fig6a"] = _steady_preset(
+        "fig6a",
+        "Steady Fock state |2> from two independent selective "
         "pump channels (Gamma_0 = 176 gamma, Gamma_1 = 352 gamma).",
-        "model": "selective-liouvillian",
-        "reference_rate": {"unit": "gamma", "value_hz": 10.0},
-        "cutoff": 12,
-        "grid": {"start": 0.0, "stop": 1.0, "samples": 201},
-        "initial_state": {"thermal_n_bar": 0.05},
-        "outputs": ["F2", "Q", "mean_n", "P0", "P1", "P2"],
-        "parameters": {
-            "channels": [[0, 176.0], [1, 352.0]],
-            "gamma": 1.0,
-            "n_bar": 0.05,
-            "target_fock": 2,
-            "recipe": {"tau": 1.4142135623730951e-3, "zeta_unit": 500.0},
-        },
-        "anchor": {"figure": "6a", "targets": {"F2": 0.95, "Q": -0.98}},
-        "check": {"F2": {"target": 0.95, "tol": 0.02}, "Q": {"target": -0.98, "tol": 0.02}},
-    }
-    presets["fig6b"] = {
-        "schema_version": SCHEMA_VERSION,
-        "name": "fig6b",
-        "description": "Steady Fock state |3> from three independent selective "
+        model="selective-liouvillian",
+        parameters={"channels": [[0, 176.0], [1, 352.0]],
+                    "recipe": {"tau": 1.4142135623730951e-3, "zeta_unit": 500.0}},
+        target=2, fidelity=0.95, q=-0.98, tol=0.02,
+    )
+    presets["fig6b"] = _steady_preset(
+        "fig6b",
+        "Steady Fock state |3> from three independent selective "
         "pump channels (Gamma_k = 96, 192, 288 gamma).",
-        "model": "selective-liouvillian",
-        "reference_rate": {"unit": "gamma", "value_hz": 10.0},
-        "cutoff": 12,
-        "grid": {"start": 0.0, "stop": 1.0, "samples": 201},
-        "initial_state": {"thermal_n_bar": 0.05},
-        "outputs": ["F3", "Q", "mean_n", "P0", "P1", "P2", "P3"],
-        "parameters": {
-            "channels": [[0, 96.0], [1, 192.0], [2, 288.0]],
-            "gamma": 1.0,
-            "n_bar": 0.05,
-            "target_fock": 3,
-            "recipe": {"tau": 1.1547005383792516e-3, "zeta_unit": 500.0},
-        },
-        "anchor": {"figure": "6b", "targets": {"F3": 0.94, "Q": -0.97}},
-        "check": {"F3": {"target": 0.94, "tol": 0.02}, "Q": {"target": -0.97, "tol": 0.02}},
-    }
+        model="selective-liouvillian",
+        parameters={"channels": [[0, 96.0], [1, 192.0], [2, 288.0]],
+                    "recipe": {"tau": 1.1547005383792516e-3, "zeta_unit": 500.0}},
+        target=3, fidelity=0.94, q=-0.97, tol=0.02,
+    )
     return presets
 
 

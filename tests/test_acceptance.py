@@ -262,8 +262,7 @@ class TestCriterion7CollisionModel:
                 LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=zeta),
                 atom_field_layout(2, cutoff),
             )
-            inj = AtomInjectionParams(tau=tau, rate=1.0 / tau,
-                                      atom_state=atom_state({"e": 1.0}, ("g", "e")))
+            inj = AtomInjectionParams(tau=tau, atom_state=atom_state({"e": 1.0}, ("g", "e")))
             traj = collision_model_evolve(
                 h, inj, ThermalBathParams(gamma=1.0, n_bar=0.05),
                 thermal_state(0.05, cutoff), int(np.ceil(0.3 / tau)),

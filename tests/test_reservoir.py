@@ -60,16 +60,16 @@ def joint_collisions(h, inj, bath, rho0, n_atoms):
 class TestInjection:
     def test_gamma_formula(self):
         # [TRIVIAL] Gamma = r (|zeta| tau)^2
-        inj = AtomInjectionParams(tau=0.5, rate=2.0, atom_state=EXC)
+        inj = AtomInjectionParams(tau=0.5, atom_state=EXC)
         assert gamma_from_injection(0.1, inj) == pytest.approx(2.0 * 0.05**2)
 
     def test_weak_coupling_indicator(self):
-        inj = AtomInjectionParams(tau=0.5, rate=2.0, atom_state=EXC)
+        inj = AtomInjectionParams(tau=0.5, atom_state=EXC)
         assert inj.weak_coupling_indicator(0.2) == pytest.approx(0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AtomInjectionParams(tau=-1.0, rate=1.0, atom_state=EXC)
+            AtomInjectionParams(tau=-1.0, atom_state=EXC)
 
 
 class TestDissipators:
@@ -163,7 +163,7 @@ class TestCollisionModel:
         zeta = zeta_tau / tau
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=zeta)
         h = build_engineered_hamiltonian(spec, atom_field_layout(2, cutoff))
-        inj = AtomInjectionParams(tau=tau, rate=1.0 / tau, atom_state=EXC)
+        inj = AtomInjectionParams(tau=tau, atom_state=EXC)
         bath = ThermalBathParams(gamma=1.0, n_bar=0.05)
         rho0 = thermal_state(0.05, cutoff)
         n_atoms = int(np.ceil(t_end / tau))
@@ -191,8 +191,7 @@ class TestCollisionModel:
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.35 / tau)
         joint = atom_field_layout(2, cutoff)
         h = build_engineered_hamiltonian(spec, joint)
-        inj = AtomInjectionParams(tau=tau, rate=1.0 / tau,
-                                  atom_state=atom_state(amps, ("g", "e")))
+        inj = AtomInjectionParams(tau=tau, atom_state=atom_state(amps, ("g", "e")))
         bath = ThermalBathParams(gamma=1.0, n_bar=0.05)
         rho0 = thermal_state(0.05, cutoff)
         if coherences:
@@ -208,7 +207,7 @@ class TestCollisionModel:
         cutoff, tau = 6, 0.2**2 / 63.0
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.2 / tau)
         h = build_engineered_hamiltonian(spec, atom_field_layout(2, cutoff))
-        inj = AtomInjectionParams(tau=tau, rate=1.0 / tau, atom_state=EXC)
+        inj = AtomInjectionParams(tau=tau, atom_state=EXC)
         bath = ThermalBathParams(gamma=1.0, n_bar=0.5)
         rho0 = thermal_state(0.05, cutoff)
         leak = [np.real(r[-1, -1] + r[-2, -2])
@@ -245,7 +244,7 @@ class TestCollisionModel:
     def test_layout_mismatch_rejected(self):
         spec = LadderSpec(base=0, weights=(1.0,), zeta_ref=1.0)
         h = build_engineered_hamiltonian(spec, atom_field_layout(2, 8))
-        inj = AtomInjectionParams(tau=0.01, rate=100.0, atom_state=EXC)
+        inj = AtomInjectionParams(tau=0.01, atom_state=EXC)
         bath = ThermalBathParams(gamma=1.0, n_bar=0.0)
         with pytest.raises(ValueError):
             collision_model_evolve(h, inj, bath, thermal_state(0.0, 6), 2)

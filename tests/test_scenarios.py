@@ -55,6 +55,19 @@ def engineered_doc(**overrides):
     return doc
 
 
+def vacuum_doc(case: str) -> dict:
+    """fig4 without pump or thermal photons: the steady state, and from a
+    vacuum start also the last sample, is the vacuum, where Q is undefined."""
+    doc = preset_document("fig4")
+    doc["parameters"].update(Gamma=0, n_bar=0)
+    if case == "steady":
+        doc["outputs"] = ["F3", "mean_n"]
+    else:
+        doc["initial_state"] = {"fock": 0}
+        doc["outputs"] = ["F3", "mean_n", "P0"]
+    return doc
+
+
 class TestSchema:
     def test_minimal_document_parses(self):
         cfg = parse_config(engineered_doc())
@@ -188,6 +201,30 @@ class TestRunner:
         doc["parameters"]["atom_state"] = {"g": 0.6, "e": [0.0, 0.8]}
         mixed = run_scenario(parse_config(doc)).summary
         assert mixed["diagnostics"] == {"density": {"blocks": 1, "largest_block": 169}}
+
+    def test_engineered_model_repeats_the_fig2a_comparison(self):
+        # an engineered-ladder document on fig2a's ideal ladder runs the same
+        # engineered reference as fig2a's own comparison, bit for bit
+        fig2a = preset_document("fig2a")
+        full = run_scenario(parse_config(fig2a))
+        couplings = full.summary["couplings"]
+        steps = couplings["ladder_top"] - couplings["ladder_base"]
+        doc = engineered_doc(parameters={
+            "ladder": {"base": couplings["ladder_base"], "weights": [1.0] * steps},
+            "zeta_ref": couplings["zeta_ref"], "analytic": "fig2a",
+        }, **{key: fig2a[key] for key in ("cutoff", "grid", "integrator", "initial_state",
+                                          "outputs")})
+        engineered = run_scenario(parse_config(doc))
+        for name in fig2a["outputs"]:
+            assert np.array_equal(engineered.series.column(name),
+                                  full.series.column(f"{name}_engineered"))
+        analytic = [name for name in full.series.columns if name.endswith("_analytic")]
+        assert analytic
+        for name in analytic:
+            assert np.array_equal(engineered.series.column(name), full.series.column(name))
+        assert (engineered.summary["deviations"]["engineered_vs_analytic"]
+                == full.summary["deviations"]["engineered_vs_analytic"])
+        assert engineered.summary["leakage"]["engineered"] == full.summary["leakage"]["engineered"]
 
     def test_regime_only_skips_evolution(self):
         result = run_scenario(load_scenario("regime-check-fig2a"))
@@ -353,6 +390,38 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(path), "--check"]) == 4
         # without --check the embedded targets are not enforced
         assert cli_main(["run", "--scenario", str(path)]) == 0
+
+    @pytest.mark.parametrize("case", ["steady", "last-sample"])
+    def test_undefined_q_recorded_as_null(self, tmp_path, capsys, case):
+        path = tmp_path / "vacuum.json"
+        path.write_text(json.dumps(vacuum_doc(case)))
+        assert cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "fig4.json").read_text())
+        assert summary["steady"]["null_space_mandel_q"] is None
+        if case == "steady":
+            # decay keeps the field thermal, and Q of a thermal field is its mean
+            assert summary["final"]["Q"] == pytest.approx(0.05 * np.exp(-1.0), rel=1e-6)
+        else:
+            assert summary["final"]["Q"] is None
+            assert summary["final"]["P0"] == 1.0
+
+    def test_null_q_misses_its_check(self, tmp_path, capsys):
+        doc = vacuum_doc("last-sample")
+        doc["check"] = {"Q": {"target": 0.0, "tol": 1.0}}
+        path = tmp_path / "vacuum.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(path), "--check"]) == 4
+        assert "check Q: FAIL (actual None" in capsys.readouterr().out
+
+    def test_sweep_writes_nan_for_null_q(self, tmp_path, capsys):
+        path = tmp_path / "vacuum.json"
+        path.write_text(json.dumps(vacuum_doc("last-sample")))
+        assert cli_main(["sweep", "--scenario", str(path), "--param", "parameters.gamma",
+                         "--values", "1,2"]) == 0
+        header, *rows = capsys.readouterr().out.strip().split("\n")
+        q = header.split(",").index("Q")
+        assert len(rows) == 2
+        assert all(row.split(",")[q] == "nan" for row in rows)
 
     def test_run_numerical_guard_exits_3(self, capsys):
         # fig4 pumps |3> hard; cutoff 4 leaves the pumped level inside the
