@@ -23,7 +23,7 @@ from fockladder import (
     collision_model_evolve,
     fidelity_fock,
     field_layout,
-    liouvillian_matrix,
+    sparse_liouvillian,
     thermal_state,
     thermal_terms,
     trace_distance,
@@ -40,7 +40,7 @@ def coarse_liouvillian():
     spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
     terms = list(ub_dissipator(spec, BIG_GAMMA, layout).terms)
     terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
-    return liouvillian_matrix(None, terms).entries
+    return sparse_liouvillian(None, terms).entries.toarray()
 
 
 def main():

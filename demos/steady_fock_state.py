@@ -16,10 +16,10 @@ from fockladder import (
     ThermalBathParams,
     fidelity_fock,
     field_layout,
-    liouvillian_matrix,
     load_scenario,
     mandel_q,
     run_scenario,
+    sparse_liouvillian,
     steady_state,
     sweep,
     thermal_terms,
@@ -54,7 +54,7 @@ def main():
     for big_gamma in (1.0, 10.0, 63.0, 200.0, 1000.0):
         terms = list(ub_dissipator(spec, big_gamma, layout).terms)
         terms += thermal_terms(bath, layout)
-        rho = steady_state(liouvillian_matrix(None, terms))
+        rho = steady_state(sparse_liouvillian(None, terms))
         print(f"   Gamma = {big_gamma:6.0f} gamma: F3 = {fidelity_fock(rho, 3):.4f}, "
               f"Q = {mandel_q(rho):.4f}")
 

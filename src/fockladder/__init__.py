@@ -20,11 +20,9 @@ from .hilbert import (
     atom_field_layout,
     atom_state,
     atomic_sigma,
-    embed,
     field_layout,
     field_superposition,
     fock_state,
-    identity,
     marginal,
     number_operator,
     product_state,
@@ -63,7 +61,6 @@ from .lindblad import (
     Trajectory,
     evolve_density,
     evolve_state,
-    liouvillian_matrix,
     sparse_liouvillian,
     steady_state,
 )

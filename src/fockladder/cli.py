@@ -23,6 +23,7 @@ from .lindblad import (
     IntegrationError,
     LeakageError,
 )
+from .observables import ObservableSeries
 from .raman import ResonanceError
 from .scenarios import (
     ScenarioValidationError,
@@ -144,13 +145,11 @@ def _cmd_sweep(args) -> int:
             raise ScenarioValidationError("--out", f"{args.out} is a directory, not a file")
         _make_dir(Path(args.out).parent)
     rows = sweep(config, args.param, values)
-    keys = ["value"] + sorted({k for row in rows for k in row} - {"param", "value"})
-    lines = [",".join(["value"] + keys[1:])]
-    for row in rows:
-        # a missing or null value (an undefined Q) is written as nan
-        cells = (row.get(k) for k in keys)
-        lines.append(",".join(f"{float('nan') if v is None else v:.17g}" for v in cells))
-    text = "\n".join(lines) + "\n"
+    keys = sorted({k for row in rows for k in row} - {"param", "value"})
+    # a missing or null value (an undefined Q) becomes nan in the float columns
+    table = ObservableSeries([row["value"] for row in rows],
+                             {k: [row.get(k) for row in rows] for k in keys})
+    text = series_to_csv(table, "value")
     if args.out:
         path = Path(args.out)
         path.write_text(text)

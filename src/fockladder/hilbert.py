@@ -111,22 +111,6 @@ class ComplexOperator:
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
 
-    def __add__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_layout(other)
-        return ComplexOperator(self.layout, self.entries + other.entries)
-
-    def __sub__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_layout(other)
-        return ComplexOperator(self.layout, self.entries - other.entries)
-
-    def __mul__(self, scalar: complex) -> "ComplexOperator":
-        return ComplexOperator(self.layout, self.entries * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ComplexOperator":
-        return self * (-1.0)
-
     def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
         self._check_layout(other)
         return ComplexOperator(self.layout, self.entries @ other.entries)
@@ -180,10 +164,6 @@ class DensityOperator:
 # operator constructors
 
 
-def identity(layout: HilbertLayout) -> ComplexOperator:
-    return ComplexOperator(layout, np.eye(layout.dim, dtype=complex))
-
-
 def annihilation(cutoff: int) -> ComplexOperator:
     """Bosonic annihilation operator a on Fock states |0..cutoff>."""
     if cutoff < 1:
@@ -209,22 +189,6 @@ def atomic_sigma(r: str, s: str, levels: tuple[str, ...]) -> ComplexOperator:
     mat = np.zeros((d, d), dtype=complex)
     mat[levels.index(r), levels.index(s)] = 1.0
     return ComplexOperator(HilbertLayout(((ATOM, d),)), mat)
-
-
-def embed(op: ComplexOperator, layout: HilbertLayout, label: str) -> ComplexOperator:
-    """Promote a single-factor operator to ``layout`` by padding with identities."""
-    if len(op.layout.factors) != 1:
-        raise LayoutError("embed expects a single-factor operator")
-    axis = layout.axis(label)
-    if op.dim != layout.dims[axis]:
-        raise LayoutError(
-            f"operator dim {op.dim} != dim {layout.dims[axis]} of factor {label!r}"
-        )
-    mats = [
-        op.entries if i == axis else np.eye(d, dtype=complex)
-        for i, d in enumerate(layout.dims)
-    ]
-    return ComplexOperator(layout, reduce(np.kron, mats))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ the touched entries of every sample, in one array; the trace-drift,
 negativity and leakage guards run on that array in one batch, the
 negativity guard over the connected components of the touched entries'
 d x d pattern.  States are built, re-symmetrized, only when a sample is
-read.  Steady states work on the same invariant blocks.
+read.  Steady states work on the same invariant blocks: a map on vec(rho)
+is split once, by ``LiouvillianMatrix.blocks``, for every reader.
 """
 
 from __future__ import annotations
@@ -128,15 +129,44 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class LiouvillianMatrix:
-    """d^2 x d^2 generator under the column-stacking convention vec(A rho B) = (B^T (x) A) vec(rho).
+    """A d^2 x d^2 map on vec(rho): a Lindblad generator, or the collision model's one-atom map.
 
-    ``entries`` is a dense array (``liouvillian_matrix``) or a scipy sparse
-    matrix (``sparse_liouvillian``); ``evolve_density`` and
-    ``steady_state`` take either.
+    Columns are stacked, vec(A rho B) = (B^T (x) A) vec(rho).  ``entries``
+    is stored as a read-only CSR copy, so the split into invariant blocks
+    is taken once, by ``blocks``, and cannot go stale.
     """
 
-    entries: np.ndarray | scipy.sparse.csr_matrix
+    entries: scipy.sparse.csr_matrix
     layout: HilbertLayout
+
+    def __post_init__(self):
+        mat = scipy.sparse.csr_matrix(self.entries, copy=True)
+        mat.sum_duplicates()  # scipy canonicalizes in place, which read-only arrays refuse
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "entries", mat)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(index set, dense diagonal block entries[idx, idx]) of every invariant block."""
+        blocks = invariant_blocks(self.entries)
+        coo = self.entries.tocoo()
+        coo.sum_duplicates()
+        label, position = np.empty((2, self.entries.shape[0]), dtype=int)
+        for b, idx in enumerate(blocks):
+            label[idx] = b
+            position[idx] = np.arange(len(idx))
+        owner = label[coo.row]
+        order = np.argsort(owner, kind="stable")
+        bounds = np.searchsorted(owner[order], np.arange(len(blocks) + 1))
+        out = []
+        for b, idx in enumerate(blocks):
+            entries = order[bounds[b]:bounds[b + 1]]
+            sub = np.zeros((len(idx), len(idx)), dtype=complex)
+            sub[position[coo.row[entries]], position[coo.col[entries]]] = coo.data[entries]
+            sub.setflags(write=False)
+            out.append((idx, sub))
+        return tuple(out)
 
 
 @dataclass
@@ -430,7 +460,7 @@ def evolve_state(
 def evolve_density(L: LiouvillianMatrix, rho0: DensityOperator, grid: TimeGrid) -> Trajectory:
     """Propagate vec(rho) under the static generator ``L`` over the sampling grid.
 
-    ``L`` comes from ``sparse_liouvillian`` or ``liouvillian_matrix``:
+    ``L`` comes from ``sparse_liouvillian``:
     rho_dot = -i[H, rho] + sum_k (rate_k/2)(2 J rho J^dag - J^dag J rho - rho J^dag J).
     Only the invariant blocks of L that vec(rho0) touches are propagated,
     each by exp(L_b dt) once per sample interval; every other entry stays
@@ -442,34 +472,33 @@ def evolve_density(L: LiouvillianMatrix, rho0: DensityOperator, grid: TimeGrid) 
         raise LayoutError("generator and density operator layouts differ")
     times = grid.times
     dt = times[1] - times[0]  # a linspace: one step propagator serves every interval
-    mat = scipy.sparse.csr_matrix(L.entries)
     vec0 = rho0.entries.astype(complex).ravel(order="F")
-    touched = [idx for idx in invariant_blocks(mat) if np.any(vec0[idx])]
-    step = scipy.linalg.block_diag(*(scipy.linalg.expm(sub * dt)
-                                     for sub in dense_blocks(mat, touched)))
-    return propagate_touched(step, touched, vec0, times, layout)
+    steps = [(idx, scipy.linalg.expm(sub * dt)) for idx, sub in L.blocks if np.any(vec0[idx])]
+    return propagate_touched(steps, vec0, times, layout)
 
 
-def propagate_touched(step: np.ndarray, blocks: list[np.ndarray], vec0: np.ndarray,
+def propagate_touched(steps: list[tuple[np.ndarray, np.ndarray]], vec0: np.ndarray,
                       times: np.ndarray, layout: HilbertLayout, step_name: str = "") -> Trajectory:
-    """Apply ``step`` to the touched entries of vec(rho0) once per sample, then guard.
+    """Apply one step map to the touched entries of vec(rho0) once per sample, then guard.
 
-    ``blocks`` are the invariant blocks of the step map that vec(rho0)
-    touches, and ``step`` is the map on their concatenated entries.  The
-    guards run in one batch with the limits and order of a density run:
-    a non-finite entry or a trace drift above TRACE_DRIFT_LIMIT, an
-    eigenvalue below -NEGATIVITY_LIMIT, then a top-two Fock population at
-    or above LEAKAGE_LIMIT; the first failing sample raises.  ``step_name``
+    ``steps`` holds an (index set, step block) pair for each invariant
+    block of the step map that vec(rho0) touches; the step is their block
+    diagonal on the concatenated indices.  The guards run in one batch
+    with the limits and order of a density run: a non-finite entry or a
+    trace drift above TRACE_DRIFT_LIMIT, an eigenvalue below
+    -NEGATIVITY_LIMIT, then a top-two Fock population at or above
+    LEAKAGE_LIMIT; the first failing sample raises.  ``step_name``
     says what one step is (the collision model passes "collisions"), so
     an error can say how many steps were taken.
     """
-    index = np.concatenate(blocks)
+    index = np.concatenate([idx for idx, _ in steps])
+    step = scipy.linalg.block_diag(*(block for _, block in steps))
     entries = np.empty((len(times), len(index)), dtype=complex)
     entries[0] = vec0[index]
     for k in range(1, len(times)):
         np.dot(step, entries[k - 1], out=entries[k])
     traj = Trajectory(times, layout, index, entries, True,
-                      blocks=tuple(len(idx) for idx in blocks))
+                      blocks=tuple(len(idx) for idx, _ in steps))
 
     finite = np.isfinite(entries).all(axis=1)
     safe = np.where(finite[:, None], entries, 0.0)  # eigvalsh needs finite entries
@@ -562,18 +591,12 @@ def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
     return LiouvillianMatrix(L, layout)
 
 
-def liouvillian_matrix(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
-    """The generator of ``sparse_liouvillian`` with dense entries."""
-    L = sparse_liouvillian(H, terms)
-    return LiouvillianMatrix(L.entries.toarray(), L.layout)
-
-
 def invariant_blocks(mat) -> list[np.ndarray]:
     """Index sets of the blocks of a generator that never couple to each other.
 
     These are the weakly connected components of the non-zero pattern of
-    ``mat`` (dense or sparse), so ``mat`` has no entry between two blocks
-    and its spectrum, null vectors and exponential split block by block.
+    ``mat``, so ``mat`` has no entry between two blocks and its spectrum,
+    null vectors and exponential split block by block.
     A generic dense generator is a single block.
     """
     count, labels = connected_components(
@@ -583,42 +606,15 @@ def invariant_blocks(mat) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
-def dense_blocks(mat, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """The diagonal blocks mat[idx, idx] of a sparse generator as dense arrays.
-
-    ``blocks`` are invariant blocks of ``mat`` (or some of them), so every
-    stored entry in a listed block's rows lies inside that block.
-    """
-    coo = scipy.sparse.coo_matrix(mat)
-    coo.sum_duplicates()
-    label = np.full(mat.shape[0], -1)
-    position = np.empty(mat.shape[0], dtype=int)
-    for b, idx in enumerate(blocks):
-        label[idx] = b
-        position[idx] = np.arange(len(idx))
-    owner = label[coo.row]
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(len(blocks) + 1))
-    subs = []
-    for b, idx in enumerate(blocks):
-        entries = order[bounds[b]:bounds[b + 1]]
-        sub = np.zeros((len(idx), len(idx)), dtype=complex)
-        sub[position[coo.row[entries]], position[coo.col[entries]]] = coo.data[entries]
-        subs.append(sub)
-    return subs
-
-
 def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     """Unique null-space density operator of a trace-preserving Liouvillian.
 
-    ``L`` may hold dense or sparse entries.  Each invariant block is
-    eigendecomposed on its own: |L|_2 is the largest block norm, and the
-    null and degeneracy counts run over the union of the block spectra.
+    Each invariant block of ``L.blocks`` is eigendecomposed on its own:
+    |L|_2 is the largest block norm, and the null and degeneracy counts
+    run over the union of the block spectra.
     """
-    mat = scipy.sparse.csr_matrix(L.entries)
     d = L.layout.dim
-    blocks = invariant_blocks(mat)
-    subs = dense_blocks(mat, blocks)
+    blocks, subs = zip(*L.blocks)
     norm = max(np.linalg.norm(sub, ord=2) for sub in subs)
     spectra = [np.linalg.eigvals(sub) for sub in subs]
     eigvals = np.concatenate(spectra)

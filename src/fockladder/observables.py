@@ -36,12 +36,9 @@ def _field_populations(state: StateVector | DensityOperator) -> np.ndarray:
     return marginal(probs, layout, "field")
 
 
-def fock_probabilities(state: StateVector | DensityOperator, cutoff: int | None = None) -> np.ndarray:
+def fock_probabilities(state: StateVector | DensityOperator) -> np.ndarray:
     """P_n of the field factor (atom traced out when present)."""
-    pops = _field_populations(state)
-    if cutoff is not None:
-        pops = pops[: cutoff + 1]
-    return pops
+    return _field_populations(state)
 
 
 def fidelity_fock(rho: StateVector | DensityOperator, n: int) -> float:

@@ -144,10 +144,6 @@ class DerivedCouplings:
     def big_xi(self, n: int) -> float:
         return self.xi(n) - (n + 1) * self.chi_tilde + self.omega_shift
 
-    def phi(self, n: int, j: int) -> float:
-        """Ladder-step detuning from the two-branch shifts (j is 1-based)."""
-        return self.xi(n) + self.theta[j - 1]
-
     def big_phi(self, n: int, j: int) -> float:
         """Ladder-step detuning including the branch-3+ shifts (j is 1-based)."""
         return self.big_xi(n) + self.theta[j - 1]

@@ -12,7 +12,6 @@ are applied through the density runs' block propagator
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 import scipy.linalg
@@ -28,9 +27,8 @@ from .hilbert import (
 )
 from .lindblad import (
     LindbladTerm,
+    LiouvillianMatrix,
     Trajectory,
-    dense_blocks,
-    invariant_blocks,
     propagate_touched,
     sparse_liouvillian,
 )
@@ -57,10 +55,6 @@ class AtomInjectionParams:
     def rate(self) -> float:
         return 1.0 / self.tau
 
-    def weak_coupling_indicator(self, zeta: complex) -> float:
-        """|zeta| tau; the coarse-grained pump assumes this is << 1."""
-        return abs(zeta) * self.tau
-
 
 @dataclass(frozen=True)
 class ThermalBathParams:
@@ -76,7 +70,6 @@ class ThermalBathParams:
 class EngineeredDissipator:
     terms: tuple[LindbladTerm, ...]
     gamma_eff: tuple[float, ...]
-    provenance: Literal["ub-ladder", "selective"]
 
 
 def gamma_from_injection(zeta: complex, inj: AtomInjectionParams) -> float:
@@ -100,7 +93,6 @@ def ub_dissipator(spec: LadderSpec, gamma: float, layout: HilbertLayout) -> Engi
     return EngineeredDissipator(
         terms=(LindbladTerm(gamma, jump),),
         gamma_eff=(gamma,),
-        provenance="ub-ladder",
     )
 
 
@@ -123,7 +115,7 @@ def selective_dissipators(
         mat[k + 1, k] = 1.0
         terms.append(LindbladTerm(gamma_k, ComplexOperator(layout, mat)))
         rates.append(gamma_k)
-    return EngineeredDissipator(tuple(terms), tuple(rates), "selective")
+    return EngineeredDissipator(tuple(terms), tuple(rates))
 
 
 def thermal_terms(bath: ThermalBathParams, layout: HilbertLayout) -> list[LindbladTerm]:
@@ -172,23 +164,23 @@ def collision_model_evolve(
         LindbladTerm(t.rate, ComplexOperator(joint, np.kron(eye2, t.jump.entries)))
         for t in thermal_terms(bath, field_layout_)
     ]
-    field_map = _field_map(sparse_liouvillian(engineered_h, bath_joint).entries, inj, cutoff + 1)
+    field_map = _field_map(sparse_liouvillian(engineered_h, bath_joint), inj, field_layout_)
     vec0 = rho0_field.entries.astype(complex).ravel(order="F")
-    blocks = [idx for idx in invariant_blocks(field_map) if np.any(vec0[idx])]
-    touched = np.concatenate(blocks)
+    steps = [(idx, sub) for idx, sub in field_map.blocks if np.any(vec0[idx])]
     times = inj.tau * np.arange(n_atoms + 1)
-    return propagate_touched(field_map[np.ix_(touched, touched)], blocks, vec0, times,
-                             field_layout_, step_name="collisions")
+    return propagate_touched(steps, vec0, times, field_layout_, step_name="collisions")
 
 
-def _field_map(L, inj: AtomInjectionParams, df: int) -> np.ndarray:
-    """One collision as a map on column-stacked field states.
+def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams,
+               layout: HilbertLayout) -> LiouvillianMatrix:
+    """One collision as a map on column-stacked field states of ``layout``.
 
     attach (rho_f -> rho_atom (x) rho_f), exp(L tau) and the trace over the
-    atom contracted into one (df^2, df^2) matrix, exponentiating L one
+    atom contracted into one (df^2, df^2) map, exponentiating L one
     invariant block at a time.  Attach and trace are index maps, so the
     contraction is a product of sparse matrices.
     """
+    df = layout.dim
     amp = inj.atom_state.amplitudes
     rho_atom = np.outer(amp, amp.conj())
     dj = (2 * df) ** 2
@@ -201,11 +193,9 @@ def _field_map(L, inj: AtomInjectionParams, df: int) -> np.ndarray:
     same = a == b
     trace_out = scipy.sparse.csr_matrix(
         (np.ones(int(same.sum())), (field[same], joint[same])), shape=(df * df, dj))
-    blocks = invariant_blocks(L)
-    steps = [scipy.linalg.expm(sub * inj.tau) for sub in dense_blocks(L, blocks)]
     propagator = scipy.sparse.csr_matrix((
-        np.concatenate([step.ravel() for step in steps]),
-        (np.concatenate([np.repeat(idx, len(idx)) for idx in blocks]),
-         np.concatenate([np.tile(idx, len(idx)) for idx in blocks])),
+        np.concatenate([scipy.linalg.expm(sub * inj.tau).ravel() for _, sub in L.blocks]),
+        (np.concatenate([np.repeat(idx, len(idx)) for idx, _ in L.blocks]),
+         np.concatenate([np.tile(idx, len(idx)) for idx, _ in L.blocks])),
     ), shape=(dj, dj))
-    return (trace_out @ propagator @ attach).toarray()
+    return LiouvillianMatrix(trace_out @ propagator @ attach, layout)

@@ -414,7 +414,10 @@ def _probe_columns(traj, outputs) -> dict[str, np.ndarray]:
         if name[0] in "PF" and name[1:].isdigit():
             cols[name] = pops[:, int(name[1:])]
         elif name == "Q":
-            cols[name] = photon_mandel_q(pops)
+            # undefined (nan) on samples at the vacuum
+            defined = photon_mean(pops) >= MEAN_PHOTON_FLOOR
+            cols[name] = np.full(len(pops), np.nan)
+            cols[name][defined] = photon_mandel_q(pops[defined])
         elif name == "mean_n":
             cols[name] = photon_mean(pops)
         elif name == "purity":
@@ -476,8 +479,9 @@ def _ladder_record(spec: LadderSpec) -> dict:
 
 
 def _finish(summary: dict, times, cols: dict) -> ObservableSeries:
-    """Record the last sample of every column and return the series."""
-    summary["final"] = {name: float(col[-1]) for name, col in sorted(cols.items())}
+    """Record the last sample of every column (null if not finite) and return the series."""
+    summary["final"] = {name: float(col[-1]) if np.isfinite(col[-1]) else None
+                        for name, col in sorted(cols.items())}
     return ObservableSeries(times, cols)
 
 

@@ -8,12 +8,7 @@ import numpy as np
 import scipy.sparse
 from scipy.special import gammaln
 
-from fockladder import ComplexOperator, DensityOperator, HilbertLayout, StateVector, field_layout
-
-
-def tensor(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
-    """Kronecker product; the layout is the concatenated factor list."""
-    return ComplexOperator(a.layout * b.layout, np.kron(a.entries, b.entries))
+from fockladder import DensityOperator, HilbertLayout, StateVector, field_layout
 
 
 def coherent_state(alpha: complex, cutoff: int) -> StateVector:

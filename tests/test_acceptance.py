@@ -39,7 +39,6 @@ from fockladder import (
     fock_probabilities,
     fock_state,
     ladder_from_conditions,
-    liouvillian_matrix,
     load_scenario,
     mandel_q,
     parse_config,
@@ -48,6 +47,7 @@ from fockladder import (
     raman_params,
     run_scenario,
     solve_resonance,
+    sparse_liouvillian,
     steady_state,
     thermal_state,
     thermal_terms,
@@ -163,10 +163,10 @@ class TestCriterion3Fig4:
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
         terms = list(ub_dissipator(spec, 63.0, layout).terms)
         terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
-        rho_ss = steady_state(liouvillian_matrix(None, terms))
+        rho_ss = steady_state(sparse_liouvillian(None, terms))
         f3 = fidelity_fock(rho_ss, 3)
         q = mandel_q(rho_ss)
-        traj = evolve_density(liouvillian_matrix(None, terms), thermal_state(0.05, 12),
+        traj = evolve_density(sparse_liouvillian(None, terms), thermal_state(0.05, 12),
                               TimeGrid(0.0, 10.0, 11))
         dist = trace_distance(traj.states[-1], rho_ss)
         elapsed = time.perf_counter() - start
@@ -196,7 +196,7 @@ class TestCriterion4Fig6:
         layout = field_layout(12)
         terms = list(selective_dissipators(channels, layout).terms)
         terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
-        rho_ss = steady_state(liouvillian_matrix(None, terms))
+        rho_ss = steady_state(sparse_liouvillian(None, terms))
         fid = fidelity_fock(rho_ss, target)
         q = mandel_q(rho_ss)
         elapsed = time.perf_counter() - start
@@ -219,7 +219,7 @@ class TestCriterion5DarkState:
                 layout = field_layout(cutoff)
                 spec = LadderSpec(base=base, weights=(1.0,) * steps, zeta_ref=1.0)
                 terms = list(ub_dissipator(spec, 1.0, layout).terms)
-                L = liouvillian_matrix(None, terms).entries
+                L = sparse_liouvillian(None, terms).entries.toarray()
                 rho0 = fock_state(base, cutoff).to_density().entries
                 vec = scipy.linalg.expm(L * 80.0) @ rho0.ravel(order="F")
                 rho = vec.reshape(cutoff + 1, cutoff + 1, order="F")
@@ -252,7 +252,7 @@ class TestCriterion7CollisionModel:
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
         terms = list(ub_dissipator(spec, 63.0, layout).terms)
         terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
-        L = liouvillian_matrix(None, terms).entries
+        L = sparse_liouvillian(None, terms).entries.toarray()
         max_dists = []
         for zeta_tau in (0.35, 0.1, 0.05):
             d = 0.0
@@ -307,7 +307,7 @@ class TestCriterion8NumericalHygiene:
             terms = list(selective_dissipators(
                 [(int(k), float(g)) for k, g in p["channels"]], layout).terms)
         terms += thermal_terms(ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"]), layout)
-        traj = evolve_density(liouvillian_matrix(None, terms), thermal_state(0.05, cfg.cutoff),
+        traj = evolve_density(sparse_liouvillian(None, terms), thermal_state(0.05, cfg.cutoff),
                               cfg.grid)
         drift = max(abs(float(np.real(np.trace(s.entries))) - 1.0) for s in traj.states)
         min_eig = min(float(np.linalg.eigvalsh(s.entries).min()) for s in traj.states)

@@ -18,16 +18,14 @@ from fockladder import (
     atom_field_layout,
     atom_state,
     atomic_sigma,
-    embed,
     field_layout,
     field_superposition,
     fock_state,
-    identity,
     number_operator,
     product_state,
     thermal_state,
 )
-from oracles import coherent_state, partial_trace, tensor
+from oracles import coherent_state, partial_trace
 
 
 def random_operator(dim, seed):
@@ -91,13 +89,6 @@ class TestOperators:
         expected = np.zeros((3, 3))
         expected[0, 1] = 1.0
         assert np.allclose(sig.entries, expected)
-
-    def test_embed_matches_tensor(self):
-        layout = atom_field_layout(2, 3)
-        a = annihilation(3)
-        embedded = embed(a, layout, "field")
-        manual = tensor(identity(HilbertLayout((("atom", 2),))), a)
-        assert np.allclose(embedded.entries, manual.entries)
 
     def test_hermiticity_flag(self):
         n_op = number_operator(4)

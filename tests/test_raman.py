@@ -67,9 +67,8 @@ class TestDerivedCouplings:
         d = derive_couplings(params)
         for n in range(4):
             assert d.xi(n) == pytest.approx((n + 1) * d.chi - d.varpi)
-            assert d.phi(n, 1) == pytest.approx(d.xi(n) + d.theta[0])
-            # two branches: no branch-3+ shifts, so big_phi == phi
-            assert d.big_phi(n, 1) == pytest.approx(d.phi(n, 1))
+            # two branches: no branch-3+ shifts, so big_phi == xi + theta_1
+            assert d.big_phi(n, 1) == pytest.approx(d.xi(n) + d.theta[0])
 
 
 class TestFullHamiltonian:

@@ -68,6 +68,22 @@ def vacuum_doc(case: str) -> dict:
     return doc
 
 
+def vacuum_column_doc(model: str) -> dict:
+    """A run from |1> whose later samples reach the vacuum, with a Q column:
+    fig4 without pump or thermal photons, or its collision model with
+    ground-state atoms and no bath."""
+    if model == "ub-liouvillian":
+        doc = preset_document("fig4")
+        doc["parameters"].update(Gamma=0, n_bar=0)
+        doc["grid"]["stop"] = 25
+    else:
+        doc = collision_document(1.5, t_end=1.0)
+        doc["parameters"].update(Gamma=10, gamma=0, n_bar=0, atom_state={"g": 1})
+        doc["outputs"] = ["Q", "mean_n", "P0"]
+    doc["initial_state"] = {"fock": 1}
+    return doc
+
+
 class TestSchema:
     def test_minimal_document_parses(self):
         cfg = parse_config(engineered_doc())
@@ -423,6 +439,23 @@ class TestCli:
         assert len(rows) == 2
         assert all(row.split(",")[q] == "nan" for row in rows)
 
+    @pytest.mark.parametrize("model", ["ub-liouvillian", "collision-model"])
+    def test_q_column_is_nan_at_the_vacuum(self, tmp_path, capsys, model):
+        doc = vacuum_column_doc(model)
+        path = tmp_path / "vacuum.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        header, *rows = (tmp_path / "out" / f"{doc['name']}.csv").read_text().strip().split("\n")
+        cols = dict(zip(header.split(","), np.array([row.split(",") for row in rows], float).T))
+        vacuum = cols["mean_n"] < 1e-9
+        assert vacuum.any() and not vacuum.all()
+        assert np.array_equal(np.isnan(cols["Q"]), vacuum)
+        summary = json.loads((tmp_path / "out" / f"{doc['name']}.json").read_text())
+        assert summary["final"]["Q"] is None
+        if model == "ub-liouvillian":
+            assert cli_main(["run", "--scenario", str(path), "--check"]) == 4
+            assert "check Q: FAIL (actual None" in capsys.readouterr().out
+
     def test_run_numerical_guard_exits_3(self, capsys):
         # fig4 pumps |3> hard; cutoff 4 leaves the pumped level inside the
         # top-two leakage guard
@@ -489,3 +522,18 @@ class TestCli:
             "sweep", "--scenario", "fig4", "--param", "parameters.Gamma",
             "--values", "a,b",
         ]) == 2
+
+
+class TestDemos:
+    @pytest.mark.parametrize("demo", ["steady_fock_state.py", "atom_beam_microsimulation.py"])
+    def test_dissipative_demo_runs(self, tmp_path, demo):
+        """The dissipative demos run to completion against the library.
+
+        ``rabi_validation.py`` is left out: it takes about 8 s and writes
+        ``demo-output/`` into its working directory.
+        """
+        src = Path(fockladder.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, str(src.parent / "demos" / demo)],
+                             capture_output=True, text=True, cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert out.returncode == 0, out.stderr
