@@ -29,6 +29,11 @@ negativity guard over the connected components of the touched entries'
 d x d pattern.  States are built, re-symmetrized, only when a sample is
 read.  Steady states work on the same invariant blocks: a map on vec(rho)
 is split once, by ``LiouvillianMatrix.blocks``, for every reader.
+
+The block split and the spanning-tree search are plain numpy and Python,
+so a Hamiltonian run loads none of scipy's submodules: ``scipy.sparse``
+(the vectorized generators) and ``scipy.linalg`` (their exponentials)
+load on first use, in density runs and the collision model.
 """
 
 from __future__ import annotations
@@ -38,9 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+import scipy  # scipy.linalg and scipy.sparse load on first use
 
 from .hilbert import (
     ComplexOperator,
@@ -299,15 +302,23 @@ class _FrameBlock:
             if r != c:
                 edge.setdefault((r, c), w)
                 edge.setdefault((c, r), -w)
-        graph = scipy.sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(d, d)
-        )
-        order, pred = breadth_first_order(
-            graph, 0, directed=False, return_predecessors=True
-        )
+        # breadth first from level 0, visiting each level's out-neighbours
+        # and then its in-neighbours in ascending order, which gives the
+        # spanning tree (and energies) of csgraph's undirected search
+        pairs = sorted(zip(rows.tolist(), cols.tolist()))
+        neighbours: list[list[int]] = [[] for _ in range(d)]
+        for r, c in pairs:
+            neighbours[r].append(c)
+        for c, r in sorted((c, r) for r, c in pairs):
+            neighbours[c].append(r)
         energies = np.zeros(d)
-        for v in order[1:]:
-            energies[v] = energies[pred[v]] - edge[(v, pred[v])]
+        queue, seen = [0], {0}
+        for r in queue:
+            for s in neighbours[r]:
+                if s not in seen:
+                    seen.add(s)
+                    queue.append(s)
+                    energies[s] = energies[r] - edge[(s, r)]
 
         residual = freqs + energies[rows] - energies[cols]
         rounding = 8 * d * np.finfo(float).eps * (
@@ -595,15 +606,29 @@ def invariant_blocks(mat) -> list[np.ndarray]:
     """Index sets of the blocks of a generator that never couple to each other.
 
     These are the weakly connected components of the non-zero pattern of
-    ``mat``, so ``mat`` has no entry between two blocks and its spectrum,
-    null vectors and exponential split block by block.
-    A generic dense generator is a single block.
+    ``mat`` (a dense array or a scipy sparse matrix), so ``mat`` has no
+    entry between two blocks and its spectrum, null vectors and exponential
+    split block by block.  A generic dense generator is a single block.
+    Blocks come in the order of their smallest index, each in ascending
+    order.  Every index carries a label, at first itself: each round hooks
+    the root label of every edge's end onto the smaller of its two end
+    labels and then jumps pointers until every label is a root, so at the
+    fixed point each index is labelled by the smallest index of its block.
     """
-    count, labels = connected_components(
-        scipy.sparse.csr_matrix(mat != 0), directed=True, connection="weak"
-    )
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    rows, cols = (mat != 0).nonzero()
+    label = np.arange(mat.shape[0])
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        hooked = label.copy()
+        np.minimum.at(hooked, label[rows], low)
+        np.minimum.at(hooked, label[cols], low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def steady_state(L: LiouvillianMatrix) -> DensityOperator:
@@ -630,7 +655,7 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     # eigenvectors only in the block holding the null eigenvalue, which is
     # unique past the checks
     b = int(np.argmin([np.min(np.abs(vals)) for vals in spectra]))
-    vals, vecs = scipy.linalg.eig(subs[b])
+    vals, vecs = np.linalg.eig(subs[b])
     k = int(np.argmin(np.abs(vals)))
     lam_min = abs(vals[k])
     vec = vecs[:, k]

@@ -14,8 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+
+# Only the bare package: scipy.sparse and scipy.linalg load on first use, so
+# importing this module adds nothing to a Hamiltonian run.  The exponential
+# is called as scipy.linalg.expm through this module's name ``scipy``, where
+# the span tracer of benchmarks/spans.py wraps it.
+import scipy
 
 from .hilbert import (
     ComplexOperator,
@@ -29,6 +33,7 @@ from .lindblad import (
     LindbladTerm,
     LiouvillianMatrix,
     Trajectory,
+    invariant_blocks,
     propagate_touched,
     sparse_liouvillian,
 )
@@ -142,10 +147,10 @@ def collision_model_evolve(
     the field bath acts during the windows.  Each window attaches a fresh
     atom in the injection state, evolves the joint state under the
     engineered Hamiltonian plus bath, and traces the atom out.  These
-    three steps are contracted once into a map on the field state, and
-    each atom applies that map only on the invariant blocks of the map
-    that vec(rho0) touches (the d populations for a thermal or Fock field
-    and a g or e atom); every other entry stays exactly zero.  The map
+    three steps are contracted once into a map on the field state, built
+    only on the invariant blocks of the map that vec(rho0) touches (the d
+    populations for a thermal or Fock field and a g or e atom), and each
+    atom applies it there; every other entry stays exactly zero.  The map
     preserves trace and Hermiticity, so states are neither renormalized
     nor symmetrized per atom; the trace-drift, negativity and leakage
     guards of a density run check every atom, and their errors name the
@@ -164,21 +169,28 @@ def collision_model_evolve(
         LindbladTerm(t.rate, ComplexOperator(joint, np.kron(eye2, t.jump.entries)))
         for t in thermal_terms(bath, field_layout_)
     ]
-    field_map = _field_map(sparse_liouvillian(engineered_h, bath_joint), inj, field_layout_)
     vec0 = rho0_field.entries.astype(complex).ravel(order="F")
+    field_map = _field_map(sparse_liouvillian(engineered_h, bath_joint), inj, field_layout_,
+                           np.flatnonzero(vec0))
     steps = [(idx, sub) for idx, sub in field_map.blocks if np.any(vec0[idx])]
     times = inj.tau * np.arange(n_atoms + 1)
     return propagate_touched(steps, vec0, times, field_layout_, step_name="collisions")
 
 
-def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams,
-               layout: HilbertLayout) -> LiouvillianMatrix:
+def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLayout,
+               touched: np.ndarray) -> LiouvillianMatrix:
     """One collision as a map on column-stacked field states of ``layout``.
 
     attach (rho_f -> rho_atom (x) rho_f), exp(L tau) and the trace over the
-    atom contracted into one (df^2, df^2) map, exponentiating L one
-    invariant block at a time.  Attach and trace are index maps, so the
-    contraction is a product of sparse matrices.
+    atom contracted into one (df^2, df^2) map.  Attach and trace are index
+    maps, so the contraction is a product of sparse matrices.
+
+    The map is exact on the invariant blocks it shares with the field
+    entries ``touched``, and zero in every column outside them.  A field
+    entry links to the blocks of L it is attached into, and a block of L
+    to the field entries traced out of it; the components of these links
+    that hold ``touched`` are closed under the map, and only the blocks of
+    L that their field entries are attached into are exponentiated.
     """
     df = layout.dim
     amp = inj.atom_state.amplitudes
@@ -188,14 +200,26 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams,
     b, m, a, n = np.unravel_index(np.arange(dj), (2, df, 2, df))
     joint, field = np.arange(dj), m * df + n
     weight = rho_atom[a, b]
-    attach = scipy.sparse.csr_matrix(
-        (weight[weight != 0], (joint[weight != 0], field[weight != 0])), shape=(dj, df * df))
     same = a == b
+    owner = np.empty(dj, dtype=int)
+    for k, (idx, _) in enumerate(L.blocks):
+        owner[idx] = k
+    # nodes: the df^2 field entries, then the blocks of L
+    link = np.zeros((df * df + len(L.blocks),) * 2, dtype=bool)
+    link[field[weight != 0], df * df + owner[weight != 0]] = True
+    link[df * df + owner[same], field[same]] = True
+    component = np.empty(len(link), dtype=int)
+    for k, comp in enumerate(invariant_blocks(link)):
+        component[comp] = k
+    kept = (weight != 0) & np.isin(component[field], component[touched])
+    attach = scipy.sparse.csr_matrix(
+        (weight[kept], (joint[kept], field[kept])), shape=(dj, df * df))
     trace_out = scipy.sparse.csr_matrix(
         (np.ones(int(same.sum())), (field[same], joint[same])), shape=(df * df, dj))
+    used = [L.blocks[k] for k in np.unique(owner[kept])]
     propagator = scipy.sparse.csr_matrix((
-        np.concatenate([scipy.linalg.expm(sub * inj.tau).ravel() for _, sub in L.blocks]),
-        (np.concatenate([np.repeat(idx, len(idx)) for idx, _ in L.blocks]),
-         np.concatenate([np.tile(idx, len(idx)) for idx, _ in L.blocks])),
+        np.concatenate([scipy.linalg.expm(sub * inj.tau).ravel() for _, sub in used]),
+        (np.concatenate([np.repeat(idx, len(idx)) for idx, _ in used]),
+         np.concatenate([np.tile(idx, len(idx)) for idx, _ in used])),
     ), shape=(dj, dj))
     return LiouvillianMatrix(trace_out @ propagator @ attach, layout)

@@ -6,6 +6,7 @@ from its definition so that it can serve as an independent check.
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.special import gammaln
 
 from fockladder import DensityOperator, HilbertLayout, StateVector, field_layout
@@ -56,3 +57,33 @@ def kron_liouvillian(H, terms) -> scipy.sparse.csr_matrix:
             2.0 * kron(j.conj(), j) - kron(eye, jdj) - kron(jdj.T, eye)
         )
     return L.tocsr()
+
+
+def csgraph_blocks(mat) -> list[np.ndarray]:
+    """Weakly connected components of the non-zero pattern of ``mat`` from
+    ``scipy.sparse.csgraph``, ordered by label and ascending within each."""
+    count, labels = connected_components(
+        scipy.sparse.csr_matrix(mat != 0), directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
+def csgraph_frame_energies(terms, idx: np.ndarray) -> np.ndarray:
+    """Frame energies of one block of H from scipy's undirected breadth-first
+    spanning tree: E_v = E_pred(v) - w on the tree edge from pred(v) to v."""
+    d = len(idx)
+    rows, cols, edge = [], [], {}
+    for w, m in terms:
+        r, c = np.nonzero(m[np.ix_(idx, idx)])
+        rows += r.tolist()
+        cols += c.tolist()
+        for i, j in zip(r.tolist(), c.tolist()):
+            if i != j:
+                edge.setdefault((i, j), float(w))
+                edge.setdefault((j, i), -float(w))
+    graph = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(d, d))
+    order, pred = breadth_first_order(graph, 0, directed=False, return_predecessors=True)
+    energies = np.zeros(d)
+    for v in order[1:]:
+        energies[v] = energies[pred[v]] - edge[(v, pred[v])]
+    return energies

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.integrate import solve_ivp
 
 from fockladder import (
@@ -46,7 +47,7 @@ from fockladder import (
 from fockladder import lindblad
 from fockladder.lindblad import LiouvillianMatrix, invariant_blocks, propagate_touched
 from fockladder.scenarios import _ladder_from_doc
-from oracles import kron_liouvillian
+from oracles import csgraph_blocks, csgraph_frame_energies, kron_liouvillian
 
 FAST = IntegratorConfig(rel_tol=1e-9)
 
@@ -526,7 +527,50 @@ class TestLiouvillianMatrix:
         assert np.all(got.data != 0)
 
 
+def same_blocks(got, expected) -> bool:
+    return len(got) == len(expected) and all(
+        np.array_equal(g, e) for g, e in zip(got, expected))
+
+
 class TestInvariantBlocks:
+    @pytest.mark.parametrize("form", ["float", "bool", "csr"])
+    @pytest.mark.parametrize("seed, density", [(0, 0.005), (1, 0.02), (2, 0.04), (3, 0.1)])
+    def test_matches_csgraph_on_random_patterns(self, seed, density, form):
+        # oracle: scipy's weak components; sparse directed patterns leave
+        # isolated levels and blocks of every size.  The CSR form also
+        # stores some explicit zeros, which are not couplings.
+        rng = np.random.default_rng(seed)
+        n = 60
+        mat = np.where(rng.random((n, n)) < density, rng.normal(size=(n, n)), 0.0)
+        if form == "bool":
+            mat = mat != 0
+        elif form == "csr":
+            mat = scipy.sparse.csr_matrix(mat)
+            mat.data[::4] = 0.0
+        got = invariant_blocks(mat)
+        assert same_blocks(got, csgraph_blocks(mat))
+        if density < 0.01:
+            assert min(len(idx) for idx in got) == 1
+
+    def test_all_zero_matrix_is_singletons(self):
+        mat = np.zeros((7, 7))
+        got = invariant_blocks(mat)
+        assert same_blocks(got, csgraph_blocks(mat))
+        assert same_blocks(got, [np.array([k]) for k in range(7)])
+
+    def test_full_and_chain_patterns_are_one_block(self):
+        # a full block, and a path through shuffled levels, which needs
+        # several hooking rounds and pointer jumps
+        rng = np.random.default_rng(5)
+        full = rng.normal(size=(9, 9))
+        chain = np.zeros((200, 200))
+        path = rng.permutation(200)
+        chain[path[1:], path[:-1]] = 1.0
+        for mat in (full, chain):
+            got = invariant_blocks(mat)
+            assert same_blocks(got, csgraph_blocks(mat))
+            assert len(got) == 1
+
     def test_generic_dense_generator_is_one_block(self):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -545,6 +589,40 @@ class TestInvariantBlocks:
             label[idx] = b
         rows, cols = np.nonzero(mat)
         assert np.all(label[rows] == label[cols])
+
+
+class TestFrameBlock:
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3a", "fig3b"])
+    @pytest.mark.parametrize("kind", ["JC", "AJC"])
+    def test_energies_match_csgraph_spanning_tree(self, name, kind):
+        # oracle: the frame energies built from scipy's breadth-first order,
+        # equal to the last bit on every block of the preset Hamiltonian
+        h, _ = full_raman_case(name, kind=kind)
+        terms = lindblad._half_terms(h, h.layout)
+        blocks = invariant_blocks(sum(np.abs(m) for _, m in terms))
+        assert max(len(idx) for idx in blocks) > 2
+        for idx in blocks:
+            energies = lindblad._FrameBlock(terms, idx).energies
+            assert np.array_equal(energies, csgraph_frame_energies(terms, idx))
+
+    def test_cycle_energies_match_csgraph_spanning_tree(self):
+        # level 0 reaches 3 along an out-edge and 1 along an in-edge, and 2
+        # closes the cycle 0-3-2-1 at incommensurate frequencies: visiting
+        # 3 before 1 puts 2 under 3 in the tree, which moves its energy
+        def edge(r, s):
+            m = np.zeros((4, 4))
+            m[r, s] = 1.0
+            return m
+
+        h = TimeDependentHamiltonian(field_layout(3), [
+            (0.3, 1.0, edge(0, 3)), (0.2, np.sqrt(2.0), edge(1, 0)),
+            (0.25, np.pi, edge(2, 3)), (0.4, np.e, edge(2, 1)),
+        ])
+        for h in (h, cycle_case()[0]):
+            terms = lindblad._half_terms(h, h.layout)
+            for idx in invariant_blocks(sum(np.abs(m) for _, m in terms)):
+                energies = lindblad._FrameBlock(terms, idx).energies
+                assert np.array_equal(energies, csgraph_frame_energies(terms, idx))
 
 
 class TestSteadyState:

@@ -13,6 +13,7 @@ from fockladder import (
     LindbladTerm,
     ThermalBathParams,
     TimeGrid,
+    annihilation,
     atom_field_layout,
     atom_state,
     build_engineered_hamiltonian,
@@ -28,9 +29,19 @@ from fockladder import (
     trace_distance,
     ub_dissipator,
 )
+from fockladder.reservoir import _field_map
 from oracles import partial_trace
 
 EXC = atom_state({"e": 1.0}, ("g", "e"))
+
+
+def joint_generator(h, bath, field):
+    """Generator of the engineered Hamiltonian plus the bath on the field factor."""
+    bath_joint = [
+        LindbladTerm(t.rate, ComplexOperator(h.layout, np.kron(np.eye(2), t.jump.entries)))
+        for t in thermal_terms(bath, field)
+    ]
+    return sparse_liouvillian(h, bath_joint)
 
 
 def joint_collisions(h, inj, bath, rho0, n_atoms):
@@ -38,11 +49,7 @@ def joint_collisions(h, inj, bath, rho0, n_atoms):
     the joint state with the dense exponential of the full generator and
     tracing the atom out (symmetrized and renormalized per atom)."""
     joint = h.layout
-    bath_joint = [
-        LindbladTerm(t.rate, ComplexOperator(joint, np.kron(np.eye(2), t.jump.entries)))
-        for t in thermal_terms(bath, rho0.layout)
-    ]
-    propagator = scipy.linalg.expm(sparse_liouvillian(h, bath_joint).entries.toarray() * inj.tau)
+    propagator = scipy.linalg.expm(joint_generator(h, bath, rho0.layout).entries.toarray() * inj.tau)
     amp = inj.atom_state.amplitudes
     rho_atom = np.outer(amp, amp.conj())
     d = joint.dim
@@ -192,6 +199,46 @@ class TestCollisionModel:
         traj = collision_model_evolve(h, inj, bath, rho0, 20)
         for state, expected in zip(traj.states[1:], joint_collisions(h, inj, bath, rho0, 20)):
             assert np.allclose(state.entries, expected, atol=1e-13, rtol=0)
+
+    @pytest.mark.parametrize("amps, decay_into_photon", [
+        pytest.param({"g": 1.0}, False, id="g"),
+        pytest.param({"e": 1.0}, False, id="e"),
+        pytest.param({"g": 0.6, "e": 0.8j}, False, id="superposition"),
+        pytest.param({"e": 1.0}, True, id="e-decay-into-photon"),
+    ])
+    def test_restricted_field_map_matches_full_map(self, amps, decay_into_photon):
+        # oracle: the map built on every field entry.  On the blocks that a
+        # Fock start touches, the map built from its one entry agrees; a g
+        # or e atom keeps to the populations and exponentiates fewer
+        # generator blocks, a superposition atom reaches coherences.  Under
+        # the jump |g><e| (x) a^dag alone each generator block pairs |e,n>
+        # with |g,n+1>, so the populations above the start are linked to it
+        # only through the trace over the atom.
+        cutoff, tau = 12, 0.2**2 / 63.0
+        field, joint = field_layout(cutoff), atom_field_layout(2, cutoff)
+        if decay_into_photon:
+            jump = np.kron([[0.0, 1.0], [0.0, 0.0]], annihilation(cutoff).entries.T)
+            L = sparse_liouvillian(None, [LindbladTerm(1.0, ComplexOperator(joint, jump))])
+        else:
+            spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.2 / tau)
+            L = joint_generator(build_engineered_hamiltonian(spec, joint),
+                                ThermalBathParams(gamma=1.0, n_bar=0.05), field)
+        inj = AtomInjectionParams(tau=tau, atom_state=atom_state(amps, ("g", "e")))
+        vec0 = field_superposition({2: 1.0}, cutoff).to_density().entries.ravel(order="F")
+        part = _field_map(L, inj, field, np.flatnonzero(vec0))
+        full = _field_map(L, inj, field, np.arange(vec0.size))
+        touched = [idx for idx, _ in full.blocks if np.any(vec0[idx])]
+        assert [idx.tolist() for idx, _ in part.blocks if np.any(vec0[idx])] == [
+            idx.tolist() for idx in touched]
+        cols = np.concatenate(touched)
+        assert len(cols) > 1
+        assert np.max(np.abs((part.entries - full.entries)[:, cols])) <= 1e-14
+        coherences = np.count_nonzero(cols % (cutoff + 2))  # vec index n + n*d is a population
+        if len(amps) == 1:
+            assert coherences == 0
+            assert part.entries.nnz < full.entries.nnz
+        else:
+            assert coherences > 0
 
     def test_leakage_guard_names_first_leaking_atom(self):
         # oracle: the joint propagation above; a fig4-like pump with a warm

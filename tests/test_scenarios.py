@@ -346,14 +346,24 @@ class TestSweep:
 
 
 class TestCli:
-    def test_import_leaves_out_ode_solvers(self):
-        # no propagator integrates an ODE, so the CLI does not pay for scipy.integrate
-        code = ("import sys, fockladder.cli; "
-                "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    def test_import_leaves_out_ode_solvers(self, tmp_path):
+        # no propagator integrates an ODE, so the CLI does not pay for
+        # scipy.integrate; a Hamiltonian run loads none of scipy's linalg,
+        # sparse or csgraph modules, nor (through them) numpy.f2py
+        code = (
+            "import contextlib, io, sys, fockladder.cli as cli\n"
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n"
+            "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy.sparse.csgraph', 'numpy.f2py')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main(['run', '--scenario', 'fig2a', '--out', {str(tmp_path)!r}])\n"
+            "print(rc, [m for m in heavy[:3] if m in sys.modules])\n"
+        )
         src = str(Path(fockladder.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.splitlines() == ["[]", "[]", "0 []"]
+        assert (tmp_path / "fig2a.csv").exists()
 
     def test_presets_lists(self, capsys):
         assert cli_main(["presets"]) == 0
