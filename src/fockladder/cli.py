@@ -7,7 +7,9 @@ list of values for one numeric parameter).
 
 Exit codes: 0 success, 1 regime check failed, 2 invalid configuration,
 3 numerical guard tripped (leakage, integration, degenerate steady
-state, resonance), 4 result misses its embedded check targets.
+state, resonance) or a linear-algebra routine failed (numpy's
+``LinAlgError``, a ``ValueError`` that is not bad input), 4 result
+misses its embedded check targets.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import copy
 import json
 import sys
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from .lindblad import (
     DegenerateSteadyStateError,
@@ -44,7 +48,8 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_MISS = 4
 
-_GUARD_ERRORS = (LeakageError, IntegrationError, DegenerateSteadyStateError, ResonanceError)
+_GUARD_ERRORS = (LeakageError, IntegrationError, DegenerateSteadyStateError, ResonanceError,
+                 LinAlgError)
 
 
 def _load_with_overrides(scenario: str, args) -> "ScenarioConfig":
@@ -209,12 +214,12 @@ def main(argv=None) -> int:
     except ScenarioValidationError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except _GUARD_ERRORS as exc:  # before ValueError, which LinAlgError subclasses
+        print(f"numerical guard: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, TypeError, KeyError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except _GUARD_ERRORS as exc:
-        print(f"numerical guard: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -22,11 +22,14 @@ advances exactly by one matrix exponential of one sample interval (Moler
 & Van Loan, SIAM Rev. 45, 3 (2003)); a thermal or Fock start touches only
 the block of the d populations, which makes this the population rate
 equation.  The collision model of ``reservoir`` runs through the same
-routine with its one-atom field map as the step.  A trajectory keeps only
-the touched entries of every sample, in one array; the trace-drift,
-negativity and leakage guards run on that array in one batch, the
-negativity guard over the connected components of the touched entries'
-d x d pattern.  States are built, re-symmetrized, only when a sample is
+routine with its one-atom field map as the step.
+
+A trajectory keeps only the touched entries of every sample, in one
+array, and every trajectory, of states or of densities, returns through
+one guard routine that checks that array in one batch: norm or trace
+drift, negativity (density runs, over the connected components of the
+touched entries' d x d pattern), then leakage.  No sample is
+renormalized.  States are built, re-symmetrized, only when a sample is
 read.  Steady states work on the same invariant blocks: a map on vec(rho)
 is split once, by ``LiouvillianMatrix.blocks``, for every reader.
 
@@ -108,9 +111,11 @@ class IntegratorConfig:
     """Integrator tolerance.
 
     ``rel_tol`` is the global error target of Hamiltonian runs: the
-    largest amplitude error estimate the Magnus step doubling accepts;
-    their norm-drift guard allows 10 * rel_tol.  Density runs and the
-    collision model are propagated exactly and do not read it.
+    largest amplitude error estimate the Magnus step doubling accepts.
+    Their samples are not renormalized, and the norm-drift guard allows
+    10 * rel_tol.  Density runs and the collision model are propagated
+    exactly and do not read it; their trace-drift guard allows
+    TRACE_DRIFT_LIMIT.
     """
 
     rel_tol: float = 1e-9
@@ -244,18 +249,6 @@ class _States(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         return self._traj.state(range(len(self))[k])
-
-
-def _top_two_population(probs: np.ndarray, layout: HilbertLayout) -> np.ndarray:
-    """Summed population of the two highest Fock levels of the field factor.
-
-    ``probs`` holds basis-state probabilities along its last axis (|psi|^2,
-    or the real diagonal of a density matrix); leading axes are kept.
-    """
-    if "field" not in layout.labels:
-        return np.zeros(probs.shape[:-1])
-    pops = marginal(probs, layout, "field")
-    return pops[..., -1] + pops[..., -2]
 
 
 def _half_terms(H, layout: HilbertLayout) -> list[tuple[float, np.ndarray]]:
@@ -426,6 +419,8 @@ def evolve_state(
     psi0 touches are propagated; the rest of the state stays exactly
     zero.  Blocks with no residual frequency in their frame are
     propagated exactly, the others by Magnus steps to ``cfg.rel_tol``.
+    The trajectory goes through the guards of ``_guarded``, with a
+    norm-drift limit of 10 * ``cfg.rel_tol``.
     """
     layout = psi0.layout
     terms = _half_terms(H, layout)
@@ -433,8 +428,7 @@ def evolve_state(
         raise IntegrationError(f"sampling times {grid.t_start}..{grid.t_end} are not finite")
     times = grid.times
     psi = psi0.amplitudes.astype(complex)
-    amps = np.zeros((len(times), layout.dim), dtype=complex)
-    steps, error, touched = 0, 0.0, []
+    steps, error, touched, columns = 0, 0.0, [], []
     for idx in invariant_blocks(sum(np.abs(m) for _, m in terms)):
         if not np.any(psi[idx]):
             continue
@@ -449,23 +443,10 @@ def evolve_state(
             lam, vec = np.linalg.eigh(block.static)
             coeffs = np.exp(-1j * np.outer(times - times[0], lam)) * (vec.conj().T @ phi0)
             phi = coeffs @ vec.T
-        amps[:, idx] = np.exp(-1j * np.outer(times, block.energies)) * phi
-
-    norms = np.array([np.linalg.norm(a) for a in amps])
-    drift = np.abs(norms - 1.0)
-    leak = _top_two_population(np.abs(amps) ** 2, layout)
-    drifting = ~(drift <= 10.0 * cfg.rel_tol)  # also fails a NaN norm
-    failing = drifting | (leak >= LEAKAGE_LIMIT)
-    if np.any(failing):
-        k = int(np.argmax(failing))
-        if drifting[k]:
-            raise IntegrationError(f"norm drift {drift[k]} exceeds 10*rel_tol")
-        raise LeakageError(
-            f"top-two Fock population {leak[k]} >= {LEAKAGE_LIMIT}; raise the cutoff"
-        )
-    index = np.concatenate(touched)
-    return Trajectory(times, layout, index, amps[:, index] / norms[:, None], False,
-                      float(np.max(leak)), steps, error)
+        columns.append(np.exp(-1j * np.outer(times, block.energies)) * phi)
+    traj = Trajectory(times, layout, np.concatenate(touched), np.hstack(columns), False,
+                      steps=steps, error_estimate=error)
+    return _guarded(traj, 10.0 * cfg.rel_tol)
 
 
 def evolve_density(L: LiouvillianMatrix, rho0: DensityOperator, grid: TimeGrid) -> Trajectory:
@@ -494,13 +475,10 @@ def propagate_touched(steps: list[tuple[np.ndarray, np.ndarray]], vec0: np.ndarr
 
     ``steps`` holds an (index set, step block) pair for each invariant
     block of the step map that vec(rho0) touches; the step is their block
-    diagonal on the concatenated indices.  The guards run in one batch
-    with the limits and order of a density run: a non-finite entry or a
-    trace drift above TRACE_DRIFT_LIMIT, an eigenvalue below
-    -NEGATIVITY_LIMIT, then a top-two Fock population at or above
-    LEAKAGE_LIMIT; the first failing sample raises.  ``step_name``
-    says what one step is (the collision model passes "collisions"), so
-    an error can say how many steps were taken.
+    diagonal on the concatenated indices.  The trajectory goes through the
+    guards of ``_guarded`` with TRACE_DRIFT_LIMIT; ``step_name`` says what
+    one step is (the collision model passes "collisions"), so an error can
+    say how many steps were taken.
     """
     index = np.concatenate([idx for idx, _ in steps])
     step = scipy.linalg.block_diag(*(block for _, block in steps))
@@ -510,24 +488,44 @@ def propagate_touched(steps: list[tuple[np.ndarray, np.ndarray]], vec0: np.ndarr
         np.dot(step, entries[k - 1], out=entries[k])
     traj = Trajectory(times, layout, index, entries, True,
                       blocks=tuple(len(idx) for idx, _ in steps))
+    return _guarded(traj, TRACE_DRIFT_LIMIT, step_name)
 
+
+def _guarded(traj: Trajectory, drift_limit: float, step_name: str = "") -> Trajectory:
+    """Check every sample of ``traj``, record its leakage and return it.
+
+    The checks run in one batch, in this order: a non-finite entry or a
+    drift of the norm (state runs) or trace (density runs) above
+    ``drift_limit``; an eigenvalue below -NEGATIVITY_LIMIT (density runs);
+    a top-two Fock population at or above LEAKAGE_LIMIT (0 on a layout
+    without a field factor).  The first failing sample raises; with a
+    ``step_name`` the error says how many steps preceded it.
+    """
+    entries = traj.entries
     finite = np.isfinite(entries).all(axis=1)
     safe = np.where(finite[:, None], entries, 0.0)  # eigvalsh needs finite entries
-    d = layout.dim
-    rows, cols = index % d, index // d
-    trace = safe[:, rows == cols].real.sum(axis=1)
-    drift = np.where(finite, np.abs(trace - 1.0), np.nan)
-    lam_min = _lowest_eigenvalues(safe, rows, cols, d)
-    pops = traj.populations if "field" in layout.labels else np.zeros((len(times), 2))
-    leak = pops[:, -1] + pops[:, -2]
+    if traj.density:
+        measure, d = "trace", traj.layout.dim
+        rows, cols = traj.index % d, traj.index // d
+        drift = np.abs(safe[:, rows == cols].real.sum(axis=1) - 1.0)
+        lam_min = _lowest_eigenvalues(safe, rows, cols, d)
+    else:
+        measure = "norm"
+        drift = np.abs(np.linalg.norm(safe, axis=1) - 1.0)
+        lam_min = np.zeros(len(entries))
+    drift = np.where(finite, drift, np.nan)
+    if "field" in traj.layout.labels:
+        leak = traj.populations[:, -1] + traj.populations[:, -2]
+    else:
+        leak = np.zeros(len(entries))
     traj.leakage = float(np.max(leak))
-    drifting = ~(drift <= TRACE_DRIFT_LIMIT)
+    drifting = ~(drift <= drift_limit)
     failing = drifting | (lam_min < -NEGATIVITY_LIMIT) | (leak >= LEAKAGE_LIMIT)
     if np.any(failing):
         k = int(np.argmax(failing))
         where = f" after {k} {step_name}" if step_name else ""
         if drifting[k]:
-            raise IntegrationError(f"trace drift {drift[k]} exceeds {TRACE_DRIFT_LIMIT}{where}")
+            raise IntegrationError(f"{measure} drift {drift[k]} exceeds {drift_limit}{where}")
         if lam_min[k] < -NEGATIVITY_LIMIT:
             raise IntegrationError(
                 f"negative eigenvalue {lam_min[k]}{where}; truncation or step failure"
@@ -657,17 +655,8 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     b = int(np.argmin([np.min(np.abs(vals)) for vals in spectra]))
     vals, vecs = np.linalg.eig(subs[b])
     k = int(np.argmin(np.abs(vals)))
-    lam_min = abs(vals[k])
-    vec = vecs[:, k]
-    if lam_min > 1e-12 * norm:
-        # one inverse-iteration refinement about the located eigenvalue
-        shifted = subs[b] - vals[k] * np.eye(len(vals))
-        refined, *_ = np.linalg.lstsq(shifted, vec, rcond=None)
-        n = np.linalg.norm(refined)
-        if n > 0:
-            vec = refined / n
     full = np.zeros(d * d, dtype=complex)
-    full[blocks[b]] = vec
+    full[blocks[b]] = vecs[:, k]
     rho = full.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)

@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 from fockladder import (
     ComplexOperator,
     DegenerateSteadyStateError,
+    HilbertLayout,
     IntegrationError,
     IntegratorConfig,
     LadderSpec,
@@ -475,6 +476,46 @@ class TestPropagateTouched:
         assert str(err.value) == "negative eigenvalue -0.5; truncation or step failure"
 
 
+class TestStateRunGuards:
+    """The guards of ``_guarded`` on hand-built state-vector trajectories."""
+
+    LIMIT = 1e-8
+
+    @staticmethod
+    def trajectory(amps, layout=field_layout(5)):
+        amps = np.asarray(amps, dtype=complex)
+        return lindblad.Trajectory(np.arange(len(amps), dtype=float), layout,
+                                   np.arange(amps.shape[1]), amps, False)
+
+    def test_nan_amplitude_fails_drift_guard(self):
+        amps = np.eye(6)[:3]
+        amps[1, 2] = np.nan
+        with pytest.raises(IntegrationError, match="norm drift nan exceeds 1e-08"):
+            lindblad._guarded(self.trajectory(amps), self.LIMIT)
+
+    def test_norm_past_limit_fails_drift_guard(self):
+        amps = np.eye(6)[:3]
+        lindblad._guarded(self.trajectory(amps * (1 + 0.5 * self.LIMIT)), self.LIMIT)
+        amps[2] *= 1 + 2 * self.LIMIT
+        with pytest.raises(IntegrationError, match="norm drift .* exceeds 1e-08"):
+            lindblad._guarded(self.trajectory(amps), self.LIMIT)
+
+    def test_drift_is_checked_before_leakage(self):
+        # sample 1 sits in the top Fock level and is off in norm
+        amps = np.eye(6)[[0, 5]] * [[1.0], [1.1]]
+        with pytest.raises(IntegrationError, match="norm drift"):
+            lindblad._guarded(self.trajectory(amps), self.LIMIT)
+        amps[1] = np.eye(6)[5]
+        with pytest.raises(LeakageError, match=r"population 1.0 >= 1e-06; raise the cutoff"):
+            lindblad._guarded(self.trajectory(amps), self.LIMIT)
+
+    def test_atom_only_layout_reports_no_leakage(self):
+        amps = np.eye(3)
+        traj = lindblad._guarded(self.trajectory(amps, HilbertLayout((("atom", 3),))),
+                                 self.LIMIT)
+        assert traj.leakage == 0.0
+
+
 class TestLiouvillianMatrix:
     def test_action_matches_master_equation(self):
         # [DERIVED] L vec(rho) == vec(-i[H,rho] + dissipator) elementwise
@@ -686,6 +727,17 @@ class TestSteadyState:
         shifted = replace(L, entries=L.entries.toarray() + 0.3 * np.eye(9))
         with pytest.raises(IntegrationError):
             steady_state(shifted)
+
+    def test_small_null_eigenvalue_keeps_eig_vector(self):
+        # shifted by 1e-10 |L|_2, inside the 1e-9 null threshold: the null
+        # vector of eig is the steady state of the unshifted generator
+        layout = field_layout(6)
+        L = sparse_liouvillian(None, thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.5),
+                                                   layout))
+        norm = np.linalg.norm(L.entries.toarray(), ord=2)
+        shifted = LiouvillianMatrix(L.entries + 1e-10 * norm * scipy.sparse.identity(49), layout)
+        assert np.allclose(steady_state(shifted).entries, steady_state(L).entries,
+                           atol=1e-12, rtol=0)
 
 
 class TestGuards:

@@ -153,7 +153,13 @@ def test_regime_threshold_nan_rejected(capsys):
     _doc("fig4", "grid.stop", 1e300),
     _set(collision_document(0.2, 0.05), "parameters.gamma", 1e300),
     _doc("fig2a", "grid.stop", 1e308),
-], ids=["fig4-Gamma", "fig4-grid-stop", "collision-gamma", "fig2a-grid-stop"])
+    # the Magnus generator overflows and eigh raises numpy's LinAlgError,
+    # a ValueError that is a numerical fault, not bad input
+    _doc("fig2a", "parameters.lambdas", [1.3e154, 1.3e154]),
+    _doc("fig2a", "parameters.deltas", [1e-300, 5.0]),
+], ids=["fig4-Gamma", "fig4-grid-stop", "collision-gamma", "fig2a-grid-stop",
+        "fig2a-lambdas-overflow", "fig2a-deltas-overflow"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_non_finite_state_trips_guard(tmp_path, doc):
     code, err, _ = _run(tmp_path, doc)
     assert code == 3
