@@ -40,7 +40,10 @@ def coarse_liouvillian():
     spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
     terms = list(ub_dissipator(spec, BIG_GAMMA, layout).terms)
     terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
-    return sparse_liouvillian(None, terms).entries.toarray()
+    L = sparse_liouvillian(None, terms)
+    dense = np.zeros(L.shape, dtype=complex)
+    dense[L.rows, L.cols] = L.values
+    return dense
 
 
 def main():

@@ -33,10 +33,10 @@ renormalized.  States are built, re-symmetrized, only when a sample is
 read.  Steady states work on the same invariant blocks: a map on vec(rho)
 is split once, by ``LiouvillianMatrix.blocks``, for every reader.
 
-The block split and the spanning-tree search are plain numpy and Python,
-so a Hamiltonian run loads none of scipy's submodules: ``scipy.sparse``
-(the vectorized generators) and ``scipy.linalg`` (their exponentials)
-load on first use, in density runs and the collision model.
+The module needs numpy alone.  Vectorized generators are canonical COO
+triplets, their blocks are split by a union-find over the triplets, and
+their exponentials are taken by ``expm``, a Pade-13 scaling-and-squaring
+routine (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy  # scipy.linalg and scipy.sparse load on first use
 
 from .hilbert import (
     ComplexOperator,
@@ -69,6 +68,13 @@ NEGATIVITY_LIMIT = 1e-7
 _MAX_STEPS = 2**18
 _CHUNK_STEPS = 256
 _ROUNDING_FLOOR = 1e-13
+
+# Pade-13 numerator coefficients b_0..b_13, and theta_13: the largest
+# 1-norm at which the approximant is accurate to double precision
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 class LeakageError(RuntimeError):
@@ -139,39 +145,50 @@ class LindbladTerm:
 class LiouvillianMatrix:
     """A d^2 x d^2 map on vec(rho): a Lindblad generator, or the collision model's one-atom map.
 
-    Columns are stacked, vec(A rho B) = (B^T (x) A) vec(rho).  ``entries``
-    is stored as a read-only CSR copy, so the split into invariant blocks
-    is taken once, by ``blocks``, and cannot go stale.
+    Columns are stacked, vec(A rho B) = (B^T (x) A) vec(rho).  The map is
+    held as read-only COO triplets in canonical form: sorted by flat index
+    row * d^2 + col, duplicates summed and zeros dropped.  So the split
+    into invariant blocks is taken once, by ``blocks``, and cannot go stale.
     """
 
-    entries: scipy.sparse.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     layout: HilbertLayout
 
     def __post_init__(self):
-        mat = scipy.sparse.csr_matrix(self.entries, copy=True)
-        mat.sum_duplicates()  # scipy canonicalizes in place, which read-only arrays refuse
-        for arr in (mat.data, mat.indices, mat.indptr):
+        n = self.shape[0]
+        flat, where = np.unique(np.asarray(self.rows) * n + np.asarray(self.cols),
+                                return_inverse=True)
+        values = np.zeros(len(flat), dtype=complex)
+        np.add.at(values, where, self.values)
+        kept = values != 0
+        for name, arr in (("rows", flat[kept] // n), ("cols", flat[kept] % n),
+                          ("values", values[kept])):
             arr.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.layout.dim**2,) * 2
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the stored entries, as ``ndarray.nonzero`` gives them."""
+        return self.rows, self.cols
 
     @cached_property
     def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(index set, dense diagonal block entries[idx, idx]) of every invariant block."""
-        blocks = invariant_blocks(self.entries)
-        coo = self.entries.tocoo()
-        coo.sum_duplicates()
-        label, position = np.empty((2, self.entries.shape[0]), dtype=int)
+        """(index set, dense diagonal block [idx, idx]) of every invariant block."""
+        blocks = invariant_blocks(self)
+        label, position = np.empty((2, self.shape[0]), dtype=int)
         for b, idx in enumerate(blocks):
-            label[idx] = b
-            position[idx] = np.arange(len(idx))
-        owner = label[coo.row]
-        order = np.argsort(owner, kind="stable")
-        bounds = np.searchsorted(owner[order], np.arange(len(blocks) + 1))
+            label[idx], position[idx] = b, np.arange(len(idx))
+        owner = label[self.rows]
+        bounds = np.cumsum(np.bincount(owner, minlength=len(blocks)))[:-1]
         out = []
-        for b, idx in enumerate(blocks):
-            entries = order[bounds[b]:bounds[b + 1]]
+        for idx, at in zip(blocks, np.split(np.argsort(owner, kind="stable"), bounds)):
             sub = np.zeros((len(idx), len(idx)), dtype=complex)
-            sub[position[coo.row[entries]], position[coo.col[entries]]] = coo.data[entries]
+            sub[position[self.rows[at]], position[self.cols[at]]] = self.values[at]
             sub.setflags(write=False)
             out.append((idx, sub))
         return tuple(out)
@@ -347,7 +364,10 @@ def _magnus_propagators(block: _FrameBlock, starts: np.ndarray, h: np.ndarray) -
     g1 = block.generator(starts + _GAUSS[0] * h)
     g2 = block.generator(starts + _GAUSS[1] * h)
     h = h[:, None, None]
-    k = 0.5 * h * (g1 + g2) + (1j * np.sqrt(3.0) / 12.0) * h**2 * (g1 @ g2 - g2 @ g1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 0.5 * h * (g1 + g2) + (1j * np.sqrt(3.0) / 12.0) * h**2 * (g1 @ g2 - g2 @ g1)
+    if not np.isfinite(k).all():
+        raise IntegrationError("Magnus step generator is not finite; the couplings overflow")
     lam, vec = np.linalg.eigh(k)
     return (vec * np.exp(-1j * lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
 
@@ -465,8 +485,38 @@ def evolve_density(L: LiouvillianMatrix, rho0: DensityOperator, grid: TimeGrid) 
     times = grid.times
     dt = times[1] - times[0]  # a linspace: one step propagator serves every interval
     vec0 = rho0.entries.astype(complex).ravel(order="F")
-    steps = [(idx, scipy.linalg.expm(sub * dt)) for idx, sub in L.blocks if np.any(vec0[idx])]
+    steps = [(idx, expm(sub * dt)) for idx, sub in L.blocks if np.any(vec0[idx])]
     return propagate_touched(steps, vec0, times, layout)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square array by Pade-13 scaling and squaring.
+
+    a is scaled by 2^-s to a 1-norm of at most theta_13, where the
+    approximant r = q^-1 p is taken, and r is squared s times (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)).  r is formed as 1 + 2 q^-1 u, u
+    the odd part of p, so its rounding scales with r - 1 and does not drift
+    the trace of a density run step by step.  A non-finite ``a``, or one
+    whose exponential overflows, gives NaN without a warning, for the
+    guards of the run to report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(a, 1)
+        if not np.isfinite(norm):
+            return np.full(a.shape, np.nan, dtype=complex)
+        s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+        b, eye, a = _PADE13, np.eye(len(a)), a / 2.0**s
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+        r = eye + 2.0 * np.linalg.solve(v - u, u)
+        for _ in range(s):
+            r = r @ r
+        return r if np.isfinite(r).all() else np.full(a.shape, np.nan, dtype=complex)
 
 
 def propagate_touched(steps: list[tuple[np.ndarray, np.ndarray]], vec0: np.ndarray,
@@ -481,7 +531,10 @@ def propagate_touched(steps: list[tuple[np.ndarray, np.ndarray]], vec0: np.ndarr
     say how many steps were taken.
     """
     index = np.concatenate([idx for idx, _ in steps])
-    step = scipy.linalg.block_diag(*(block for _, block in steps))
+    offsets = np.cumsum([0] + [len(idx) for idx, _ in steps])
+    step = np.zeros((len(index), len(index)), dtype=complex)
+    for (_, block), lo, hi in zip(steps, offsets, offsets[1:]):
+        step[lo:hi, lo:hi] = block
     entries = np.empty((len(times), len(index)), dtype=complex)
     entries[0] = vec0[index]
     for k in range(1, len(times)):
@@ -570,10 +623,10 @@ def _kron_triplets(a: np.ndarray, b: np.ndarray, scale: complex):
 
 
 def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
-    """Vectorized generator L vec(rho) = vec(rho_dot), columns stacked, as a CSR matrix.
+    """Vectorized generator L vec(rho) = vec(rho_dot), columns stacked.
 
     ``H`` is a static ``ComplexOperator`` or None.  The Kronecker pieces
-    are gathered as COO triplets and summed once into CSR.
+    are gathered as COO triplets, which ``LiouvillianMatrix`` sums once.
     """
     if H is None and not terms:
         raise ValueError("need a Hamiltonian or at least one dissipator")
@@ -594,26 +647,24 @@ def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
         half = term.rate / 2.0
         pieces += [_kron_triplets(j.conj(), j, 2.0 * half),
                    _kron_triplets(eye, jdj, -half), _kron_triplets(jdj.T, eye, -half)]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
-    L = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
-    L.eliminate_zeros()
-    return LiouvillianMatrix(L, layout)
+    return LiouvillianMatrix(*(np.concatenate(part) for part in zip(*pieces)), layout)
 
 
 def invariant_blocks(mat) -> list[np.ndarray]:
     """Index sets of the blocks of a generator that never couple to each other.
 
     These are the weakly connected components of the non-zero pattern of
-    ``mat`` (a dense array or a scipy sparse matrix), so ``mat`` has no
-    entry between two blocks and its spectrum, null vectors and exponential
-    split block by block.  A generic dense generator is a single block.
+    ``mat``, a dense array or a ``LiouvillianMatrix`` (whose triplets are
+    read directly), so ``mat`` has no entry between two blocks and its
+    spectrum, null vectors and exponential split block by block.  A
+    generic dense generator is a single block.
     Blocks come in the order of their smallest index, each in ascending
     order.  Every index carries a label, at first itself: each round hooks
     the root label of every edge's end onto the smaller of its two end
     labels and then jumps pointers until every label is a root, so at the
     fixed point each index is labelled by the smallest index of its block.
     """
-    rows, cols = (mat != 0).nonzero()
+    rows, cols = mat.nonzero()
     label = np.arange(mat.shape[0])
     while True:
         low = np.minimum(label[rows], label[cols])

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Only the bare package: scipy.sparse and scipy.linalg load on first use, so
-# importing this module adds nothing to a Hamiltonian run.  The exponential
-# is called as scipy.linalg.expm through this module's name ``scipy``, where
-# the span tracer of benchmarks/spans.py wraps it.
+# Only the span tracer of benchmarks/spans.py reads this name: it wraps
+# scipy.linalg.expm as seen from here.  The library itself calls
+# lindblad.expm, and the bare package loads no submodule.  The import goes
+# once the tracer binds the exponential by a library name.
 import scipy
 
 from .hilbert import (
@@ -33,6 +33,7 @@ from .lindblad import (
     LindbladTerm,
     LiouvillianMatrix,
     Trajectory,
+    expm,
     invariant_blocks,
     propagate_touched,
     sparse_liouvillian,
@@ -183,7 +184,9 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLa
 
     attach (rho_f -> rho_atom (x) rho_f), exp(L tau) and the trace over the
     atom contracted into one (df^2, df^2) map.  Attach and trace are index
-    maps, so the contraction is a product of sparse matrices.
+    maps, so the contraction runs block by block: each used block of L
+    adds step[out, in] * weight[in] at (field[out], field[in]), over its
+    attached entries ``in`` and its atom-diagonal entries ``out``.
 
     The map is exact on the invariant blocks it shares with the field
     entries ``touched``, and zero in every column outside them.  A field
@@ -198,7 +201,7 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLa
     dj = (2 * df) ** 2
     # joint vec index (b, m, a, n) holds <a,n| rho |b,m>; field vec index (m, n) holds <n| rho_f |m>
     b, m, a, n = np.unravel_index(np.arange(dj), (2, df, 2, df))
-    joint, field = np.arange(dj), m * df + n
+    field = m * df + n
     weight = rho_atom[a, b]
     same = a == b
     owner = np.empty(dj, dtype=int)
@@ -212,14 +215,13 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLa
     for k, comp in enumerate(invariant_blocks(link)):
         component[comp] = k
     kept = (weight != 0) & np.isin(component[field], component[touched])
-    attach = scipy.sparse.csr_matrix(
-        (weight[kept], (joint[kept], field[kept])), shape=(dj, df * df))
-    trace_out = scipy.sparse.csr_matrix(
-        (np.ones(int(same.sum())), (field[same], joint[same])), shape=(df * df, dj))
-    used = [L.blocks[k] for k in np.unique(owner[kept])]
-    propagator = scipy.sparse.csr_matrix((
-        np.concatenate([scipy.linalg.expm(sub * inj.tau).ravel() for _, sub in used]),
-        (np.concatenate([np.repeat(idx, len(idx)) for idx, _ in used]),
-         np.concatenate([np.tile(idx, len(idx)) for idx, _ in used])),
-    ), shape=(dj, dj))
-    return LiouvillianMatrix(trace_out @ propagator @ attach, layout)
+    rows, cols, values = [], [], []
+    for k in np.unique(owner[kept]):
+        idx, sub = L.blocks[k]
+        out, into = idx[same[idx]], idx[kept[idx]]
+        step = expm(sub * inj.tau)[np.ix_(same[idx], kept[idx])] * weight[into]
+        rows.append(np.repeat(field[out], len(into)))
+        cols.append(np.tile(field[into], len(out)))
+        values.append(step.ravel())
+    return LiouvillianMatrix(np.concatenate(rows), np.concatenate(cols),
+                             np.concatenate(values), layout)

@@ -9,7 +9,13 @@ import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.special import gammaln
 
-from fockladder import DensityOperator, HilbertLayout, StateVector, field_layout
+from fockladder import (
+    DensityOperator,
+    HilbertLayout,
+    LiouvillianMatrix,
+    StateVector,
+    field_layout,
+)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> StateVector:
@@ -33,6 +39,20 @@ def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
             axis -= 1
         n -= 1
     return DensityOperator(HilbertLayout((layout.factors[layout.axis(keep)],)), tens)
+
+
+def dense(L: LiouvillianMatrix) -> np.ndarray:
+    """The d^2 x d^2 array of a map on vec(rho), written out from its triplets."""
+    out = np.zeros(L.shape, dtype=complex)
+    out[L.rows, L.cols] = L.values
+    return out
+
+
+def as_liouvillian(mat, layout: HilbertLayout) -> LiouvillianMatrix:
+    """The map on vec(rho) holding the entries of a dense array or a scipy
+    sparse matrix, passed to ``LiouvillianMatrix`` as COO triplets."""
+    coo = scipy.sparse.coo_matrix(mat)
+    return LiouvillianMatrix(coo.row, coo.col, coo.data, layout)
 
 
 def kron_liouvillian(H, terms) -> scipy.sparse.csr_matrix:

@@ -54,6 +54,7 @@ from fockladder import (
     trace_distance,
     ub_dissipator,
 )
+from oracles import dense
 
 # drive parameters, ladder and initial field of the four validation presets
 PRESETS = {name: preset_document(name) for name in ("fig2a", "fig2b", "fig3a", "fig3b")}
@@ -219,7 +220,7 @@ class TestCriterion5DarkState:
                 layout = field_layout(cutoff)
                 spec = LadderSpec(base=base, weights=(1.0,) * steps, zeta_ref=1.0)
                 terms = list(ub_dissipator(spec, 1.0, layout).terms)
-                L = sparse_liouvillian(None, terms).entries.toarray()
+                L = dense(sparse_liouvillian(None, terms))
                 rho0 = fock_state(base, cutoff).to_density().entries
                 vec = scipy.linalg.expm(L * 80.0) @ rho0.ravel(order="F")
                 rho = vec.reshape(cutoff + 1, cutoff + 1, order="F")
@@ -252,7 +253,7 @@ class TestCriterion7CollisionModel:
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
         terms = list(ub_dissipator(spec, 63.0, layout).terms)
         terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
-        L = sparse_liouvillian(None, terms).entries.toarray()
+        L = dense(sparse_liouvillian(None, terms))
         max_dists = []
         for zeta_tau in (0.35, 0.1, 0.05):
             d = 0.0

@@ -48,7 +48,13 @@ from fockladder import (
 from fockladder import lindblad
 from fockladder.lindblad import LiouvillianMatrix, invariant_blocks, propagate_touched
 from fockladder.scenarios import _ladder_from_doc
-from oracles import csgraph_blocks, csgraph_frame_energies, kron_liouvillian
+from oracles import (
+    as_liouvillian,
+    csgraph_blocks,
+    csgraph_frame_energies,
+    dense,
+    kron_liouvillian,
+)
 
 FAST = IntegratorConfig(rel_tol=1e-9)
 
@@ -68,7 +74,7 @@ def preset_terms(name, cutoff):
 def dense_null_state(L):
     """Oracle: the null vector of one eig of the full generator, as a state."""
     d = L.layout.dim
-    vals, vecs = scipy.linalg.eig(L.entries.toarray())
+    vals, vecs = scipy.linalg.eig(dense(L))
     rho = vecs[:, np.argmin(np.abs(vals))].reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho)
@@ -295,7 +301,7 @@ class TestEvolveDensity:
         terms = [LindbladTerm(0.8, annihilation(6))]
         rho0 = fock_state(2, 6).to_density()
         grid = TimeGrid(0.0, 1.2, 4)
-        L = sparse_liouvillian(h, terms).entries.toarray()
+        L = dense(sparse_liouvillian(h, terms))
         traj = evolve_density(sparse_liouvillian(h, terms), rho0, grid)
         for t, state in zip(grid.times, traj.states):
             vec = scipy.linalg.expm(L * t) @ rho0.entries.ravel(order="F")
@@ -316,7 +322,7 @@ class TestEvolveDensity:
         grid = TimeGrid(0.3, 1.5, 7)
         traj = evolve_density(sparse_liouvillian(h, terms), rho0, grid)
         assert sorted(traj.blocks) == [5, 5, 7]
-        L = sparse_liouvillian(h, terms).entries.toarray()
+        L = dense(sparse_liouvillian(h, terms))
         i, j = np.indices((cutoff + 1, cutoff + 1))
         untouched = ~np.isin(i - j, (-2, 0, 2))
         for t, state in zip(grid.times, traj.states):
@@ -334,7 +340,7 @@ class TestEvolveDensity:
         grid = TimeGrid(0.0, 0.05, 26)
         leak = []
         for t in grid.times:
-            vec = scipy.linalg.expm(L.entries.toarray() * t) @ rho0.entries.ravel(order="F")
+            vec = scipy.linalg.expm(dense(L) * t) @ rho0.entries.ravel(order="F")
             pops = np.real(vec[:: cutoff + 2])
             leak.append(pops[-1] + pops[-2])
         first = int(np.argmax(np.array(leak) >= lindblad.LEAKAGE_LIMIT))
@@ -409,7 +415,7 @@ class TestPropagateTouched:
 
     def run(self, step, rho0, samples=4, step_name="collisions"):
         vec0 = rho0.ravel(order="F").astype(complex)
-        steps = [(idx, sub) for idx, sub in LiouvillianMatrix(step, self.layout).blocks
+        steps = [(idx, sub) for idx, sub in as_liouvillian(step, self.layout).blocks
                  if np.any(vec0[idx])]
         return propagate_touched(steps, vec0, np.arange(samples, dtype=float), self.layout,
                                  step_name=step_name)
@@ -523,7 +529,7 @@ class TestLiouvillianMatrix:
         h = static_hamiltonian(layout, seed=9)
         a = annihilation(5)
         terms = [LindbladTerm(0.5, a), LindbladTerm(0.2, a.dag())]
-        L = sparse_liouvillian(h, terms).entries
+        L = dense(sparse_liouvillian(h, terms))
         rng = np.random.default_rng(21)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         rho = m @ m.conj().T
@@ -539,7 +545,7 @@ class TestLiouvillianMatrix:
         # columns of L sum against the identity to zero: d(tr rho)/dt = 0
         layout = field_layout(4)
         terms = thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.2), layout)
-        L = sparse_liouvillian(None, terms).entries
+        L = dense(sparse_liouvillian(None, terms))
         d = 5
         tr_vec = np.eye(d).ravel(order="F")
         assert np.allclose(tr_vec @ L, 0.0, atol=1e-12)
@@ -547,6 +553,18 @@ class TestLiouvillianMatrix:
     def test_requires_generator(self):
         with pytest.raises(ValueError):
             sparse_liouvillian(None, [])
+
+    def test_triplets_are_canonical_and_read_only(self):
+        # duplicates summed, a cancelling pair dropped, sorted by flat index
+        # and frozen, so the cached block split cannot go stale
+        L = LiouvillianMatrix(np.array([3, 0, 3, 1, 2, 2]), np.array([1, 2, 1, 1, 0, 0]),
+                              np.array([1.0, 2.0, 0.5j, -1.0, 1.0, -1.0]), field_layout(1))
+        assert L.shape == (4, 4)
+        assert L.rows.tolist() == [0, 1, 3] and L.cols.tolist() == [2, 1, 1]
+        assert L.values.tolist() == [2.0, -1.0, 1.0 + 0.5j]
+        for arr in (L.rows, L.cols, L.values):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     @pytest.mark.parametrize("with_h", [False, True], ids=["dissipators", "with-H"])
     def test_matches_kron_construction(self, with_h):
@@ -561,11 +579,11 @@ class TestLiouvillianMatrix:
         ]
         terms.append(LindbladTerm(1.3, ComplexOperator(
             layout, np.kron(np.eye(2), ladder_jump(5)))))
-        got = sparse_liouvillian(h, terms).entries
+        got = sparse_liouvillian(h, terms)
         expected = kron_liouvillian(h, terms)
-        assert np.max(np.abs((got - expected).toarray())) <= 1e-13
+        assert np.max(np.abs(dense(got) - expected.toarray())) <= 1e-13
         # no stored zeros: the block split reads the stored pattern
-        assert np.all(got.data != 0)
+        assert np.all(got.values != 0)
 
 
 def same_blocks(got, expected) -> bool:
@@ -620,7 +638,7 @@ class TestInvariantBlocks:
         assert sorted(blocks[0]) == list(range(16))
 
     def test_fig4_splits_exactly(self):
-        mat = sparse_liouvillian(None, preset_terms("fig4", 24)).entries
+        mat = sparse_liouvillian(None, preset_terms("fig4", 24))
         blocks = invariant_blocks(mat)
         assert len(blocks) == 49
         assert max(len(idx) for idx in blocks) == 25
@@ -628,7 +646,7 @@ class TestInvariantBlocks:
         label = np.empty(625, dtype=int)
         for b, idx in enumerate(blocks):
             label[idx] = b
-        rows, cols = np.nonzero(mat)
+        rows, cols = np.nonzero(dense(mat))
         assert np.all(label[rows] == label[cols])
 
 
@@ -677,7 +695,7 @@ class TestSteadyState:
         n = np.diag(np.arange(13.0))
         h = ComplexOperator(field_layout(12), 0.7 * n + 0.3 * n @ n)
         L = sparse_liouvillian(h, preset_terms("fig4", 12))
-        assert len(invariant_blocks(L.entries)) > 1
+        assert len(invariant_blocks(L)) > 1
         assert np.allclose(steady_state(L).entries, dense_null_state(L), atol=1e-10)
 
     def test_thermal_detailed_balance(self):
@@ -722,9 +740,7 @@ class TestSteadyState:
         layout = field_layout(2)
         terms = [LindbladTerm(1.0, annihilation(2))]
         L = sparse_liouvillian(None, terms)
-        from dataclasses import replace
-
-        shifted = replace(L, entries=L.entries.toarray() + 0.3 * np.eye(9))
+        shifted = as_liouvillian(dense(L) + 0.3 * np.eye(9), L.layout)
         with pytest.raises(IntegrationError):
             steady_state(shifted)
 
@@ -734,10 +750,64 @@ class TestSteadyState:
         layout = field_layout(6)
         L = sparse_liouvillian(None, thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.5),
                                                    layout))
-        norm = np.linalg.norm(L.entries.toarray(), ord=2)
-        shifted = LiouvillianMatrix(L.entries + 1e-10 * norm * scipy.sparse.identity(49), layout)
+        norm = np.linalg.norm(dense(L), ord=2)
+        shifted = as_liouvillian(dense(L) + 1e-10 * norm * np.eye(49), layout)
         assert np.allclose(steady_state(shifted).entries, steady_state(L).entries,
                            atol=1e-12, rtol=0)
+
+
+def exponentiated_blocks():
+    """Every block, times its step, of the fig4 and fig6b generators at
+    cutoffs 12 and 24 and of the fig4 collision model's joint generator."""
+    blocks = []
+    for name in ("fig4", "fig6b"):
+        dt = np.diff(load_scenario(name).grid.times)[0]
+        for cutoff in (12, 24):
+            L = sparse_liouvillian(None, preset_terms(name, cutoff))
+            blocks += [sub * dt for _, sub in L.blocks]
+    tau = 0.2**2 / 63.0
+    joint = atom_field_layout(2, 12)
+    h = build_engineered_hamiltonian(
+        LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.2 / tau), joint)
+    bath = [LindbladTerm(t.rate, ComplexOperator(joint, np.kron(np.eye(2), t.jump.entries)))
+            for t in thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), field_layout(12))]
+    return blocks + [sub * tau for _, sub in sparse_liouvillian(h, bath).blocks]
+
+
+class TestExpm:
+    @staticmethod
+    def assert_matches_scipy(a):
+        # oracle: scipy.linalg.expm, within 1e-13 relative in the 1-norm
+        expected = scipy.linalg.expm(a)
+        got = lindblad.expm(a)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected, 1) <= 1e-13 * np.linalg.norm(expected, 1)
+
+    def test_every_block_the_runs_exponentiate(self):
+        blocks = exponentiated_blocks()
+        assert len(blocks) == 193
+        assert max(len(a) for a in blocks) == 50
+        for a in blocks:
+            self.assert_matches_scipy(a)
+
+    def test_zero_matrix_and_one_by_one_block(self):
+        assert np.array_equal(lindblad.expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
+        self.assert_matches_scipy(np.array([[-0.7 + 2.0j]]))
+
+    def test_scaling_and_squaring(self):
+        # fig4's population block over a sample interval of 50/gamma, near
+        # its steady state: a 1-norm above 2^10 theta_13 takes ten squarings
+        # or more
+        idx, sub = sparse_liouvillian(None, preset_terms("fig4", 12)).blocks[0]
+        a = sub * 50.0
+        assert len(idx) == 13 and np.linalg.norm(a, 1) > 2**10 * lindblad._THETA13
+        self.assert_matches_scipy(a)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])
+    def test_non_finite_or_overflowing_gives_nan(self, value, recwarn):
+        a = np.diag([1.0, value]).astype(complex)
+        assert np.all(np.isnan(lindblad.expm(a)))
+        assert not recwarn.list
 
 
 class TestGuards:

@@ -11,6 +11,7 @@ import copy
 import io
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -150,20 +151,25 @@ def test_regime_threshold_nan_rejected(capsys):
 
 @pytest.mark.parametrize("doc", [
     _doc("fig4", "parameters.Gamma", 1e300),
+    # the step exponentials overflow
+    _doc("fig4", "parameters.Gamma", 1e300, "parameters.gamma", 1e300),
     _doc("fig4", "grid.stop", 1e300),
     _set(collision_document(0.2, 0.05), "parameters.gamma", 1e300),
     _doc("fig2a", "grid.stop", 1e308),
-    # the Magnus generator overflows and eigh raises numpy's LinAlgError,
-    # a ValueError that is a numerical fault, not bad input
+    # the Magnus generator overflows before eigh sees it
     _doc("fig2a", "parameters.lambdas", [1.3e154, 1.3e154]),
     _doc("fig2a", "parameters.deltas", [1e-300, 5.0]),
-], ids=["fig4-Gamma", "fig4-grid-stop", "collision-gamma", "fig2a-grid-stop",
-        "fig2a-lambdas-overflow", "fig2a-deltas-overflow"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+], ids=["fig4-Gamma", "fig4-Gamma-gamma", "fig4-grid-stop", "collision-gamma",
+        "fig2a-grid-stop", "fig2a-lambdas-overflow", "fig2a-deltas-overflow"])
 def test_non_finite_state_trips_guard(tmp_path, doc):
-    code, err, _ = _run(tmp_path, doc)
+    # exit 3 with the guard's one line on stderr, and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err, _ = _run(tmp_path, doc)
     assert code == 3
     assert err.startswith("numerical guard: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("path", ["parameters.channels.5.1", "parameters.channels.-1.1",

@@ -348,22 +348,34 @@ class TestSweep:
 class TestCli:
     def test_import_leaves_out_ode_solvers(self, tmp_path):
         # no propagator integrates an ODE, so the CLI does not pay for
-        # scipy.integrate; a Hamiltonian run loads none of scipy's linalg,
-        # sparse or csgraph modules, nor (through them) numpy.f2py
+        # scipy.integrate; no run loads scipy's linalg, sparse or csgraph
+        # modules, nor (through them) numpy.f2py: not a Hamiltonian run,
+        # not a density run or sweep, not the collision model
+        collision = tmp_path / "collision.json"
+        collision.write_text(json.dumps(collision_document(0.2, 0.05)))
+        runs = [
+            ["run", "--scenario", "fig2a", "--out", str(tmp_path)],
+            ["run", "--scenario", "fig4", "--out", str(tmp_path)],
+            ["sweep", "--scenario", "fig6b", "--param", "parameters.channels.2.1",
+             "--values", "250,320", "--out", str(tmp_path / "fig6b-sweep.csv")],
+            ["run", "--scenario", str(collision), "--out", str(tmp_path)],
+        ]
         code = (
             "import contextlib, io, sys, fockladder.cli as cli\n"
             "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n"
             "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy.sparse.csgraph', 'numpy.f2py')\n"
             "print([m for m in heavy if m in sys.modules])\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    rc = cli.main(['run', '--scenario', 'fig2a', '--out', {str(tmp_path)!r}])\n"
-            "print(rc, [m for m in heavy[:3] if m in sys.modules])\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = cli.main(argv)\n"
+            "    print(rc, [m for m in heavy if m in sys.modules])\n"
         )
         src = str(Path(fockladder.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert out.stdout.splitlines() == ["[]", "[]", "0 []"]
-        assert (tmp_path / "fig2a.csv").exists()
+        assert out.stdout.splitlines() == ["[]", "[]"] + ["0 []"] * len(runs)
+        for name in ("fig2a.csv", "fig4.csv", "fig6b-sweep.csv", "fig4-collisions-0.2.csv"):
+            assert (tmp_path / name).exists()
 
     def test_presets_lists(self, capsys):
         assert cli_main(["presets"]) == 0
