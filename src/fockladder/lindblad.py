@@ -11,9 +11,14 @@ phase of every edge of a spanning tree of its coupling graph; what stays
 time-dependent there are the residual frequencies of the other edges
 (the slow detunings between Raman branches).  A block without residuals
 is propagated exactly from one eigendecomposition; the others by
-two-point Gauss fourth-order Magnus steps (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470, 151 (2009)), with step doubling until the Richardson
-error estimate meets the requested tolerance.
+three-point Gauss sixth-order Magnus steps (Blanes, Casas & Ros, BIT 40,
+434 (2000); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), with
+step doubling until the Richardson error estimate meets the requested
+tolerance.  Step stacks are laid out (d, d, steps), batch last: a matrix
+product is a loop over d of broadcast multiply-adds, every nested
+commutator of anti-Hermitian terms takes one product, [A, B] = AB - (AB)^dag,
+and exp(Omega) is a Taylor-16 scaling-and-squaring polynomial, so a step
+calls no LAPACK routine.
 
 Density operators are propagated as the column-stacked vector under the
 sparse vectorized Liouvillian, again only in the invariant blocks that
@@ -41,6 +46,7 @@ routine (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,10 +70,21 @@ NEGATIVITY_LIMIT = 1e-7
 # Magnus step control of Hamiltonian runs: a block that would need more
 # than _MAX_STEPS steps over the grid fails; step propagators are built
 # _CHUNK_STEPS at a time to bound memory; differences between successive
-# doublings below _ROUNDING_FLOOR count as converged.
+# doublings below _ROUNDING_FLOOR count as converged; a doubling level
+# whose step exponentials could need more than _MAX_SQUARINGS squarings
+# (1-norm above 16 theta_16 ~ 13, four times the convergence radius pi of
+# the Magnus series) is not built.
 _MAX_STEPS = 2**18
 _CHUNK_STEPS = 256
 _ROUNDING_FLOOR = 1e-13
+_MAX_SQUARINGS = 4
+
+# Three-point Gauss nodes of the Magnus-6 step; Taylor-16 coefficients 1/k!
+# and theta_16, the largest 1-norm at which their truncation error
+# sum_{k>16} theta^k/k! stays below the unit roundoff 2^-53
+_GAUSS = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0)
+_TAYLOR16 = tuple(1.0 / math.factorial(k) for k in range(17))
+_THETA16 = 0.8246031916386088
 
 # Pade-13 numerator coefficients b_0..b_13, and theta_13: the largest
 # 1-norm at which the approximant is accurate to double precision
@@ -117,7 +134,8 @@ class IntegratorConfig:
     """Integrator tolerance.
 
     ``rel_tol`` is the global error target of Hamiltonian runs: the
-    largest amplitude error estimate the Magnus step doubling accepts.
+    largest amplitude error estimate the Magnus-6 step doubling accepts,
+    max|phi_2N - phi_N| / 63 between two levels of N and 2N steps.
     Their samples are not renormalized, and the norm-drift guard allows
     10 * rel_tol.  Density runs and the collision model are propagated
     exactly and do not read it; their trace-drift guard allows
@@ -205,10 +223,12 @@ class Trajectory:
     ``leakage`` is the largest top-two Fock population reached.
 
     ``steps`` and ``error_estimate`` describe the Magnus propagation of a
-    Hamiltonian run: the steps taken over every block and doubling level,
-    and the largest Richardson estimate accepted.  Both are zero when
-    every block was propagated exactly, and for density runs.  ``blocks``
-    holds the size of each invariant block a density run propagated.
+    Hamiltonian run: the sixth-order steps taken over every block and
+    every doubling level built (a level too coarse for the Magnus series
+    is skipped and not counted), and the largest Richardson estimate
+    accepted.  Both are zero when every block was propagated exactly, and
+    for density runs.  ``blocks`` holds the size of each invariant block a
+    density run propagated.
     """
 
     times: np.ndarray
@@ -345,41 +365,80 @@ class _FrameBlock:
         self.basis = np.zeros((int(moving.sum()), d * d))
         self.basis[np.arange(len(self.basis)), rows[moving] * d + cols[moving]] = 1.0
 
-    def generator(self, t: np.ndarray) -> np.ndarray:
-        """G at each time in ``t``, shape (len(t), d, d)."""
-        phases = np.exp(1j * np.multiply.outer(t, self.residuals)) * self.amplitudes
-        x = (phases @ self.basis).reshape(len(t), self.dim, self.dim)
-        return self.static + x + x.conj().transpose(0, 2, 1)
+    def phases(self, t: np.ndarray) -> np.ndarray:
+        """The entries of X at each time in ``t``, shape (moving entries, len(t)).
+
+        X(t) is ``basis.T`` times them, reshaped to (d, d, len(t)).
+        """
+        return np.exp(1j * np.multiply.outer(self.residuals, t)) * self.amplitudes[:, None]
 
 
-_GAUSS = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products of two stacks laid out (d, d, ...), the batch last."""
+    out = a[:, :1] * b[:1]
+    for k in range(1, len(a)):
+        out += a[:, k:k + 1] * b[k:k + 1]
+    return out
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] = ab - (ab)^dag of two anti-Hermitian stacks."""
+    ab = _mul(a, b)
+    return ab - ab.conj().swapaxes(0, 1)
+
+
+def _expm_stack(x: np.ndarray) -> np.ndarray:
+    """exp of every matrix of a (d, d, n) stack by Taylor-16 scaling and squaring.
+
+    The stack is scaled by 2^-s to a largest 1-norm of at most theta_16,
+    where the degree-16 Taylor polynomial is summed by Paterson-Stockmeyer
+    in x^4 (six products), and the result is squared s times.  The caller
+    keeps x finite and s small: ``_magnus_states`` builds no level whose
+    steps would need more than _MAX_SQUARINGS squarings.
+    """
+    norm = np.abs(x).sum(axis=0).max()
+    s = int(np.ceil(np.log2(norm / _THETA16))) if norm > _THETA16 else 0
+    c, eye, x = _TAYLOR16, np.eye(len(x))[:, :, None], x / 2.0**s
+    x2 = _mul(x, x)
+    x3 = _mul(x2, x)
+    x4 = _mul(x2, x2)
+    r = c[12] * eye + c[13] * x + c[14] * x2 + c[15] * x3 + c[16] * x4
+    for j in (8, 4, 0):
+        r = c[j] * eye + c[j + 1] * x + c[j + 2] * x2 + c[j + 3] * x3 + _mul(x4, r)
+    for _ in range(s):
+        r = _mul(r, r)
+    return r
 
 
 def _magnus_propagators(block: _FrameBlock, starts: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """exp(Omega) of one two-point Gauss Magnus-4 step from each start.
+    """exp(Omega) of one three-point Gauss Magnus-6 step from each start, stacked (d, d, n).
 
-    Omega = -iK with K = h/2 (G1 + G2) + i sqrt(3)/12 h^2 [G1, G2] Hermitian
-    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+    With a_k = -i h G(t + c_k h) at the Gauss nodes c_k (Blanes, Casas &
+    Ros, BIT 40, 434 (2000)): b1 = a_2, b2 = sqrt(15)/3 (a_3 - a_1),
+    b3 = 10/3 (a_3 - 2 a_2 + a_1), C1 = [b1, b2], C2 = -[b1, 2 b3 + C1]/60
+    and Omega = b1 + b3/12 + [-20 b1 - b3 + C1, b2 + C2]/240.  The static
+    part of G enters b1 alone, so b2 and b3 are formed from the phases.
     """
-    g1 = block.generator(starts + _GAUSS[0] * h)
-    g2 = block.generator(starts + _GAUSS[1] * h)
-    h = h[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = 0.5 * h * (g1 + g2) + (1j * np.sqrt(3.0) / 12.0) * h**2 * (g1 @ g2 - g2 @ g1)
-    if not np.isfinite(k).all():
-        raise IntegrationError("Magnus step generator is not finite; the couplings overflow")
-    lam, vec = np.linalg.eigh(k)
-    return (vec * np.exp(-1j * lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+    d, n = block.dim, len(starts)
+    p1, p2, p3 = (block.phases(starts + c * h) for c in _GAUSS)
+    moving = np.stack([p2, np.sqrt(15.0) / 3.0 * (p3 - p1), 10.0 / 3.0 * (p3 - 2.0 * p2 + p1)])
+    x = (block.basis.T @ moving).reshape(3, d, d, n)
+    b1, b2, b3 = -1j * h * (x + x.conj().swapaxes(1, 2))
+    b1 -= 1j * h * block.static[:, :, None]
+    c1 = _commutator(b1, b2)
+    c2 = _commutator(b1, 2.0 * b3 + c1) / -60.0
+    return _expm_stack(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
 
 
 def _interval_propagators(block: _FrameBlock, times: np.ndarray, n: int) -> np.ndarray:
     """Product of n equal Magnus steps over each sample interval (n a power of 2).
 
-    Steps are built _CHUNK_STEPS at a time and multiplied pairwise.
+    The products are stacked (d, d, intervals).  Steps are built
+    _CHUNK_STEPS at a time and multiplied pairwise.
     """
     spans, origins = np.diff(times), times[:-1]
     d = block.dim
-    out = np.empty((len(spans), d, d), dtype=complex)
+    out = np.empty((d, d, len(spans)), dtype=complex)
     per = min(n, _CHUNK_STEPS)  # steps of one interval built at once
     group = max(1, _CHUNK_STEPS // n)  # intervals built at once
     for k0 in range(0, len(spans), group):
@@ -389,11 +448,11 @@ def _interval_propagators(block: _FrameBlock, times: np.ndarray, n: int) -> np.n
         for j0 in range(0, n, per):
             starts = origins[k][:, None] + h[:, None] * np.arange(j0, j0 + per)
             props = _magnus_propagators(block, starts.ravel(), np.repeat(h, per))
-            props = props.reshape(-1, per, d, d)
-            while props.shape[1] > 1:
-                props = props[:, 1::2] @ props[:, 0::2]
-            acc = props[:, 0] if acc is None else props[:, 0] @ acc
-        out[k] = acc
+            props = props.reshape(d, d, -1, per)
+            while props.shape[-1] > 1:
+                props = _mul(props[..., 1::2], props[..., 0::2])
+            acc = props[..., 0] if acc is None else _mul(props[..., 0], acc)
+        out[..., k] = acc
     return out
 
 
@@ -401,28 +460,39 @@ def _magnus_states(block: _FrameBlock, times: np.ndarray, phi0: np.ndarray, tol:
     """Frame states at ``times`` by step doubling: (states, steps taken, error estimate).
 
     Substeps per sample interval double from 1 until the Richardson
-    estimate max|phi_2N - phi_N| / 15 meets ``tol`` while successive
-    differences shrink (or sit at rounding level).
+    estimate max|phi_2N - phi_N| / 63 meets ``tol`` while successive
+    differences shrink (or sit at rounding level).  |Omega|_1 is about h g,
+    where g = |static|_1 + 2 sum|amplitudes| bounds |G(t)|_1: a level with
+    h g above 2^_MAX_SQUARINGS theta_16 is not built, and differs
+    infinitely from its neighbours, so two more levels are needed to
+    accept.  A block whose g^2 overflows raises before any step is built.
     """
-    intervals = len(times) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.abs(block.static).sum(axis=0).max() + 2.0 * np.abs(block.amplitudes).sum()
+        if not np.isfinite(bound * bound):
+            raise IntegrationError("Magnus step generator is not finite; the couplings overflow")
+    longest, intervals = float(np.max(np.diff(times))), len(times) - 1
     n, steps, prev, diffs = 1, 0, None, []
     while intervals * n <= _MAX_STEPS:
-        states = np.empty((len(times), block.dim), dtype=complex)
-        states[0] = phi0
-        for i, u in enumerate(_interval_propagators(block, times, n)):
-            states[i + 1] = u @ states[i]
-        steps += intervals * n
-        if prev is not None:
-            diff = float(np.max(np.abs(states - prev)))
+        states = None
+        if longest / n * bound <= _THETA16 * 2.0**_MAX_SQUARINGS:
+            states = np.empty((len(times), block.dim), dtype=complex)
+            states[0] = phi0
+            for i, u in enumerate(np.moveaxis(_interval_propagators(block, times, n), -1, 0)):
+                states[i + 1] = u @ states[i]
+            steps += intervals * n
+        if n > 1:
+            built = states is not None and prev is not None
+            diff = float(np.max(np.abs(states - prev))) if built else np.inf
             shrinking = (diffs and diff < diffs[-1]) or diff <= _ROUNDING_FLOOR
-            if diff / 15.0 <= tol and shrinking:
-                return states, steps, diff / 15.0
+            if diff / 63.0 <= tol and shrinking:
+                return states, steps, diff / 63.0
             diffs.append(diff)
         prev = states
         n *= 2
     raise IntegrationError(
         f"Magnus steps missed rel_tol {tol} within {_MAX_STEPS} steps per block "
-        f"(last estimate {diffs[-1] / 15.0 if diffs else float('inf')})"
+        f"(last estimate {diffs[-1] / 63.0 if diffs else float('inf')})"
     )
 
 
@@ -599,9 +669,14 @@ def _lowest_eigenvalues(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     """
     pattern = np.zeros((d, d), dtype=bool)
     pattern[rows, cols] = True
+    comps = invariant_blocks(pattern)  # each component's levels ascend
+    label = np.empty(d, dtype=int)
+    for c, comp in enumerate(comps):
+        label[comp] = c
+    owner = label[rows]
     lam_min = np.full(len(entries), np.inf)
-    for comp in invariant_blocks(pattern):  # each component's levels ascend
-        inside = np.isin(rows, comp)
+    for c, comp in enumerate(comps):
+        inside = owner == c
         if len(comp) == 1:
             low = entries[:, inside].real.min(axis=1, initial=np.inf)
         else:
@@ -689,7 +764,14 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     """
     d = L.layout.dim
     blocks, subs = zip(*L.blocks)
-    norm = max(np.linalg.norm(sub, ord=2) for sub in subs)
+    # |A|_2 <= |A|_F: blocks whose Frobenius norm is at most the running
+    # maximum cannot raise it
+    frobenius = [np.linalg.norm(sub) for sub in subs]
+    norm = 0.0
+    for b in np.argsort(frobenius)[::-1]:
+        if frobenius[b] <= norm:
+            break
+        norm = max(norm, np.linalg.norm(subs[b], ord=2))
     spectra = [np.linalg.eigvals(sub) for sub in subs]
     eigvals = np.concatenate(spectra)
     order = np.argsort(np.abs(eigvals))

@@ -218,6 +218,19 @@ class TestEvolveState:
         assert untouched.any()
         assert np.all(got[:, untouched] == 0.0)
 
+    def test_magnus_steps_are_sixth_order(self):
+        # successive doubling differences of the interval propagators fall
+        # by 2^6 = 64, which the Richardson estimate diff / 63 assumes
+        h, _ = cycle_case()
+        terms = lindblad._half_terms(h, h.layout)
+        block = lindblad._FrameBlock(terms, np.array([0, 1, 2]))
+        assert len(block.residuals)
+        times = TimeGrid(0.0, 30.0, 16).times
+        props = [lindblad._interval_propagators(block, times, 2**j) for j in range(7)]
+        diffs = [np.max(np.abs(b - a)) for a, b in zip(props, props[1:])]
+        ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+        assert all(60.0 <= r <= 68.0 for r in ratios[-3:]), ratios
+
     def test_step_chunking_leaves_states_unchanged(self, monkeypatch):
         # with one step per chunk every interval spans several chunks
         h, psi0 = cycle_case()
@@ -808,6 +821,28 @@ class TestExpm:
         a = np.diag([1.0, value]).astype(complex)
         assert np.all(np.isnan(lindblad.expm(a)))
         assert not recwarn.list
+
+
+class TestExpmStack:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("squarings", range(lindblad._MAX_SQUARINGS + 1))
+    def test_matches_scipy_and_stays_unitary(self, d, squarings):
+        # exp(-iK) of Hermitian K, stacked batch last, with 1-norms that take
+        # exactly ``squarings`` squarings; oracle: scipy.linalg.expm
+        rng = np.random.default_rng(10 * d + squarings)
+        z = rng.normal(size=(6, d, d)) + 1j * rng.normal(size=(6, d, d))
+        x = -1j * (z + z.conj().transpose(0, 2, 1))
+        top = lindblad._THETA16 * 2.0**squarings
+        scale = np.linspace(0.55, 1.0, 6) * top / np.abs(x).sum(axis=1).max(axis=1)
+        x *= scale[:, None, None]
+        got = np.moveaxis(lindblad._expm_stack(np.moveaxis(x, 0, -1)), -1, 0)
+        for a, u in zip(x, got):
+            assert np.max(np.abs(u - scipy.linalg.expm(a))) <= 1e-13
+            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-14
+
+    def test_zero_stack_is_identity(self):
+        got = lindblad._expm_stack(np.zeros((3, 3, 2), dtype=complex))
+        assert np.array_equal(got, np.repeat(np.eye(3)[:, :, None], 2, axis=2))
 
 
 class TestGuards:

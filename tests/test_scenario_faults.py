@@ -156,11 +156,15 @@ def test_regime_threshold_nan_rejected(capsys):
     _doc("fig4", "grid.stop", 1e300),
     _set(collision_document(0.2, 0.05), "parameters.gamma", 1e300),
     _doc("fig2a", "grid.stop", 1e308),
-    # the Magnus generator overflows before eigh sees it
+    # the Magnus generator's square overflows before any step is built
     _doc("fig2a", "parameters.lambdas", [1.3e154, 1.3e154]),
     _doc("fig2a", "parameters.deltas", [1e-300, 5.0]),
+    # Magnus steps far outside convergence: no doubling level is built
+    _doc("fig2a", "grid.stop", 1e4),
+    _doc("fig2a", "grid.stop", 1e12),
 ], ids=["fig4-Gamma", "fig4-Gamma-gamma", "fig4-grid-stop", "collision-gamma",
-        "fig2a-grid-stop", "fig2a-lambdas-overflow", "fig2a-deltas-overflow"])
+        "fig2a-grid-stop", "fig2a-lambdas-overflow", "fig2a-deltas-overflow",
+        "fig2a-grid-stop-1e4", "fig2a-grid-stop-1e12"])
 def test_non_finite_state_trips_guard(tmp_path, doc):
     # exit 3 with the guard's one line on stderr, and no numpy warning
     with warnings.catch_warnings(record=True) as caught:
