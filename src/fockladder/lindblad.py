@@ -36,7 +36,9 @@ drift, negativity (density runs, over the connected components of the
 touched entries' d x d pattern), then leakage.  No sample is
 renormalized.  States are built, re-symmetrized, only when a sample is
 read.  Steady states work on the same invariant blocks: a map on vec(rho)
-is split once, by ``LiouvillianMatrix.blocks``, for every reader.
+is split once, by ``LiouvillianMatrix.blocks``, for every reader.  A
+generator preserves Hermiticity, so the blocks of coherence orders +k
+and -k have conjugate spectra, and one of each pair is solved.
 
 The module needs numpy alone.  Vectorized generators are canonical COO
 triplets, their blocks are split by a union-find over the triplets, and
@@ -78,6 +80,10 @@ _MAX_STEPS = 2**18
 _CHUNK_STEPS = 256
 _ROUNDING_FLOOR = 1e-13
 _MAX_SQUARINGS = 4
+
+# Density runs and the collision model stack the powers of their step map
+# up to this many bytes (``propagate_touched``)
+_POWER_BYTES = 2**20
 
 # Three-point Gauss nodes of the Magnus-6 step; Taylor-16 coefficients 1/k!
 # and theta_16, the largest 1-norm at which their truncation error
@@ -198,15 +204,20 @@ class LiouvillianMatrix:
     def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(index set, dense diagonal block [idx, idx]) of every invariant block."""
         blocks = invariant_blocks(self)
+        sizes = [len(idx) for idx in blocks]
         label, position = np.empty((2, self.shape[0]), dtype=int)
-        for b, idx in enumerate(blocks):
-            label[idx], position[idx] = b, np.arange(len(idx))
+        flat = np.concatenate(blocks)
+        label[flat] = np.repeat(np.arange(len(blocks)), sizes)
+        position[flat] = np.concatenate([np.arange(n) for n in sizes])
         owner = label[self.rows]
-        bounds = np.cumsum(np.bincount(owner, minlength=len(blocks)))[:-1]
+        order = np.argsort(owner, kind="stable")  # each block's triplets, one slice each
+        rows, cols = position[self.rows[order]], position[self.cols[order]]
+        values = self.values[order]
+        bounds = np.cumsum(np.bincount(owner, minlength=len(blocks)))
         out = []
-        for idx, at in zip(blocks, np.split(np.argsort(owner, kind="stable"), bounds)):
+        for idx, lo, hi in zip(blocks, np.r_[0, bounds[:-1]], bounds):
             sub = np.zeros((len(idx), len(idx)), dtype=complex)
-            sub[position[self.rows[at]], position[self.cols[at]]] = self.values[at]
+            sub[rows[lo:hi], cols[lo:hi]] = values[lo:hi]
             sub.setflags(write=False)
             out.append((idx, sub))
         return tuple(out)
@@ -595,20 +606,32 @@ def propagate_touched(steps: list[tuple[np.ndarray, np.ndarray]], vec0: np.ndarr
 
     ``steps`` holds an (index set, step block) pair for each invariant
     block of the step map that vec(rho0) touches; the step is their block
-    diagonal on the concatenated indices.  The trajectory goes through the
-    guards of ``_guarded`` with TRACE_DRIFT_LIMIT; ``step_name`` says what
-    one step is (the collision model passes "collisions"), so an error can
-    say how many steps were taken.
+    diagonal S on the concatenated indices, of size n.  Its powers
+    S^1..S^m are stacked once into an (m n, n) array, and each run of m
+    samples is one product of that stack with the run's first sample.
+    Over N intervals m = floor(sqrt(N)) + 1, which balances the products
+    that build the stack against the number of runs, capped at N and at
+    a stack of _POWER_BYTES; m = 1 (a large touched set) is one mat-vec
+    per sample.  The trajectory goes through the guards of ``_guarded``
+    with TRACE_DRIFT_LIMIT; ``step_name`` says what one step is (the
+    collision model passes "collisions"), so an error can say how many
+    steps were taken.
     """
     index = np.concatenate([idx for idx, _ in steps])
     offsets = np.cumsum([0] + [len(idx) for idx, _ in steps])
-    step = np.zeros((len(index), len(index)), dtype=complex)
+    n, intervals = len(index), len(times) - 1
+    step = np.zeros((n, n), dtype=complex)
     for (_, block), lo, hi in zip(steps, offsets, offsets[1:]):
         step[lo:hi, lo:hi] = block
-    entries = np.empty((len(times), len(index)), dtype=complex)
+    m = max(1, min(math.isqrt(intervals) + 1, intervals, _POWER_BYTES // step.nbytes))
+    powers = step  # S^1..S^k stacked; doubled by S^k until k >= m
+    while len(powers) < m * n:
+        powers = np.concatenate([powers, powers[:m * n - len(powers)] @ powers[-n:]])
+    entries = np.empty((len(times), n), dtype=complex)
     entries[0] = vec0[index]
-    for k in range(1, len(times)):
-        np.dot(step, entries[k - 1], out=entries[k])
+    for k in range(0, intervals, m):
+        run = min(m, intervals - k)
+        np.dot(powers[:run * n], entries[k], out=entries[k + 1:k + 1 + run].reshape(-1))
     traj = Trajectory(times, layout, index, entries, True,
                       blocks=tuple(len(idx) for idx, _ in steps))
     return _guarded(traj, TRACE_DRIFT_LIMIT, step_name)
@@ -707,6 +730,8 @@ def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
         raise ValueError("need a Hamiltonian or at least one dissipator")
     if H is not None and not isinstance(H, ComplexOperator):
         raise TypeError("the Liouvillian requires a static Hamiltonian")
+    if H is not None and not H.is_hermitian():
+        raise ValueError("the Hamiltonian must be Hermitian")
     layout = H.layout if H is not None else terms[0].jump.layout
     d = layout.dim
     eye = np.eye(d)
@@ -755,24 +780,66 @@ def invariant_blocks(mat) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def _mirrors(blocks: Sequence[np.ndarray], d: int) -> list[int]:
+    """The block on the transposed entries of each block, or the block itself.
+
+    vec index r + c d (of |r><c|) transposes to c + r d.  A block's mirror
+    is the block that holds its whole transposed index set and nothing
+    else; a block whose transposed set is not one such block counts as
+    its own mirror.  The population block of a phase-covariant generator
+    mirrors itself, and coherence order +k mirrors order -k.
+    """
+    sizes = np.array([len(idx) for idx in blocks])
+    label = np.empty(d * d, dtype=int)
+    label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), sizes)
+    k = np.arange(d * d)
+    across = label[(k % d) * d + k // d]  # the block of each entry's transpose
+    first = across[[idx[0] for idx in blocks]]
+    stray = np.bincount(label, weights=across != first[label], minlength=len(blocks))
+    whole = (stray == 0) & (sizes[first] == sizes)
+    return np.where(whole, first, np.arange(len(blocks))).tolist()
+
+
+def _real_if_real(a: np.ndarray) -> np.ndarray:
+    """``a.real`` when ``a`` has no imaginary part, so LAPACK runs its real routine."""
+    return a if np.any(a.imag) else a.real
+
+
+def _block_spectra(L: LiouvillianMatrix) -> tuple[float, list[np.ndarray]]:
+    """|L|_2 and the spectrum of each block of ``L.blocks``, in their order.
+
+    |L|_2 is the largest block norm.  ``L`` preserves Hermiticity,
+    L(rho^dag) = L(rho)^dag, as every generator of ``sparse_liouvillian``
+    does, so the block on the transposed entries of a block (``_mirrors``)
+    is its entrywise conjugate up to the order of its entries: it has the
+    same norm and the conjugate spectrum.  One block of each mirrored pair
+    is solved, and a block with no imaginary part in real arithmetic.
+    """
+    blocks, subs = zip(*L.blocks)
+    mirrors = _mirrors(blocks, L.layout.dim)
+    solved = [b for b, m in enumerate(mirrors) if m >= b]
+    # |A|_2 <= |A|_F: blocks whose Frobenius norm is at most the running
+    # maximum cannot raise it
+    frobenius = {b: np.linalg.norm(subs[b]) for b in solved}
+    norm = 0.0
+    for b in sorted(solved, key=frobenius.get, reverse=True):
+        if frobenius[b] <= norm:
+            break
+        norm = max(norm, np.linalg.norm(_real_if_real(subs[b]), ord=2))
+    own = {b: np.linalg.eigvals(_real_if_real(subs[b])) for b in solved}
+    return norm, [own[b] if m >= b else own[m].conj() for b, m in enumerate(mirrors)]
+
+
 def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     """Unique null-space density operator of a trace-preserving Liouvillian.
 
-    Each invariant block of ``L.blocks`` is eigendecomposed on its own:
-    |L|_2 is the largest block norm, and the null and degeneracy counts
-    run over the union of the block spectra.
+    The null and degeneracy counts run over the union of the block
+    spectra of ``_block_spectra``, against 1e-9 |L|_2; then only the block
+    holding the null eigenvalue is eigendecomposed for its null vector,
+    in real arithmetic when the block is real.
     """
     d = L.layout.dim
-    blocks, subs = zip(*L.blocks)
-    # |A|_2 <= |A|_F: blocks whose Frobenius norm is at most the running
-    # maximum cannot raise it
-    frobenius = [np.linalg.norm(sub) for sub in subs]
-    norm = 0.0
-    for b in np.argsort(frobenius)[::-1]:
-        if frobenius[b] <= norm:
-            break
-        norm = max(norm, np.linalg.norm(subs[b], ord=2))
-    spectra = [np.linalg.eigvals(sub) for sub in subs]
+    norm, spectra = _block_spectra(L)
     eigvals = np.concatenate(spectra)
     order = np.argsort(np.abs(eigvals))
     lam_min = abs(eigvals[order[0]])
@@ -785,11 +852,12 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
         raise DegenerateSteadyStateError(dim)
     # eigenvectors only in the block holding the null eigenvalue, which is
     # unique past the checks
-    b = int(np.argmin([np.min(np.abs(vals)) for vals in spectra]))
-    vals, vecs = np.linalg.eig(subs[b])
+    b = int(np.searchsorted(np.cumsum([len(vals) for vals in spectra]), order[0], side="right"))
+    idx, sub = L.blocks[b]
+    vals, vecs = np.linalg.eig(_real_if_real(sub))
     k = int(np.argmin(np.abs(vals)))
     full = np.zeros(d * d, dtype=complex)
-    full[blocks[b]] = vecs[:, k]
+    full[idx] = vecs[:, k]
     rho = full.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)

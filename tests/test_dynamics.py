@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 from scipy.integrate import solve_ivp
+from scipy.optimize import linear_sum_assignment
 
 from fockladder import (
     ComplexOperator,
@@ -307,6 +308,12 @@ class TestEvolveDensity:
             evolve_density(sparse_liouvillian(h, terms), fock_state(1, 4).to_density(),
                            TimeGrid(0.0, 1.0, 3))
 
+    def test_non_hermitian_hamiltonian_rejected(self):
+        # a generator from a non-Hermitian H would not preserve Hermiticity
+        terms = [LindbladTerm(1.0, annihilation(4))]
+        with pytest.raises(ValueError, match="the Hamiltonian must be Hermitian"):
+            sparse_liouvillian(annihilation(4), terms)
+
     def test_hamiltonian_and_dissipator_together(self):
         # [DERIVED] compare against the vectorized Liouvillian propagator
         layout = field_layout(6)
@@ -486,6 +493,73 @@ class TestPropagateTouched:
         m[5, 5] = 1.0
         with pytest.raises(LeakageError, match=r"population 1.0 >= 1e-06 after 1 collisions"):
             self.run(self.population_step(m), np.diag([1.0, 0, 0, 0, 0, 0]))
+
+    def test_drift_in_a_later_run_names_its_step(self):
+        # trace (1 + 3e-10)^k drifts past 1e-8 at k = 34; 60 intervals stack
+        # m = 8 powers, so step 34 is the second sample of the fifth run
+        step = self.population_step((1.0 + 3e-10) * np.eye(6))
+        with pytest.raises(IntegrationError, match=r"trace drift .* after 34 collisions"):
+            self.run(step, np.diag([1.0, 0, 0, 0, 0, 0]), samples=61)
+
+    @staticmethod
+    def spy_dot(monkeypatch):
+        """Record the shape of the matrix of every ``np.dot`` call."""
+        shapes = []
+        original = np.dot
+        monkeypatch.setattr(np, "dot", lambda a, b, out=None: (
+            shapes.append(a.shape) or original(a, b, out=out)))
+        return shapes
+
+    @staticmethod
+    def sequential(steps, vec0, intervals):
+        """Oracle: one mat-vec of the touched step per interval."""
+        index = np.concatenate([idx for idx, _ in steps])
+        full = np.zeros((len(vec0), len(vec0)), dtype=complex)
+        for idx, block in steps:
+            full[np.ix_(idx, idx)] = block
+        step = full[np.ix_(index, index)]
+        out = [vec0[index]]
+        for _ in range(intervals):
+            out.append(step @ out[-1])
+        return np.array(out)
+
+    @pytest.mark.parametrize("intervals, powers", [
+        (1, 1), (2, 2), (3, 2), (89, 10), (90, 10), (91, 10), (7563, 87),
+    ])
+    def test_stacked_powers_match_sequential_steps(self, intervals, powers, monkeypatch):
+        # the fig4 population step at cutoff 12 (13 entries).  m = isqrt(N) + 1
+        # powers: 90 intervals fill 9 runs of 10, 89 end one short of the
+        # last and 91 one into a tenth; 7,563 end 81 into the 87th run
+        cutoff = 12
+        L = sparse_liouvillian(None, preset_terms("fig4", cutoff))
+        dt = np.diff(load_scenario("fig4").grid.times)[0]
+        vec0 = thermal_state(0.05, cutoff).entries.astype(complex).ravel(order="F")
+        steps = [(idx, lindblad.expm(sub * dt)) for idx, sub in L.blocks if np.any(vec0[idx])]
+        shapes = self.spy_dot(monkeypatch)
+        traj = propagate_touched(steps, vec0, dt * np.arange(intervals + 1.0), L.layout)
+        assert shapes == [(powers * 13, 13)] * (intervals // powers) + (
+            [((intervals % powers) * 13, 13)] if intervals % powers else [])
+        expected = self.sequential(steps, vec0, intervals)
+        assert np.max(np.abs(traj.entries - expected)) <= 1e-13
+
+    def test_byte_budget_keeps_one_power_for_a_large_touched_set(self, monkeypatch):
+        # a pure start on every level touches all 625 entries at cutoff 24:
+        # the step alone is 6.25 MB, past _POWER_BYTES, so each sample is
+        # one mat-vec of the step, as in the oracle
+        cutoff = 24
+        layout = field_layout(cutoff)
+        L = sparse_liouvillian(None, thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05),
+                                                   layout))
+        psi = field_superposition({n: 1.0 if n < 3 else 1e-4 for n in range(cutoff + 1)}, cutoff)
+        vec0 = psi.to_density().entries.astype(complex).ravel(order="F")
+        steps = [(idx, lindblad.expm(sub * 0.01)) for idx, sub in L.blocks]
+        assert 16 * 625**2 > lindblad._POWER_BYTES
+        shapes = self.spy_dot(monkeypatch)
+        traj = propagate_touched(steps, vec0, np.linspace(0.0, 0.2, 21), layout)
+        assert len(traj.index) == 625
+        assert shapes == [(625, 625)] * 20
+        expected = self.sequential(steps, vec0, 20)
+        assert np.max(np.abs(traj.entries - expected)) <= 1e-13
 
     def test_density_run_messages_name_no_step(self):
         m = np.eye(6)
@@ -704,12 +778,86 @@ class TestSteadyState:
         assert np.allclose(steady_state(L).entries, dense_null_state(L), atol=1e-10)
 
     def test_matches_dense_null_vector_with_hamiltonian(self):
-        # an excitation-conserving H keeps the generator split into blocks
-        n = np.diag(np.arange(13.0))
-        h = ComplexOperator(field_layout(12), 0.7 * n + 0.3 * n @ n)
-        L = sparse_liouvillian(h, preset_terms("fig4", 12))
+        L = self.hamiltonian_case()
         assert len(invariant_blocks(L)) > 1
         assert np.allclose(steady_state(L).entries, dense_null_state(L), atol=1e-10)
+
+    @staticmethod
+    def hamiltonian_case():
+        """fig4's generator at cutoff 12 plus an excitation-conserving H, which
+        keeps it split into blocks and makes every coherence block complex."""
+        n = np.diag(np.arange(13.0))
+        h = ComplexOperator(field_layout(12), 0.7 * n + 0.3 * n @ n)
+        return sparse_liouvillian(h, preset_terms("fig4", 12))
+
+    @pytest.mark.parametrize("name, cutoff", [
+        (name, cutoff) for name in ("fig4", "fig6a", "fig6b") for cutoff in (12, 24)
+    ] + [("fig4-hamiltonian", 12)])
+    def test_block_spectra_match_dense_spectrum(self, name, cutoff):
+        # oracle: scipy.linalg.eigvals of the dense generator, block by block
+        # over scipy's connected components, and at cutoff 12 of the whole
+        # matrix too, each matched to the union of the mirrored block spectra
+        # as multisets (a minimum-cost pairing).  At cutoff 24 the whole
+        # matrix is no oracle: its eigenvalue condition numbers reach 1.2e9,
+        # and one solve of it misses fig4's clusters near -12.5 by 3e-7.
+        if name == "fig4-hamiltonian":
+            L = self.hamiltonian_case()
+        else:
+            L = sparse_liouvillian(None, preset_terms(name, cutoff))
+        norm, spectra = lindblad._block_spectra(L)
+        assert [len(vals) for vals in spectra] == [len(idx) for idx, _ in L.blocks]
+        full = dense(L)
+        subs = [full[np.ix_(idx, idx)] for idx in csgraph_blocks(full)]
+        assert norm == pytest.approx(max(np.linalg.norm(sub, ord=2) for sub in subs), rel=1e-12)
+        got = np.concatenate(spectra)
+        oracles = [np.concatenate([scipy.linalg.eigvals(sub) for sub in subs])]
+        if cutoff == 12:
+            oracles.append(scipy.linalg.eigvals(full))
+        for expected in oracles:
+            rows, cols = linear_sum_assignment(np.abs(got[:, None] - expected[None, :]))
+            assert np.max(np.abs(got[rows] - expected[cols])) <= 1e-10 * norm
+
+    def test_one_eigensolve_per_mirrored_pair(self, monkeypatch):
+        # fig4 at cutoff 24: the populations and the coherence orders +-1..+-24
+        # are 49 blocks, solved as 1 + 24 in real arithmetic, plus the null
+        # block's eig
+        calls = []
+        for name in ("eigvals", "eig"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, f=original, name=name: (
+                calls.append((name, a.dtype)) or f(a)))
+        L = sparse_liouvillian(None, preset_terms("fig4", 24))
+        assert len(L.blocks) == 49
+        steady_state(L)
+        assert calls.count(("eigvals", np.dtype(float))) == 25
+        assert calls[-1] == ("eig", np.dtype(float)) and len(calls) == 26
+
+    def test_mirrors_follow_the_transposed_index_sets(self):
+        d = 13
+        L = self.hamiltonian_case()
+        blocks = [idx for idx, _ in L.blocks]
+        mirrors = lindblad._mirrors(blocks, d)
+        for b, m in enumerate(mirrors):
+            transposed = np.sort((blocks[b] % d) * d + blocks[b] // d)
+            assert np.array_equal(transposed, blocks[m])
+            assert mirrors[m] == b
+        # order 0 (the populations) mirrors itself, order +k mirrors -k
+        assert [b for b, m in enumerate(mirrors) if m == b] == [0]
+        # d = 2: vec indices 1 and 2 (|1><0| and |0><1|) transpose into each
+        # other.  A block whose transposed entries are not one whole block of
+        # the same size is its own mirror.
+        pair = [np.array([0, 3]), np.array([1]), np.array([2])]
+        assert lindblad._mirrors(pair, 2) == [0, 2, 1]
+        split = [np.array([0, 1]), np.array([2]), np.array([3])]
+        assert lindblad._mirrors(split, 2) == [0, 1, 2]
+
+    def test_complex_blocks_keep_complex_arithmetic(self, monkeypatch):
+        dtypes = []
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: dtypes.append(a.dtype) or original(a))
+        steady_state(self.hamiltonian_case())
+        # the population block is real, every coherence block carries -i[H, .]
+        assert dtypes == [np.dtype(float)] + [np.dtype(complex)] * 12
 
     def test_thermal_detailed_balance(self):
         # [DERIVED] Bose-Einstein populations from the null space

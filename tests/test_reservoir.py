@@ -240,23 +240,41 @@ class TestCollisionModel:
         else:
             assert coherences > 0
 
-    def test_leakage_guard_names_first_leaking_atom(self):
-        # oracle: the joint propagation above; a fig4-like pump with a warm
-        # bath into cutoff 6 fills the top two levels after some atoms
-        cutoff, tau = 6, 0.2**2 / 63.0
+    @staticmethod
+    def leaking_case(cutoff, n_atoms):
+        """A fig4-like pump with a warm bath into ``cutoff``, and the top-two
+        populations after each of ``n_atoms`` atoms by the joint propagation
+        above."""
+        tau = 0.2**2 / 63.0
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.2 / tau)
         h = build_engineered_hamiltonian(spec, atom_field_layout(2, cutoff))
         inj = AtomInjectionParams(tau=tau, atom_state=EXC)
         bath = ThermalBathParams(gamma=1.0, n_bar=0.5)
         rho0 = thermal_state(0.05, cutoff)
         leak = [np.real(r[-1, -1] + r[-2, -2])
-                for r in joint_collisions(h, inj, bath, rho0, 40)]
+                for r in joint_collisions(h, inj, bath, rho0, n_atoms)]
+        return (h, inj, bath, rho0), leak
+
+    def test_leakage_guard_names_first_leaking_atom(self):
+        # oracle: the joint propagation above; into cutoff 6 the top two
+        # levels fill after some atoms
+        (h, inj, bath, rho0), leak = self.leaking_case(6, 40)
         first = 1 + int(np.argmax(np.array(leak) >= 1e-6))
         assert 1 < first < 40
         with pytest.raises(LeakageError, match=f"after {first} collisions"):
             collision_model_evolve(h, inj, bath, rho0, 40)
         clean = collision_model_evolve(h, inj, bath, rho0, first - 1)
         assert clean.leakage == pytest.approx(leak[first - 2], rel=1e-9)
+
+    def test_leakage_guard_names_an_atom_inside_a_later_run(self):
+        # 200 atoms stack m = 15 powers of the field map, one run of 15
+        # atoms per product; into cutoff 7 the first leaking atom falls
+        # inside the third run
+        (h, inj, bath, rho0), leak = self.leaking_case(7, 200)
+        first = 1 + int(np.argmax(np.array(leak) >= 1e-6))
+        assert 31 < first <= 45
+        with pytest.raises(LeakageError, match=f"after {first} collisions"):
+            collision_model_evolve(h, inj, bath, rho0, 200)
 
     def test_trace_is_kept_without_renormalizing(self):
         # 7,560 atoms of the fig4 collision run at zeta tau = 0.05; the map

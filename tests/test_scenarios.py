@@ -25,6 +25,7 @@ from fockladder import (
     summary_to_json,
     sweep,
 )
+from fockladder import cli
 from fockladder.cli import main as cli_main
 from fockladder.scenarios import SCHEMA_VERSION
 
@@ -376,6 +377,20 @@ class TestCli:
         assert out.stdout.splitlines() == ["[]", "[]"] + ["0 []"] * len(runs)
         for name in ("fig2a.csv", "fig4.csv", "fig6b-sweep.csv", "fig4-collisions-0.2.csv"):
             assert (tmp_path / name).exists()
+
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+        cli._parser.cache_clear()
+        try:
+            assert cli_main(["presets"]) == 0
+            assert cli_main(["presets", "--dump", "fig4"]) == 0
+            assert cli_main(["run", "--scenario", "fig9"]) == 2
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert original() is not original()
 
     def test_presets_lists(self, capsys):
         assert cli_main(["presets"]) == 0
