@@ -18,7 +18,16 @@ tolerance.  Step stacks are laid out (d, d, steps), batch last: a matrix
 product is a loop over d of broadcast multiply-adds, every nested
 commutator of anti-Hermitian terms takes one product, [A, B] = AB - (AB)^dag,
 and exp(Omega) is a Taylor-16 scaling-and-squaring polynomial, so a step
-calls no LAPACK routine.
+calls no LAPACK routine.  The sampling grid is a linspace, so all steps of
+a doubling level have one length, and a step depends on its start only
+through the phases of the block's one or two residual frequencies
+(entries at one residual share a phase).  Each level therefore forms
+exp(Omega) only on a tensor grid of those phases, with the node count
+doubled from 8 per phase until the upper half of the harmonics is at
+rounding, and takes every step from the trigonometric interpolant (its
+lower half) by one matrix product per chunk of steps (Trefethen &
+Weideman, SIAM Rev. 56, 385 (2014)).  A level whose harmonics converge
+only on a grid as large as its step count builds its steps one by one.
 
 Density operators are propagated as the column-stacked vector under the
 sparse vectorized Liouvillian, again only in the invariant blocks that
@@ -80,6 +89,16 @@ _MAX_STEPS = 2**18
 _CHUNK_STEPS = 256
 _ROUNDING_FLOOR = 1e-13
 _MAX_SQUARINGS = 4
+
+# A doubling level interpolates its steps on a grid of residual phases
+# (``_MagnusLevel``): _FIRST_NODES nodes per phase, doubled until every
+# upper harmonic is below _NODE_ROUNDING times the largest node entry.  No
+# grid that would keep more than _MAX_HARMONICS harmonics is tried, so a
+# step read from them stays cheaper than one built directly, and their
+# basis for one chunk of steps stays within 1 MiB
+_FIRST_NODES = 8
+_NODE_ROUNDING = 16 * np.finfo(float).eps
+_MAX_HARMONICS = 256
 
 # Density runs and the collision model stack the powers of their step map
 # up to this many bytes (``propagate_touched``)
@@ -233,13 +252,15 @@ class Trajectory:
     as ``StateVector``s or ``DensityOperator``s, each built when it is read.
     ``leakage`` is the largest top-two Fock population reached.
 
-    ``steps`` and ``error_estimate`` describe the Magnus propagation of a
-    Hamiltonian run: the sixth-order steps taken over every block and
-    every doubling level built (a level too coarse for the Magnus series
-    is skipped and not counted), and the largest Richardson estimate
-    accepted.  Both are zero when every block was propagated exactly, and
-    for density runs.  ``blocks`` holds the size of each invariant block a
-    density run propagated.
+    ``steps``, ``exponentials`` and ``error_estimate`` describe the Magnus
+    propagation of a Hamiltonian run: the sixth-order steps taken over
+    every block and every doubling level built (a level too coarse for the
+    Magnus series is skipped and not counted), the step exponentials
+    formed for them (phase-grid nodes, and the steps of a level built one
+    by one), and the largest Richardson estimate accepted.  All are zero
+    when every block was propagated exactly, and for density runs.
+    ``blocks`` holds the size of each invariant block a density run
+    propagated.
     """
 
     times: np.ndarray
@@ -249,6 +270,7 @@ class Trajectory:
     density: bool
     leakage: float = 0.0
     steps: int = 0
+    exponentials: int = 0
     error_estimate: float = 0.0
     blocks: tuple[int, ...] = ()
 
@@ -371,17 +393,30 @@ class _FrameBlock:
         self.dim = d
         self.energies = energies
         self.static = half + half.conj().T - np.diag(energies)
-        self.residuals = residual[moving]
+        self.frequencies, self.dimension = _shared_frequencies(residual[moving],
+                                                               rounding[moving])
+        self.residuals = self.frequencies[self.dimension]
         self.amplitudes = vals[moving]
         self.basis = np.zeros((int(moving.sum()), d * d))
         self.basis[np.arange(len(self.basis)), rows[moving] * d + cols[moving]] = 1.0
 
-    def phases(self, t: np.ndarray) -> np.ndarray:
-        """The entries of X at each time in ``t``, shape (moving entries, len(t)).
+    def start_phases(self, t: np.ndarray) -> np.ndarray:
+        """e^{i f t} of every frequency f at each time in ``t``, shape (frequencies, len(t))."""
+        return np.exp(1j * np.multiply.outer(self.frequencies, t))
 
-        X(t) is ``basis.T`` times them, reshaped to (d, d, len(t)).
-        """
-        return np.exp(1j * np.multiply.outer(self.residuals, t)) * self.amplitudes[:, None]
+
+def _shared_frequencies(residuals: np.ndarray, rounding: np.ndarray):
+    """(frequencies, the frequency of each residual): residuals that agree to rounding share one.
+
+    Sorted residuals whose gap is at most the sum of their rounding
+    margins fall in one group, which takes the frequency of its smallest.
+    """
+    order = np.argsort(residuals, kind="stable")
+    ranked, margin = residuals[order], rounding[order]
+    fresh = np.r_[True, np.diff(ranked) > margin[1:] + margin[:-1]][:len(ranked)]
+    dimension = np.empty(len(ranked), dtype=int)
+    dimension[order] = np.cumsum(fresh) - 1
+    return ranked[fresh], dimension
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -421,17 +456,22 @@ def _expm_stack(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _magnus_propagators(block: _FrameBlock, starts: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """exp(Omega) of one three-point Gauss Magnus-6 step from each start, stacked (d, d, n).
+def _magnus_propagators(block: _FrameBlock, phases: np.ndarray, h: float) -> np.ndarray:
+    """exp(Omega) of one three-point Gauss Magnus-6 step of length h per start, stacked (d, d, n).
 
-    With a_k = -i h G(t + c_k h) at the Gauss nodes c_k (Blanes, Casas &
-    Ros, BIT 40, 434 (2000)): b1 = a_2, b2 = sqrt(15)/3 (a_3 - a_1),
+    A step from t depends on t only through the start phases e^{i f t} of
+    the block's frequencies f (``_FrameBlock.start_phases``), which
+    ``phases`` holds, shape (frequencies, n): the steps of a level and the
+    phase-grid nodes of ``_MagnusLevel`` go through this one routine.
+    With a_k = -i h G(t + c_k h) at the Gauss nodes c_k (Blanes, Casas & Ros,
+    BIT 40, 434 (2000)): b1 = a_2, b2 = sqrt(15)/3 (a_3 - a_1),
     b3 = 10/3 (a_3 - 2 a_2 + a_1), C1 = [b1, b2], C2 = -[b1, 2 b3 + C1]/60
     and Omega = b1 + b3/12 + [-20 b1 - b3 + C1, b2 + C2]/240.  The static
     part of G enters b1 alone, so b2 and b3 are formed from the phases.
     """
-    d, n = block.dim, len(starts)
-    p1, p2, p3 = (block.phases(starts + c * h) for c in _GAUSS)
+    d, n = block.dim, phases.shape[1]
+    start = phases[block.dimension] * block.amplitudes[:, None]  # entries of X at each start
+    p1, p2, p3 = (start * np.exp(1j * c * h * block.residuals)[:, None] for c in _GAUSS)
     moving = np.stack([p2, np.sqrt(15.0) / 3.0 * (p3 - p1), 10.0 / 3.0 * (p3 - 2.0 * p2 + p1)])
     x = (block.basis.T @ moving).reshape(3, d, d, n)
     b1, b2, b3 = -1j * h * (x + x.conj().swapaxes(1, 2))
@@ -441,25 +481,86 @@ def _magnus_propagators(block: _FrameBlock, starts: np.ndarray, h: np.ndarray) -
     return _expm_stack(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
 
 
-def _interval_propagators(block: _FrameBlock, times: np.ndarray, n: int) -> np.ndarray:
+class _MagnusLevel:
+    """The Magnus steps of one block at one doubling level: n of one length h per sample interval.
+
+    ``times`` is a linspace, so one h serves the level.  A step depends on
+    its start t only through the angles f_q t of the block's m
+    frequencies, as an analytic periodic function, so the trigonometric
+    polynomial through its values on a tensor grid of M nodes per angle
+    converges geometrically in M (Trefethen & Weideman, SIAM Rev. 56, 385
+    (2014)).  M doubles from _FIRST_NODES while M^m stays below the
+    level's step count and the lower half of the harmonics, |k_q| < M/4,
+    numbers at most _MAX_HARMONICS, until every harmonic of the upper half
+    falls below _NODE_ROUNDING times the largest node entry.  The upper
+    half is then dropped, and each step is the lower half at its start:
+    one (d^2, harmonics) x (harmonics, steps) product per chunk.  A level
+    where no grid converges builds its steps one by one.
+    ``exponentials`` counts the step exponentials formed, nodes included.
+    """
+
+    def __init__(self, block: _FrameBlock, times: np.ndarray, n: int):
+        count = (len(times) - 1) * n
+        self.block, self.h = block, (times[-1] - times[0]) / count
+        self.exponentials, self.harmonics = 0, None
+        m, size = len(block.frequencies), _FIRST_NODES
+        while size**m < count and (size // 2 - 1)**m <= _MAX_HARMONICS:
+            index = np.indices((size,) * m).reshape(m, -1)
+            values = self._build(np.exp(2j * np.pi / size * index))
+            harmonics = np.fft.fftn(values.reshape((-1,) + (size,) * m),
+                                    axes=range(1, m + 1)) / size**m
+            upper = np.abs(np.fft.fftfreq(size, 1.0 / size)[index]).max(axis=0) >= size // 4
+            if np.abs(harmonics[:, upper.reshape((size,) * m)]).max() \
+                    <= _NODE_ROUNDING * np.abs(values).max():
+                self.orders = np.arange(1 - size // 4, size // 4)
+                lower = np.ix_(*[self.orders % size] * m)
+                self.harmonics = harmonics[(slice(None),) + lower].reshape(len(values), -1)
+                break
+            size *= 2
+
+    def _build(self, phases: np.ndarray) -> np.ndarray:
+        """The steps from start phases (frequencies, n), _CHUNK_STEPS at a time, as (d^2, n)."""
+        self.exponentials += phases.shape[1]
+        return np.hstack([
+            _magnus_propagators(self.block, phases[:, j:j + _CHUNK_STEPS], self.h)
+            .reshape(self.block.dim**2, -1)
+            for j in range(0, phases.shape[1], _CHUNK_STEPS)
+        ])
+
+    def steps(self, starts: np.ndarray) -> np.ndarray:
+        """The step propagators from each start, stacked (d, d, len(starts))."""
+        d = self.block.dim
+        if self.harmonics is None:
+            return self._build(self.block.start_phases(starts)).reshape(d, d, -1)
+        angles = np.multiply.outer(self.block.frequencies, starts)
+        waves = np.exp(1j * np.multiply.outer(self.orders, angles))  # (orders, m, steps)
+        basis = waves[:, 0]
+        for q in range(1, len(angles)):
+            basis = (basis[:, None] * waves[:, q]).reshape(-1, len(starts))
+        return (self.harmonics @ basis).reshape(d, d, -1)
+
+
+def _interval_propagators(block: _FrameBlock, times: np.ndarray, n: int,
+                          level: _MagnusLevel | None = None) -> np.ndarray:
     """Product of n equal Magnus steps over each sample interval (n a power of 2).
 
-    The products are stacked (d, d, intervals).  Steps are built
-    _CHUNK_STEPS at a time and multiplied pairwise.
+    The products are stacked (d, d, intervals).  ``times`` is a linspace,
+    so every step has the length h of ``level``, the level of these n
+    steps (built here when not given), which gives them _CHUNK_STEPS at a
+    time, interpolated on its phase grid or built directly; they are
+    multiplied pairwise.
     """
-    spans, origins = np.diff(times), times[:-1]
-    d = block.dim
-    out = np.empty((d, d, len(spans)), dtype=complex)
+    level = level or _MagnusLevel(block, times, n)
+    origins, h, d = times[:-1], level.h, block.dim
+    out = np.empty((d, d, len(origins)), dtype=complex)
     per = min(n, _CHUNK_STEPS)  # steps of one interval built at once
     group = max(1, _CHUNK_STEPS // n)  # intervals built at once
-    for k0 in range(0, len(spans), group):
+    for k0 in range(0, len(origins), group):
         k = slice(k0, k0 + group)
-        h = spans[k] / n
         acc = None
         for j0 in range(0, n, per):
-            starts = origins[k][:, None] + h[:, None] * np.arange(j0, j0 + per)
-            props = _magnus_propagators(block, starts.ravel(), np.repeat(h, per))
-            props = props.reshape(d, d, -1, per)
+            starts = origins[k][:, None] + h * np.arange(j0, j0 + per)
+            props = level.steps(starts.ravel()).reshape(d, d, -1, per)
             while props.shape[-1] > 1:
                 props = _mul(props[..., 1::2], props[..., 0::2])
             acc = props[..., 0] if acc is None else _mul(props[..., 0], acc)
@@ -468,7 +569,9 @@ def _interval_propagators(block: _FrameBlock, times: np.ndarray, n: int) -> np.n
 
 
 def _magnus_states(block: _FrameBlock, times: np.ndarray, phi0: np.ndarray, tol: float):
-    """Frame states at ``times`` by step doubling: (states, steps taken, error estimate).
+    """Frame states at ``times`` by step doubling.
+
+    Returns (states, steps taken, step exponentials formed, error estimate).
 
     Substeps per sample interval double from 1 until the Richardson
     estimate max|phi_2N - phi_N| / 63 meets ``tol`` while successive
@@ -483,21 +586,24 @@ def _magnus_states(block: _FrameBlock, times: np.ndarray, phi0: np.ndarray, tol:
         if not np.isfinite(bound * bound):
             raise IntegrationError("Magnus step generator is not finite; the couplings overflow")
     longest, intervals = float(np.max(np.diff(times))), len(times) - 1
-    n, steps, prev, diffs = 1, 0, None, []
+    n, steps, exponentials, prev, diffs = 1, 0, 0, None, []
     while intervals * n <= _MAX_STEPS:
         states = None
         if longest / n * bound <= _THETA16 * 2.0**_MAX_SQUARINGS:
             states = np.empty((len(times), block.dim), dtype=complex)
             states[0] = phi0
-            for i, u in enumerate(np.moveaxis(_interval_propagators(block, times, n), -1, 0)):
-                states[i + 1] = u @ states[i]
+            level = _MagnusLevel(block, times, n)
+            props = np.moveaxis(_interval_propagators(block, times, n, level), -1, 0)
+            for i, u in enumerate(np.ascontiguousarray(props)):
+                np.dot(u, states[i], out=states[i + 1])
             steps += intervals * n
+            exponentials += level.exponentials
         if n > 1:
             built = states is not None and prev is not None
             diff = float(np.max(np.abs(states - prev))) if built else np.inf
             shrinking = (diffs and diff < diffs[-1]) or diff <= _ROUNDING_FLOOR
             if diff / 63.0 <= tol and shrinking:
-                return states, steps, diff / 63.0
+                return states, steps, exponentials, diff / 63.0
             diffs.append(diff)
         prev = states
         n *= 2
@@ -529,7 +635,7 @@ def evolve_state(
         raise IntegrationError(f"sampling times {grid.t_start}..{grid.t_end} are not finite")
     times = grid.times
     psi = psi0.amplitudes.astype(complex)
-    steps, error, touched, columns = 0, 0.0, [], []
+    steps, exponentials, error, touched, columns = 0, 0, 0.0, [], []
     for idx in invariant_blocks(sum(np.abs(m) for _, m in terms)):
         if not np.any(psi[idx]):
             continue
@@ -537,8 +643,9 @@ def evolve_state(
         block = _FrameBlock(terms, idx)
         phi0 = np.exp(1j * block.energies * times[0]) * psi[idx]
         if len(block.residuals):
-            phi, taken, estimate = _magnus_states(block, times, phi0, cfg.rel_tol)
+            phi, taken, formed, estimate = _magnus_states(block, times, phi0, cfg.rel_tol)
             steps += taken
+            exponentials += formed
             error = max(error, estimate)
         else:
             lam, vec = np.linalg.eigh(block.static)
@@ -546,7 +653,7 @@ def evolve_state(
             phi = coeffs @ vec.T
         columns.append(np.exp(-1j * np.outer(times, block.energies)) * phi)
     traj = Trajectory(times, layout, np.concatenate(touched), np.hstack(columns), False,
-                      steps=steps, error_estimate=error)
+                      steps=steps, exponentials=exponentials, error_estimate=error)
     return _guarded(traj, 10.0 * cfg.rel_tol)
 
 
@@ -649,7 +756,8 @@ def _guarded(traj: Trajectory, drift_limit: float, step_name: str = "") -> Traje
     """
     entries = traj.entries
     finite = np.isfinite(entries).all(axis=1)
-    safe = np.where(finite[:, None], entries, 0.0)  # eigvalsh needs finite entries
+    # eigvalsh needs finite entries
+    safe = entries if finite.all() else np.where(finite[:, None], entries, 0.0)
     if traj.density:
         measure, d = "trace", traj.layout.dim
         rows, cols = traj.index % d, traj.index // d
@@ -687,26 +795,24 @@ def _lowest_eigenvalues(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     """Lowest eigenvalue of each sampled rho from its entries at (rows, cols).
 
     rho splits along the connected components of the d x d pattern of
-    those entries; a component of one level is a population, and the
-    others take a stacked ``eigvalsh`` of their Hermitian part.
+    those entries.  A component of one level holds one population, and
+    all of them are read in one masked reduction; the others take a
+    stacked ``eigvalsh`` of their Hermitian part.
     """
     pattern = np.zeros((d, d), dtype=bool)
     pattern[rows, cols] = True
     comps = invariant_blocks(pattern)  # each component's levels ascend
+    sizes = np.array([len(comp) for comp in comps])
     label = np.empty(d, dtype=int)
-    for c, comp in enumerate(comps):
-        label[comp] = c
+    label[np.concatenate(comps)] = np.repeat(np.arange(len(comps)), sizes)
     owner = label[rows]
-    lam_min = np.full(len(entries), np.inf)
-    for c, comp in enumerate(comps):
-        inside = owner == c
-        if len(comp) == 1:
-            low = entries[:, inside].real.min(axis=1, initial=np.inf)
-        else:
-            sub = np.zeros((len(entries), len(comp), len(comp)), dtype=complex)
-            sub[:, np.searchsorted(comp, rows[inside]),
-                np.searchsorted(comp, cols[inside])] = entries[:, inside]
-            low = np.linalg.eigvalsh(0.5 * (sub + sub.conj().transpose(0, 2, 1))).min(axis=1)
+    lam_min = entries[:, sizes[owner] == 1].real.min(axis=1, initial=np.inf)
+    for c in np.flatnonzero(sizes > 1):
+        comp, inside = comps[c], owner == c
+        sub = np.zeros((len(entries), len(comp), len(comp)), dtype=complex)
+        sub[:, np.searchsorted(comp, rows[inside]),
+            np.searchsorted(comp, cols[inside])] = entries[:, inside]
+        low = np.linalg.eigvalsh(0.5 * (sub + sub.conj().transpose(0, 2, 1))).min(axis=1)
         lam_min = np.minimum(lam_min, low)
     return lam_min
 

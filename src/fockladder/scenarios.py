@@ -500,7 +500,8 @@ def _hamiltonian_run(config: ScenarioConfig, summary: dict, key: str, build, lev
     traj = evolve_state(h, psi0, t_grid, config.integrator)
     summary.setdefault("leakage", {})[key] = traj.leakage
     summary.setdefault("diagnostics", {}).setdefault("integrator", {})[key] = {
-        "steps": traj.steps, "error_estimate": traj.error_estimate,
+        "steps": traj.steps, "exponentials": traj.exponentials,
+        "error_estimate": traj.error_estimate,
     }
     return traj
 

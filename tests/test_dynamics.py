@@ -48,7 +48,7 @@ from fockladder import (
 )
 from fockladder import lindblad
 from fockladder.lindblad import LiouvillianMatrix, invariant_blocks, propagate_touched
-from fockladder.scenarios import _ladder_from_doc
+from fockladder.scenarios import _ladder_from_doc, run_scenario
 from oracles import (
     as_liouvillian,
     csgraph_blocks,
@@ -277,6 +277,89 @@ class TestEvolveState:
         probs = np.abs(traj.states[-1].amplitudes) ** 2
         # |e,0> fully transferred to |g,1> (atom factor first, index 0 = g)
         assert probs[1] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestMagnusLevels:
+    """Step propagators interpolated on a grid of residual phases (``_MagnusLevel``)."""
+
+    @staticmethod
+    def direct(level, starts):
+        """Oracle: every step built from its own start phases."""
+        block = level.block
+        return lindblad._magnus_propagators(block, block.start_phases(starts), level.h)
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3a", "fig3b"])
+    def test_interpolated_steps_match_direct_build(self, name, monkeypatch):
+        # every level of every block that a preset run builds, at 512 starts
+        # spread over the level's steps
+        levels = []
+
+        class Recorded(lindblad._MagnusLevel):
+            def __init__(self, block, times, n):
+                super().__init__(block, times, n)
+                levels.append((self, times, n))
+
+        monkeypatch.setattr(lindblad, "_MagnusLevel", Recorded)
+        summary = run_scenario(load_scenario(name)).summary
+        full = summary["diagnostics"]["integrator"]["full"]
+        assert sum((len(times) - 1) * n for _, times, n in levels) == full["steps"]
+        assert full["exponentials"] < full["steps"]
+        for level, times, n in levels:
+            assert level.harmonics is not None
+            count = (len(times) - 1) * n
+            starts = times[0] + level.h * np.linspace(0, count - 1, 512).round()
+            err = np.max(np.abs(level.steps(starts) - self.direct(level, starts)))
+            assert err <= 1e-13, (n, err)
+
+    def test_shared_residual_takes_one_phase_dimension(self):
+        # a star of edges 0-1, 0-2, 0-3 (the spanning tree) and two edges,
+        # 1-2 and 2-3, that keep the same residual 0.05 (to rounding) in
+        # the frame of the star; Fock levels 4-9 keep the top of the cutoff empty
+        layout = field_layout(9)
+
+        def edge(r, s):
+            m = np.zeros((10, 10))
+            m[r, s] = 1.0
+            return m
+
+        h = TimeDependentHamiltonian(layout, [
+            (1.0, 0.7, edge(1, 0)), (1.0, 1.1, edge(2, 0)), (1.0, 1.3, edge(3, 0)),
+            (0.2, 1.1 - 0.7 + 0.05, edge(2, 1)), (0.3, 1.3 - 1.1 + 0.05, edge(3, 2)),
+        ])
+        block = lindblad._FrameBlock(lindblad._half_terms(h, layout), np.arange(4))
+        assert len(block.amplitudes) == 2
+        assert block.frequencies == pytest.approx([0.05], abs=1e-14)
+        assert block.dimension.tolist() == [0, 0]
+        times = TimeGrid(0.0, 30.0, 16).times
+        level = lindblad._MagnusLevel(block, times, 8)
+        # one-dimensional grids of 8, 16, ..., M nodes, M/2 - 1 harmonics kept
+        size = 2 * (len(level.orders) + 1)
+        assert level.exponentials == 2 * size - 8
+        assert level.harmonics.shape[1] == len(level.orders)
+        starts = times[0] + level.h * np.arange(120)
+        assert np.max(np.abs(level.steps(starts) - self.direct(level, starts))) <= 1e-13
+        psi0 = fock_state(0, 9)
+        traj = evolve_state(h, psi0, TimeGrid(0.0, 30.0, 16), FAST)
+        got = np.array([s.amplitudes for s in traj.states])
+        assert np.max(np.abs(got - dop853_states(h, psi0, times))) <= 1e-8
+
+    def test_unconverged_level_is_built_step_by_step(self, monkeypatch):
+        # a moving amplitude of 5 on a coarse level (60 steps of h = 0.5):
+        # the grids of 8, 16 and 32 nodes leave harmonics above rounding,
+        # and 64 nodes would reach the step count
+        layout = field_layout(1)
+        edge = np.array([[0.0, 0.0], [1.0, 0.0]])
+        h = TimeDependentHamiltonian(layout, [(0.3, 1.0, edge), (5.0, 1.3, edge)])
+        block = lindblad._FrameBlock(lindblad._half_terms(h, layout), np.arange(2))
+        times = TimeGrid(0.0, 30.0, 16).times
+        level = lindblad._MagnusLevel(block, times, 4)
+        assert level.harmonics is None
+        props = lindblad._interval_propagators(block, times, 4, level)
+        assert level.exponentials == 8 + 16 + 32 + 60
+        monkeypatch.setattr(lindblad, "_FIRST_NODES", 64)  # no grid is tried
+        direct = lindblad._MagnusLevel(block, times, 4)
+        assert np.array_equal(props, lindblad._interval_propagators(block, times, 4, direct))
+        assert direct.exponentials == 60
 
 
 class TestEvolveDensity:
@@ -607,6 +690,45 @@ class TestStateRunGuards:
         traj = lindblad._guarded(self.trajectory(amps, HilbertLayout((("atom", 3),))),
                                  self.LIMIT)
         assert traj.leakage == 0.0
+
+
+class TestDensityGuardPatterns:
+    """A population-only density trajectory and one with a coherence component, guarded alike."""
+
+    LIMIT = 1e-8
+    D = 6
+
+    @classmethod
+    def trajectory(cls, pops, mixed):
+        """Samples rho = diag(pops); ``mixed`` also stores |0><1| and |1><0|, at zero."""
+        pops = np.asarray(pops, dtype=complex)
+        index = np.arange(cls.D) * (cls.D + 1)
+        if mixed:  # vec index r + c d of |r><c|
+            index = np.r_[index, cls.D, 1]
+            pops = np.hstack([pops, np.zeros((len(pops), 2))])
+        return lindblad.Trajectory(np.arange(len(pops), dtype=float), field_layout(cls.D - 1),
+                                   index, pops, True)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_leakage_recorded(self, mixed):
+        pops = np.eye(self.D)[[0, 0]]
+        pops[1, [0, 4, 5]] = (1.0 - 3e-7, 1e-7, 2e-7)
+        traj = lindblad._guarded(self.trajectory(pops, mixed), self.LIMIT)
+        assert traj.leakage == 1e-7 + 2e-7
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("sample, message", [
+        ([np.nan, 0, 0, 0, 0, 0], "trace drift nan exceeds 1e-08"),
+        ([1.1, 0, 0, 0, 0, 0], "trace drift 0.10000000000000009 exceeds 1e-08"),
+        ([1.5, -0.5, 0, 0, 0, 0], "negative eigenvalue -0.5; truncation or step failure"),
+        ([0.5, 0, 0, 0, 0, 0.5],
+         "top-two Fock population 0.5 >= 1e-06; raise the cutoff"),
+    ])
+    def test_errors(self, mixed, sample, message):
+        pops = np.array([np.eye(self.D)[0], sample])
+        with pytest.raises((IntegrationError, LeakageError)) as err:
+            lindblad._guarded(self.trajectory(pops, mixed), self.LIMIT)
+        assert str(err.value) == message
 
 
 class TestLiouvillianMatrix:

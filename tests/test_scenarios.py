@@ -197,15 +197,17 @@ class TestRunner:
     def test_integrator_diagnostics_recorded(self):
         engineered = run_scenario(parse_config(engineered_doc())).summary
         assert engineered["diagnostics"]["integrator"] == {
-            "engineered": {"steps": 0, "error_estimate": 0.0}
+            "engineered": {"steps": 0, "exponentials": 0, "error_estimate": 0.0}
         }
         doc = preset_document("fig2a")
         first = summary_to_json(run_scenario(parse_config(doc)).summary)
         assert summary_to_json(run_scenario(parse_config(doc)).summary) == first
         integrator = json.loads(first)["diagnostics"]["integrator"]
         assert integrator["full"]["steps"] > 0
+        # the full run's steps are interpolated from fewer exponentials
+        assert 0 < integrator["full"]["exponentials"] < integrator["full"]["steps"]
         assert 0.0 < integrator["full"]["error_estimate"] <= doc["integrator"]["rel_tol"]
-        assert integrator["engineered"] == {"steps": 0, "error_estimate": 0.0}
+        assert integrator["engineered"] == {"steps": 0, "exponentials": 0, "error_estimate": 0.0}
 
     def test_density_diagnostics_recorded(self):
         # a thermal field touches only the block of the 13 populations
