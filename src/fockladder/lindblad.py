@@ -17,17 +17,17 @@ step doubling until the Richardson error estimate meets the requested
 tolerance.  Step stacks are laid out (d, d, steps), batch last: a matrix
 product is a loop over d of broadcast multiply-adds, every nested
 commutator of anti-Hermitian terms takes one product, [A, B] = AB - (AB)^dag,
-and exp(Omega) is a Taylor-16 scaling-and-squaring polynomial, so a step
-calls no LAPACK routine.  The sampling grid is a linspace, so all steps of
-a doubling level have one length, and a step depends on its start only
-through the phases of the block's one or two residual frequencies
-(entries at one residual share a phase).  Each level therefore forms
-exp(Omega) only on a tensor grid of those phases, with the node count
-doubled from 8 per phase until the upper half of the harmonics is at
-rounding, and takes every step from the trigonometric interpolant (its
-lower half) by one matrix product per chunk of steps (Trefethen &
-Weideman, SIAM Rev. 56, 385 (2014)).  A level whose harmonics converge
-only on a grid as large as its step count builds its steps one by one.
+and exp(Omega) is taken by ``expm``, so a step calls no LAPACK routine.
+The sampling grid is a linspace, so all steps of a doubling level have
+one length, and a step depends on its start only through the phases of
+the block's one or two residual frequencies (entries at one residual
+share a phase).  Each level therefore forms exp(Omega) only on a tensor
+grid of those phases, with the node count doubled from 16 per phase
+until the upper half of the harmonics is at rounding, and takes every
+step from the trigonometric interpolant (its lower half) by one matrix
+product per chunk of steps (Trefethen & Weideman, SIAM Rev. 56, 385
+(2014)).  A level whose harmonics converge only on a grid as large as its
+step count builds its steps one by one.
 
 Density operators are propagated as the column-stacked vector under the
 sparse vectorized Liouvillian, again only in the invariant blocks that
@@ -50,9 +50,10 @@ generator preserves Hermiticity, so the blocks of coherence orders +k
 and -k have conjugate spectra, and one of each pair is solved.
 
 The module needs numpy alone.  Vectorized generators are canonical COO
-triplets, their blocks are split by a union-find over the triplets, and
-their exponentials are taken by ``expm``, a Pade-13 scaling-and-squaring
-routine (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+triplets, and their blocks are split by a union-find over the triplets.
+Both propagators take their exponentials from one routine, ``expm``: a
+Taylor-16 scaling-and-squaring polynomial in expm1 form, on a single
+block or a stack of steps laid out batch last.
 """
 
 from __future__ import annotations
@@ -91,12 +92,13 @@ _ROUNDING_FLOOR = 1e-13
 _MAX_SQUARINGS = 4
 
 # A doubling level interpolates its steps on a grid of residual phases
-# (``_MagnusLevel``): _FIRST_NODES nodes per phase, doubled until every
-# upper harmonic is below _NODE_ROUNDING times the largest node entry.  No
-# grid that would keep more than _MAX_HARMONICS harmonics is tried, so a
-# step read from them stays cheaper than one built directly, and their
-# basis for one chunk of steps stays within 1 MiB
-_FIRST_NODES = 8
+# (``_MagnusLevel``): _FIRST_NODES nodes per phase (no preset level
+# converges on 8), doubled until every upper harmonic is below
+# _NODE_ROUNDING times the largest node entry.  No grid that would keep
+# more than _MAX_HARMONICS harmonics is tried, so a step read from them
+# stays cheaper than one built directly, and their basis for one chunk of
+# steps stays within 1 MiB
+_FIRST_NODES = 16
 _NODE_ROUNDING = 16 * np.finfo(float).eps
 _MAX_HARMONICS = 256
 
@@ -110,13 +112,6 @@ _POWER_BYTES = 2**20
 _GAUSS = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0)
 _TAYLOR16 = tuple(1.0 / math.factorial(k) for k in range(17))
 _THETA16 = 0.8246031916386088
-
-# Pade-13 numerator coefficients b_0..b_13, and theta_13: the largest
-# 1-norm at which the approximant is accurate to double precision
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
 
 
 class LeakageError(RuntimeError):
@@ -420,7 +415,14 @@ def _shared_frequencies(residuals: np.ndarray, rounding: np.ndarray):
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix products of two stacks laid out (d, d, ...), the batch last."""
+    """Matrix products of two stacks laid out (d, d, ...), the batch last, or of two matrices.
+
+    A stack (Magnus steps, d <= 5) takes a loop over d of broadcast
+    multiply-adds; a single matrix (a density block, up to d = 50) one BLAS
+    product.
+    """
+    if a.ndim == 2:
+        return a @ b
     out = a[:, :1] * b[:1]
     for k in range(1, len(a)):
         out += a[:, k:k + 1] * b[k:k + 1]
@@ -433,27 +435,36 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ab - ab.conj().swapaxes(0, 1)
 
 
-def _expm_stack(x: np.ndarray) -> np.ndarray:
-    """exp of every matrix of a (d, d, n) stack by Taylor-16 scaling and squaring.
+def expm(x: np.ndarray) -> np.ndarray:
+    """exp of a (d, d) matrix, or of each of a (d, d, n) stack, by Taylor-16 scaling and squaring.
 
-    The stack is scaled by 2^-s to a largest 1-norm of at most theta_16,
-    where the degree-16 Taylor polynomial is summed by Paterson-Stockmeyer
-    in x^4 (six products), and the result is squared s times.  The caller
-    keeps x finite and s small: ``_magnus_states`` builds no level whose
-    steps would need more than _MAX_SQUARINGS squarings.
+    x is scaled by 2^-s to a largest 1-norm of at most theta_16, where the
+    degree-16 Taylor polynomial less its constant term, E = p(x) - 1, is
+    summed by Paterson-Stockmeyer in x^4 (six products); each of the s
+    squarings takes E to 2E + E^2, and exp(x) = 1 + E.  In this expm1 form
+    the rounding scales with E, not with 1, so it does not drift the trace
+    of a density run step by step.  A non-finite x, or one whose
+    exponential overflows, gives NaN without a warning, for the guards of
+    the run to report.
     """
-    norm = np.abs(x).sum(axis=0).max()
-    s = int(np.ceil(np.log2(norm / _THETA16))) if norm > _THETA16 else 0
-    c, eye, x = _TAYLOR16, np.eye(len(x))[:, :, None], x / 2.0**s
-    x2 = _mul(x, x)
-    x3 = _mul(x2, x)
-    x4 = _mul(x2, x2)
-    r = c[12] * eye + c[13] * x + c[14] * x2 + c[15] * x3 + c[16] * x4
-    for j in (8, 4, 0):
-        r = c[j] * eye + c[j + 1] * x + c[j + 2] * x2 + c[j + 3] * x3 + _mul(x4, r)
-    for _ in range(s):
-        r = _mul(r, r)
-    return r
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(x).sum(axis=0).max()
+        if not np.isfinite(norm):
+            return np.full(x.shape, np.nan, dtype=complex)
+        s = int(np.ceil(np.log2(norm / _THETA16))) if norm > _THETA16 else 0
+        c, x = _TAYLOR16, x / 2.0**s
+        eye = np.eye(len(x)).reshape(x.shape[:2] + (1,) * (x.ndim - 2))
+        x2 = _mul(x, x)
+        x3 = _mul(x2, x)
+        x4 = _mul(x2, x2)
+        e = c[12] * eye + c[13] * x + c[14] * x2 + c[15] * x3 + c[16] * x4
+        for j in (8, 4):
+            e = c[j] * eye + c[j + 1] * x + c[j + 2] * x2 + c[j + 3] * x3 + _mul(x4, e)
+        e = c[1] * x + c[2] * x2 + c[3] * x3 + _mul(x4, e)
+        for _ in range(s):
+            e = 2.0 * e + _mul(e, e)
+        r = eye + e
+        return r if np.isfinite(r).all() else np.full(x.shape, np.nan, dtype=complex)
 
 
 def _magnus_propagators(block: _FrameBlock, phases: np.ndarray, h: float) -> np.ndarray:
@@ -478,7 +489,7 @@ def _magnus_propagators(block: _FrameBlock, phases: np.ndarray, h: float) -> np.
     b1 -= 1j * h * block.static[:, :, None]
     c1 = _commutator(b1, b2)
     c2 = _commutator(b1, 2.0 * b3 + c1) / -60.0
-    return _expm_stack(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
+    return expm(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
 
 
 class _MagnusLevel:
@@ -675,36 +686,6 @@ def evolve_density(L: LiouvillianMatrix, rho0: DensityOperator, grid: TimeGrid) 
     vec0 = rho0.entries.astype(complex).ravel(order="F")
     steps = [(idx, expm(sub * dt)) for idx, sub in L.blocks if np.any(vec0[idx])]
     return propagate_touched(steps, vec0, times, layout)
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square array by Pade-13 scaling and squaring.
-
-    a is scaled by 2^-s to a 1-norm of at most theta_13, where the
-    approximant r = q^-1 p is taken, and r is squared s times (Higham, SIAM
-    J. Matrix Anal. Appl. 26, 1179 (2005)).  r is formed as 1 + 2 q^-1 u, u
-    the odd part of p, so its rounding scales with r - 1 and does not drift
-    the trace of a density run step by step.  A non-finite ``a``, or one
-    whose exponential overflows, gives NaN without a warning, for the
-    guards of the run to report.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(a, 1)
-        if not np.isfinite(norm):
-            return np.full(a.shape, np.nan, dtype=complex)
-        s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
-        b, eye, a = _PADE13, np.eye(len(a)), a / 2.0**s
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-        r = eye + 2.0 * np.linalg.solve(v - u, u)
-        for _ in range(s):
-            r = r @ r
-        return r if np.isfinite(r).all() else np.full(a.shape, np.nan, dtype=complex)
 
 
 def propagate_touched(steps: list[tuple[np.ndarray, np.ndarray]], vec0: np.ndarray,
@@ -925,8 +906,10 @@ def _block_spectra(L: LiouvillianMatrix) -> tuple[float, list[np.ndarray]]:
     mirrors = _mirrors(blocks, L.layout.dim)
     solved = [b for b, m in enumerate(mirrors) if m >= b]
     # |A|_2 <= |A|_F: blocks whose Frobenius norm is at most the running
-    # maximum cannot raise it
-    frobenius = {b: np.linalg.norm(subs[b]) for b in solved}
+    # maximum cannot raise it; an overflowing one (entries past ~1e154)
+    # reads inf, and its 2-norm is taken
+    with np.errstate(over="ignore"):
+        frobenius = {b: np.linalg.norm(subs[b]) for b in solved}
     norm = 0.0
     for b in sorted(solved, key=frobenius.get, reverse=True):
         if frobenius[b] <= norm:
