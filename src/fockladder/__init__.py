@@ -62,6 +62,7 @@ from .lindblad import (
     evolve_density,
     evolve_state,
     sparse_liouvillian,
+    spectral_gap,
     steady_state,
 )
 from .reservoir import (

@@ -15,19 +15,26 @@ three-point Gauss sixth-order Magnus steps (Blanes, Casas & Ros, BIT 40,
 434 (2000); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), with
 step doubling until the Richardson error estimate meets the requested
 tolerance.  Step stacks are laid out (d, d, steps), batch last: a matrix
-product is a loop over d of broadcast multiply-adds, every nested
+product is one ``einsum`` over the stack, every nested
 commutator of anti-Hermitian terms takes one product, [A, B] = AB - (AB)^dag,
 and exp(Omega) is taken by ``expm``, so a step calls no LAPACK routine.
 The sampling grid is a linspace, so all steps of a doubling level have
 one length, and a step depends on its start only through the phases of
 the block's one or two residual frequencies (entries at one residual
 share a phase).  Each level therefore forms exp(Omega) only on a tensor
-grid of those phases, with the node count doubled from 16 per phase
-until the upper half of the harmonics is at rounding, and takes every
-step from the trigonometric interpolant (its lower half) by one matrix
-product per chunk of steps (Trefethen & Weideman, SIAM Rev. 56, 385
-(2014)).  A level whose harmonics converge only on a grid as large as its
-step count builds its steps one by one.
+grid of those phases, with the node count M doubled from 16 per phase
+until the upper half of the harmonics is at rounding (Trefethen &
+Weideman, SIAM Rev. 56, 385 (2014)).  The product of the n steps of a
+sample interval is again a periodic function of its start phases, and is
+built from the step by log2 n doublings on a grid of 2M nodes,
+P_2j(phi) = P_j(phi + f j h) P_j(phi), with the shift taken exactly on
+the harmonics and the upper half tested at every doubling; every
+interval is then read from the harmonics at its origin.  A level whose
+grid does not converge, or whose products outgrow it, builds its steps
+one by one and multiplies them by the same doublings over consecutive
+steps.  At every level the blocks of one dim and one frequency count go
+together: one exponential for their nodes, one batch of doublings and
+one matmul per interval for their states.
 
 Density operators are propagated as the column-stacked vector under the
 sparse vectorized Liouvillian, again only in the invariant blocks that
@@ -91,13 +98,13 @@ _CHUNK_STEPS = 256
 _ROUNDING_FLOOR = 1e-13
 _MAX_SQUARINGS = 4
 
-# A doubling level interpolates its steps on a grid of residual phases
+# A doubling level takes its steps on a grid of residual phases
 # (``_MagnusLevel``): _FIRST_NODES nodes per phase (no preset level
 # converges on 8), doubled until every upper harmonic is below
-# _NODE_ROUNDING times the largest node entry.  No grid that would keep
-# more than _MAX_HARMONICS harmonics is tried, so a step read from them
-# stays cheaper than one built directly, and their basis for one chunk of
-# steps stays within 1 MiB
+# _NODE_ROUNDING times the largest node entry, the test that every
+# doubling of the interval products repeats on twice that grid.  No grid
+# whose lower half would keep more than _MAX_HARMONICS harmonics is
+# tried, which bounds the doubling grid at (2M)^m <= 4096 nodes per block
 _FIRST_NODES = 16
 _NODE_ROUNDING = 16 * np.finfo(float).eps
 _MAX_HARMONICS = 256
@@ -235,6 +242,34 @@ class LiouvillianMatrix:
             sub.setflags(write=False)
             out.append((idx, sub))
         return tuple(out)
+
+    @cached_property
+    def spectra(self) -> tuple[float, tuple[np.ndarray, ...]]:
+        """|L|_2 and the spectrum of each block of ``blocks``, in their order.
+
+        |L|_2 is the largest block norm.  A map that preserves Hermiticity,
+        L(rho^dag) = L(rho)^dag, as every generator of ``sparse_liouvillian``
+        does, has on the transposed entries of a block (``_mirrors``) the
+        block's entrywise conjugate up to the order of its entries: the same
+        norm and the conjugate spectrum.  One block of each mirrored pair is
+        solved, and a block with no imaginary part in real arithmetic.
+        ``steady_state`` and ``spectral_gap`` read this one eigensolve.
+        """
+        blocks, subs = zip(*self.blocks)
+        mirrors = _mirrors(blocks, self.layout.dim)
+        solved = [b for b, m in enumerate(mirrors) if m >= b]
+        # |A|_2 <= |A|_F: blocks whose Frobenius norm is at most the running
+        # maximum cannot raise it; an overflowing one (entries past ~1e154)
+        # reads inf, and its 2-norm is taken
+        with np.errstate(over="ignore"):
+            frobenius = {b: np.linalg.norm(subs[b]) for b in solved}
+        norm = 0.0
+        for b in sorted(solved, key=frobenius.get, reverse=True):
+            if frobenius[b] <= norm:
+                break
+            norm = max(norm, np.linalg.norm(_real_if_real(subs[b]), ord=2))
+        own = {b: np.linalg.eigvals(_real_if_real(subs[b])) for b in solved}
+        return norm, tuple(own[b] if m >= b else own[m].conj() for b, m in enumerate(mirrors))
 
 
 @dataclass
@@ -417,16 +452,13 @@ def _shared_frequencies(residuals: np.ndarray, rounding: np.ndarray):
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix products of two stacks laid out (d, d, ...), the batch last, or of two matrices.
 
-    A stack (Magnus steps, d <= 5) takes a loop over d of broadcast
-    multiply-adds; a single matrix (a density block, up to d = 50) one BLAS
-    product.
+    A stack (Magnus steps and phase grids, d <= 5) takes one ``einsum``
+    over its trailing axes; a single matrix (a density block, up to d = 50)
+    one BLAS product.
     """
     if a.ndim == 2:
         return a @ b
-    out = a[:, :1] * b[:1]
-    for k in range(1, len(a)):
-        out += a[:, k:k + 1] * b[k:k + 1]
-    return out
+    return np.einsum("ij...,jk...->ik...", a, b)
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -467,160 +499,281 @@ def expm(x: np.ndarray) -> np.ndarray:
         return r if np.isfinite(r).all() else np.full(x.shape, np.nan, dtype=complex)
 
 
-def _magnus_propagators(block: _FrameBlock, phases: np.ndarray, h: float) -> np.ndarray:
-    """exp(Omega) of one three-point Gauss Magnus-6 step of length h per start, stacked (d, d, n).
+def _magnus_propagators(blocks: Sequence[_FrameBlock], phases: np.ndarray, h: float) -> np.ndarray:
+    """exp(Omega) of one three-point Gauss Magnus-6 step of length h per block and start, stacked (d, d, blocks, n).
 
     A step from t depends on t only through the start phases e^{i f t} of
-    the block's frequencies f (``_FrameBlock.start_phases``), which
-    ``phases`` holds, shape (frequencies, n): the steps of a level and the
-    phase-grid nodes of ``_MagnusLevel`` go through this one routine.
-    With a_k = -i h G(t + c_k h) at the Gauss nodes c_k (Blanes, Casas & Ros,
-    BIT 40, 434 (2000)): b1 = a_2, b2 = sqrt(15)/3 (a_3 - a_1),
-    b3 = 10/3 (a_3 - 2 a_2 + a_1), C1 = [b1, b2], C2 = -[b1, 2 b3 + C1]/60
-    and Omega = b1 + b3/12 + [-20 b1 - b3 + C1, b2 + C2]/240.  The static
-    part of G enters b1 alone, so b2 and b3 are formed from the phases.
+    its block's frequencies f (``_FrameBlock.start_phases``), which
+    ``phases`` holds, shape (blocks, frequencies, n): the steps of a level
+    and the phase-grid nodes of ``_MagnusLevel`` go through this one
+    routine, and the blocks (of one dim and one frequency count) through
+    one ``expm``.  With a_k = -i h G(t + c_k h) at the Gauss nodes c_k
+    (Blanes, Casas & Ros, BIT 40, 434 (2000)): b1 = a_2,
+    b2 = sqrt(15)/3 (a_3 - a_1), b3 = 10/3 (a_3 - 2 a_2 + a_1), C1 = [b1, b2],
+    C2 = -[b1, 2 b3 + C1]/60 and Omega = b1 + b3/12 + [-20 b1 - b3 + C1, b2 + C2]/240.
+    The static part of G enters b1 alone, so b2 and b3 are formed from the
+    phases.
     """
-    d, n = block.dim, phases.shape[1]
-    start = phases[block.dimension] * block.amplitudes[:, None]  # entries of X at each start
-    p1, p2, p3 = (start * np.exp(1j * c * h * block.residuals)[:, None] for c in _GAUSS)
-    moving = np.stack([p2, np.sqrt(15.0) / 3.0 * (p3 - p1), 10.0 / 3.0 * (p3 - 2.0 * p2 + p1)])
-    x = (block.basis.T @ moving).reshape(3, d, d, n)
+    d, n = blocks[0].dim, phases.shape[-1]
+    x = np.empty((3, d * d, len(blocks), n), dtype=complex)
+    for b, block in enumerate(blocks):
+        start = phases[b, block.dimension] * block.amplitudes[:, None]  # entries of X at each start
+        p1, p2, p3 = (start * np.exp(1j * c * h * block.residuals)[:, None] for c in _GAUSS)
+        moving = np.stack([p2, np.sqrt(15.0) / 3.0 * (p3 - p1), 10.0 / 3.0 * (p3 - 2.0 * p2 + p1)])
+        x[:, :, b] = block.basis.T @ moving
+    x = x.reshape(3, d, d, len(blocks), n)
     b1, b2, b3 = -1j * h * (x + x.conj().swapaxes(1, 2))
-    b1 -= 1j * h * block.static[:, :, None]
+    b1 -= 1j * h * np.stack([block.static for block in blocks], axis=-1)[..., None]
     c1 = _commutator(b1, b2)
     c2 = _commutator(b1, 2.0 * b3 + c1) / -60.0
     return expm(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
 
 
-class _MagnusLevel:
-    """The Magnus steps of one block at one doubling level: n of one length h per sample interval.
+def _doubled(p: np.ndarray, n: int, halves) -> np.ndarray:
+    """P_n from the steps P_1 = ``p`` by log2 n doublings, P_2j = P_j(shifted by j steps) P_j.
 
-    ``times`` is a linspace, so one h serves the level.  A step depends on
-    its start t only through the angles f_q t of the block's m
-    frequencies, as an analytic periodic function, so the trigonometric
-    polynomial through its values on a tensor grid of M nodes per angle
-    converges geometrically in M (Trefethen & Weideman, SIAM Rev. 56, 385
-    (2014)).  M doubles from _FIRST_NODES while M^m stays below the
-    level's step count and the lower half of the harmonics, |k_q| < M/4,
-    numbers at most _MAX_HARMONICS, until every harmonic of the upper half
-    falls below _NODE_ROUNDING times the largest node entry.  The upper
-    half is then dropped, and each step is the lower half at its start:
-    one (d^2, harmonics) x (harmonics, steps) product per chunk.  A level
-    where no grid converges builds its steps one by one.
+    ``halves(p, j)`` gives the two factors of P_2j from P_j: P_j advanced by
+    j steps and P_j, each at the points where P_2j is taken.  On a phase
+    grid the points stay the nodes and the advance is a phase shift
+    (``_MagnusLevel``); on the exact step starts it is ``_index_shift``.
+    """
+    j = 1
+    while j < n:
+        p = _mul(*halves(p, j))
+        j *= 2
+    return p
+
+
+def _index_shift(p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of P_2j from consecutive products P_j along the last axis: each odd one after its even one."""
+    return p[..., 1::2], p[..., 0::2]
+
+
+class _MagnusLevel:
+    """One doubling level of a group of blocks: n Magnus steps of one length h per sample interval.
+
+    The blocks share their dim and their number m of frequencies, and are
+    built in one stack.  ``times`` is a linspace, so one h serves the
+    level.  A step depends on its start t only through the angles f_q t of
+    its block's frequencies, as an analytic periodic function, so the
+    trigonometric polynomial through its values on a tensor grid of M nodes
+    per angle converges geometrically in M (Trefethen & Weideman, SIAM Rev.
+    56, 385 (2014)).  For each block M doubles from _FIRST_NODES while M^m
+    stays below the level's step count and the lower half of the
+    harmonics, |k_q| < M/4, numbers at most _MAX_HARMONICS, until every
+    harmonic of the upper half falls below _NODE_ROUNDING times the largest
+    node entry.  ``sizes`` holds each block's M (0 where no grid
+    converged) and ``harmonics`` the lower half, shape (d, d, M/2 - 1, ...).
     ``exponentials`` counts the step exponentials formed, nodes included.
     """
 
-    def __init__(self, block: _FrameBlock, times: np.ndarray, n: int):
+    def __init__(self, blocks: Sequence[_FrameBlock], times: np.ndarray, n: int):
         count = (len(times) - 1) * n
-        self.block, self.h = block, (times[-1] - times[0]) / count
-        self.exponentials, self.harmonics = 0, None
-        m, size = len(block.frequencies), _FIRST_NODES
-        while size**m < count and (size // 2 - 1)**m <= _MAX_HARMONICS:
-            index = np.indices((size,) * m).reshape(m, -1)
-            values = self._build(np.exp(2j * np.pi / size * index))
-            harmonics = np.fft.fftn(values.reshape((-1,) + (size,) * m),
-                                    axes=range(1, m + 1)) / size**m
-            upper = np.abs(np.fft.fftfreq(size, 1.0 / size)[index]).max(axis=0) >= size // 4
-            if np.abs(harmonics[:, upper.reshape((size,) * m)]).max() \
-                    <= _NODE_ROUNDING * np.abs(values).max():
-                self.orders = np.arange(1 - size // 4, size // 4)
-                lower = np.ix_(*[self.orders % size] * m)
-                self.harmonics = harmonics[(slice(None),) + lower].reshape(len(values), -1)
-                break
+        self.blocks, self.times, self.n = list(blocks), times, n
+        self.h = (times[-1] - times[0]) / count
+        self.exponentials = 0
+        self.sizes = [0] * len(blocks)
+        self.harmonics: list[np.ndarray | None] = [None] * len(blocks)
+        m, size, trying = len(blocks[0].frequencies), _FIRST_NODES, list(range(len(blocks)))
+        while trying and size**m < count and (size // 2 - 1)**m <= _MAX_HARMONICS:
+            nodes = np.exp(2j * np.pi / size * np.indices((size,) * m).reshape(m, -1))
+            values = self._build([blocks[b] for b in trying],
+                                 np.broadcast_to(nodes, (len(trying),) + nodes.shape))
+            scale = _NODE_ROUNDING * np.abs(values).max(axis=(0, 1, 3))
+            harmonics = _fourier(values.reshape(values.shape[:3] + (size,) * m))
+            converged = _tail(harmonics) <= scale
+            lower = (slice(None),) * 2 + np.ix_(*[np.arange(1 - size // 4, size // 4) % size] * m)
+            for b, ok, coeffs in zip(trying, converged, np.moveaxis(harmonics, 2, 0)):
+                if ok:
+                    self.sizes[b], self.harmonics[b] = size, coeffs[lower]
+            trying = [b for b in trying if not self.sizes[b]]
             size *= 2
 
-    def _build(self, phases: np.ndarray) -> np.ndarray:
-        """The steps from start phases (frequencies, n), _CHUNK_STEPS at a time, as (d^2, n)."""
-        self.exponentials += phases.shape[1]
-        return np.hstack([
-            _magnus_propagators(self.block, phases[:, j:j + _CHUNK_STEPS], self.h)
-            .reshape(self.block.dim**2, -1)
-            for j in range(0, phases.shape[1], _CHUNK_STEPS)
-        ])
+    def _build(self, blocks: Sequence[_FrameBlock], phases: np.ndarray) -> np.ndarray:
+        """The steps of ``blocks`` from start phases (blocks, frequencies, N), as (d, d, blocks, N).
 
-    def steps(self, starts: np.ndarray) -> np.ndarray:
-        """The step propagators from each start, stacked (d, d, len(starts))."""
-        d = self.block.dim
-        if self.harmonics is None:
-            return self._build(self.block.start_phases(starts)).reshape(d, d, -1)
-        angles = np.multiply.outer(self.block.frequencies, starts)
-        waves = np.exp(1j * np.multiply.outer(self.orders, angles))  # (orders, m, steps)
-        basis = waves[:, 0]
-        for q in range(1, len(angles)):
-            basis = (basis[:, None] * waves[:, q]).reshape(-1, len(starts))
-        return (self.harmonics @ basis).reshape(d, d, -1)
+        They are built _CHUNK_STEPS exponentials at a time (at least one
+        per block).
+        """
+        self.exponentials += phases.shape[0] * phases.shape[-1]
+        width = max(1, _CHUNK_STEPS // len(blocks))
+        return np.concatenate([_magnus_propagators(blocks, phases[..., j:j + width], self.h)
+                               for j in range(0, phases.shape[-1], width)], axis=-1)
+
+    def doubled(self, group: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """P_n of the blocks ``group`` (of one M) over every sample interval, and which of them failed.
+
+        The doublings run on a working grid of W = 2M nodes per angle, in
+        one stack: P_j is shifted by j steps in the coefficient domain
+        (harmonic k times e^{i k.f j h}) and taken back to the nodes, where
+        P_2j is one product.  The product of two polynomials with |k_q| <
+        M/2 has |k_q| < M, so W does not alias it.  After every doubling
+        the harmonics with some |k_q| >= M/2 are tested against
+        _NODE_ROUNDING times the largest node entry and dropped; a block
+        whose tail fails anywhere is flagged.  Every interval is then read
+        from the |k_q| < M/2 harmonics at its origin by one (d^2, harmonics)
+        x (harmonics, intervals) product per block.  Shapes (d, d, blocks,
+        intervals) and (blocks,).
+        """
+        blocks = [self.blocks[b] for b in group]
+        size, d, m, count = self.sizes[group[0]], blocks[0].dim, len(blocks[0].frequencies), len(group)
+        w = 2 * size
+        harmonics = np.zeros((d, d, count) + (w,) * m, dtype=complex)
+        first = np.ix_(*[np.arange(1 - size // 4, size // 4) % w] * m)
+        harmonics[(slice(None),) * 3 + first] = np.stack([self.harmonics[b] for b in group], axis=2)
+        orders = np.fft.fftfreq(w, 1.0 / w)[np.indices((w,) * m)].reshape(m, -1)
+        freqs = np.array([block.frequencies for block in blocks])
+        advance = (freqs * self.h @ orders).reshape((count,) + (w,) * m)  # k.f h of each harmonic
+        node_axes = tuple(range(3, 3 + m))
+        kept = (np.abs(orders).max(axis=0) < size // 2).reshape((w,) * m)
+        failed = np.zeros(count, dtype=bool)
+
+        def transformed(p):  # the harmonics of P_j from its nodes, with its tail tested
+            nonlocal failed
+            coeffs = _fourier(p.copy())
+            failed |= _tail(coeffs) > _NODE_ROUNDING * np.abs(p).max(axis=(0, 1) + node_axes)
+            return coeffs
+
+        def halves(p, j):  # P_1's harmonics are known
+            coeffs = harmonics if j == 1 else transformed(p)
+            coeffs *= np.exp(1j * j * advance) * kept  # advanced by j steps, the tail dropped
+            return _fourier(coeffs, inverse=True), p
+
+        p = _doubled(_fourier(harmonics.copy(), inverse=True), self.n, halves)
+        lower = np.arange(1 - size // 2, size // 2)
+        coeffs = transformed(p)[(slice(None),) * 3 + np.ix_(*[lower % w] * m)]
+        coeffs = np.moveaxis(coeffs.reshape(d * d, count, -1), 1, 0)
+        # e^{i k f t} at every origin, k = 1 - M/2 .. M/2 - 1: powers of e^{i f t}
+        turn = np.exp(1j * np.multiply.outer(freqs, self.times[:-1]))  # (blocks, m, intervals)
+        up = np.cumprod(np.broadcast_to(turn, (size // 2 - 1,) + turn.shape), axis=0)
+        waves = np.concatenate([up[::-1].conj(), np.ones((1,) + turn.shape), up])
+        basis = waves[:, :, 0]
+        for q in range(1, m):
+            basis = (basis[:, None] * waves[:, :, q]).reshape(-1, *basis.shape[1:])
+        props = np.matmul(coeffs, np.moveaxis(basis, 1, 0))  # (blocks, d^2, intervals)
+        return np.moveaxis(props, 0, 1).reshape(d, d, count, -1), failed
+
+    def stepped(self, group: Sequence[int], origins: np.ndarray) -> np.ndarray:
+        """P_n of the blocks ``group`` over the intervals from ``origins``, every step built from its start.
+
+        Runs of min(n, _CHUNK_STEPS) consecutive steps are built a chunk at
+        a time and doubled down by ``_index_shift``, and the runs of one
+        interval likewise, so memory stays bounded.  Shape (d, d, blocks,
+        len(origins)).
+        """
+        blocks = [self.blocks[b] for b in group]
+        per, d, count = min(self.n, _CHUNK_STEPS), blocks[0].dim, len(group)
+        runs = (origins[:, None] + self.h * np.arange(self.n)).reshape(-1, per)
+        chunk = max(1, _CHUNK_STEPS // per)
+        products = []
+        for k in range(0, len(runs), chunk):
+            starts = runs[k:k + chunk].ravel()
+            steps = self._build(blocks, np.stack([block.start_phases(starts) for block in blocks]))
+            products.append(_doubled(steps.reshape(d, d, count, -1, per), per, _index_shift)[..., 0])
+        products = np.concatenate(products, axis=-1).reshape(d, d, count, len(origins), -1)
+        return _doubled(products, self.n // per, _index_shift)[..., 0]
 
 
-def _interval_propagators(block: _FrameBlock, times: np.ndarray, n: int,
-                          level: _MagnusLevel | None = None) -> np.ndarray:
-    """Product of n equal Magnus steps over each sample interval (n a power of 2).
+def _fourier(grid: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Harmonics of values on a tensor grid laid out (d, d, blocks, size, ...), or (``inverse``) values of harmonics.
 
-    The products are stacked (d, d, intervals).  ``times`` is a linspace,
-    so every step has the length h of ``level``, the level of these n
-    steps (built here when not given), which gives them _CHUNK_STEPS at a
-    time, interpolated on its phase grid or built directly; they are
-    multiplied pairwise.
+    Harmonic k is the coefficient of e^{i k.phi}, in FFT order.  The
+    transform runs in place, one grid axis at a time.
     """
-    level = level or _MagnusLevel(block, times, n)
-    origins, h, d = times[:-1], level.h, block.dim
-    out = np.empty((d, d, len(origins)), dtype=complex)
-    per = min(n, _CHUNK_STEPS)  # steps of one interval built at once
-    group = max(1, _CHUNK_STEPS // n)  # intervals built at once
-    for k0 in range(0, len(origins), group):
-        k = slice(k0, k0 + group)
-        acc = None
-        for j0 in range(0, n, per):
-            starts = origins[k][:, None] + h * np.arange(j0, j0 + per)
-            props = level.steps(starts.ravel()).reshape(d, d, -1, per)
-            while props.shape[-1] > 1:
-                props = _mul(props[..., 1::2], props[..., 0::2])
-            acc = props[..., 0] if acc is None else _mul(props[..., 0], acc)
-        out[..., k] = acc
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in range(grid.ndim - 1, 2, -1):
+        transform(grid, axis=axis, norm="forward", out=grid)
+    return grid
+
+
+def _tail(harmonics: np.ndarray) -> np.ndarray:
+    """Largest harmonic with some |k_q| >= size/4 of each block, harmonics laid out (d, d, blocks, size, ...)."""
+    size, grid = harmonics.shape[-1], tuple(range(3, harmonics.ndim))
+    upper = slice(size // 4, size - size // 4 + 1)  # |k| >= size/4 in FFT order
+    return np.max([np.abs(harmonics[(slice(None),) * axis + (upper,)]).max(axis=(0, 1) + grid)
+                   for axis in grid], axis=0)
+
+
+def _interval_propagators(level: _MagnusLevel) -> np.ndarray:
+    """Product of the level's n equal steps over each sample interval, for each of its blocks.
+
+    Stacked (d, d, blocks, intervals).  The blocks of one converged grid
+    size M are doubled on their phase grid together
+    (``_MagnusLevel.doubled``); a block whose grid did not converge, or
+    whose tail test failed, takes the exact product of its steps built one
+    by one (``_MagnusLevel.stepped``).
+    """
+    origins, d = level.times[:-1], level.blocks[0].dim
+    out = np.empty((d, d, len(level.blocks), len(origins)), dtype=complex)
+    exact = [b for b, size in enumerate(level.sizes) if not size]
+    for size in sorted(set(level.sizes) - {0}):
+        group = [b for b, s in enumerate(level.sizes) if s == size]
+        out[:, :, group], failed = level.doubled(group)
+        exact += [b for b, bad in zip(group, failed) if bad]
+    if exact:
+        out[:, :, sorted(exact)] = level.stepped(sorted(exact), origins)
     return out
 
 
-def _magnus_states(block: _FrameBlock, times: np.ndarray, phi0: np.ndarray, tol: float):
-    """Frame states at ``times`` by step doubling.
+def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.ndarray, tol: float):
+    """Frame states at ``times`` of blocks of one dim and one frequency count, by step doubling.
 
-    Returns (states, steps taken, step exponentials formed, error estimate).
+    ``phi0`` holds each block's initial frame state, shape (blocks, d).
+    Returns (states (len(times), blocks, d), steps taken, step
+    exponentials formed, largest accepted error estimate).
 
-    Substeps per sample interval double from 1 until the Richardson
-    estimate max|phi_2N - phi_N| / 63 meets ``tol`` while successive
-    differences shrink (or sit at rounding level).  |Omega|_1 is about h g,
-    where g = |static|_1 + 2 sum|amplitudes| bounds |G(t)|_1: a level with
-    h g above 2^_MAX_SQUARINGS theta_16 is not built, and differs
-    infinitely from its neighbours, so two more levels are needed to
-    accept.  A block whose g^2 overflows raises before any step is built.
+    For each block, substeps per sample interval double from 1 until the
+    Richardson estimate max|phi_2N - phi_N| / 63 meets ``tol`` while
+    successive differences shrink (or sit at rounding level).  |Omega|_1 is
+    about h g, where g = |static|_1 + 2 sum|amplitudes| bounds |G(t)|_1: a
+    level with h g above 2^_MAX_SQUARINGS theta_16 is not built for that
+    block, and differs infinitely from its neighbours, so two more levels
+    are needed to accept.  A block whose g^2 overflows raises before any
+    step is built.  Each level builds the blocks that are still open in one
+    ``_MagnusLevel`` and advances their states by one matmul per interval.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = np.abs(block.static).sum(axis=0).max() + 2.0 * np.abs(block.amplitudes).sum()
-        if not np.isfinite(bound * bound):
+        bounds = np.array([np.abs(block.static).sum(axis=0).max() + 2.0 * np.abs(block.amplitudes).sum()
+                           for block in blocks])
+        if not np.isfinite(bounds * bounds).all():
             raise IntegrationError("Magnus step generator is not finite; the couplings overflow")
     longest, intervals = float(np.max(np.diff(times))), len(times) - 1
-    n, steps, exponentials, prev, diffs = 1, 0, 0, None, []
+    n, steps, exponentials, error = 1, 0, 0, 0.0
+    accepted: list[np.ndarray | None] = [None] * len(blocks)
+    prev: list[np.ndarray | None] = [None] * len(blocks)
+    diffs: list[list[float]] = [[] for _ in blocks]
     while intervals * n <= _MAX_STEPS:
-        states = None
-        if longest / n * bound <= _THETA16 * 2.0**_MAX_SQUARINGS:
-            states = np.empty((len(times), block.dim), dtype=complex)
-            states[0] = phi0
-            level = _MagnusLevel(block, times, n)
-            props = np.moveaxis(_interval_propagators(block, times, n, level), -1, 0)
-            for i, u in enumerate(np.ascontiguousarray(props)):
-                np.dot(u, states[i], out=states[i + 1])
-            steps += intervals * n
+        open_ = [b for b, state in enumerate(accepted) if state is None]
+        built = [b for b in open_ if longest / n * bounds[b] <= _THETA16 * 2.0**_MAX_SQUARINGS]
+        states = {}
+        if built:
+            level = _MagnusLevel([blocks[b] for b in built], times, n)
+            props = np.ascontiguousarray(_interval_propagators(level).transpose(3, 2, 0, 1))
+            run = np.empty((len(times), len(built), blocks[0].dim, 1), dtype=complex)
+            run[0, :, :, 0] = phi0[built]
+            for i, u in enumerate(props):
+                np.matmul(u, run[i], out=run[i + 1])
+            states = dict(zip(built, np.moveaxis(run[..., 0], 1, 0)))
+            steps += len(built) * intervals * n
             exponentials += level.exponentials
-        if n > 1:
-            built = states is not None and prev is not None
-            diff = float(np.max(np.abs(states - prev))) if built else np.inf
-            shrinking = (diffs and diff < diffs[-1]) or diff <= _ROUNDING_FLOOR
-            if diff / 63.0 <= tol and shrinking:
-                return states, steps, exponentials, diff / 63.0
-            diffs.append(diff)
-        prev = states
+        for b in open_:
+            current = states.get(b)
+            if n > 1:
+                both = current is not None and prev[b] is not None
+                diff = float(np.max(np.abs(current - prev[b]))) if both else np.inf
+                shrinking = (diffs[b] and diff < diffs[b][-1]) or diff <= _ROUNDING_FLOOR
+                if diff / 63.0 <= tol and shrinking:
+                    accepted[b], error = current, max(error, diff / 63.0)
+                    continue
+                diffs[b].append(diff)
+            prev[b] = current
+        if all(state is not None for state in accepted):
+            return np.stack(accepted, axis=1), steps, exponentials, error
         n *= 2
+    last = diffs[next(b for b, state in enumerate(accepted) if state is None)]
     raise IntegrationError(
         f"Magnus steps missed rel_tol {tol} within {_MAX_STEPS} steps per block "
-        f"(last estimate {diffs[-1] / 63.0 if diffs else float('inf')})"
+        f"(last estimate {last[-1] / 63.0 if last else float('inf')})"
     )
 
 
@@ -636,9 +789,10 @@ def evolve_state(
     ``TimeDependentHamiltonian``.  Only the invariant blocks of H that
     psi0 touches are propagated; the rest of the state stays exactly
     zero.  Blocks with no residual frequency in their frame are
-    propagated exactly, the others by Magnus steps to ``cfg.rel_tol``.
-    The trajectory goes through the guards of ``_guarded``, with a
-    norm-drift limit of 10 * ``cfg.rel_tol``.
+    propagated exactly, the others by Magnus steps to ``cfg.rel_tol``,
+    those of one dim and one frequency count stacked together
+    (``_magnus_states``).  The trajectory goes through the guards of
+    ``_guarded``, with a norm-drift limit of 10 * ``cfg.rel_tol``.
     """
     layout = psi0.layout
     terms = _half_terms(H, layout)
@@ -646,23 +800,25 @@ def evolve_state(
         raise IntegrationError(f"sampling times {grid.t_start}..{grid.t_end} are not finite")
     times = grid.times
     psi = psi0.amplitudes.astype(complex)
-    steps, exponentials, error, touched, columns = 0, 0, 0.0, [], []
-    for idx in invariant_blocks(sum(np.abs(m) for _, m in terms)):
-        if not np.any(psi[idx]):
-            continue
-        touched.append(idx)
-        block = _FrameBlock(terms, idx)
-        phi0 = np.exp(1j * block.energies * times[0]) * psi[idx]
+    touched = [idx for idx in invariant_blocks(sum(np.abs(m) for _, m in terms)) if np.any(psi[idx])]
+    blocks = [_FrameBlock(terms, idx) for idx in touched]
+    phi0 = [np.exp(1j * block.energies * times[0]) * psi[idx] for block, idx in zip(blocks, touched)]
+    phis, groups = [None] * len(blocks), {}
+    for b, block in enumerate(blocks):
         if len(block.residuals):
-            phi, taken, formed, estimate = _magnus_states(block, times, phi0, cfg.rel_tol)
-            steps += taken
-            exponentials += formed
-            error = max(error, estimate)
+            groups.setdefault((block.dim, len(block.frequencies)), []).append(b)
         else:
             lam, vec = np.linalg.eigh(block.static)
-            coeffs = np.exp(-1j * np.outer(times - times[0], lam)) * (vec.conj().T @ phi0)
-            phi = coeffs @ vec.T
-        columns.append(np.exp(-1j * np.outer(times, block.energies)) * phi)
+            coeffs = np.exp(-1j * np.outer(times - times[0], lam)) * (vec.conj().T @ phi0[b])
+            phis[b] = coeffs @ vec.T
+    steps, exponentials, error = 0, 0, 0.0
+    for group in groups.values():
+        states, taken, formed, estimate = _magnus_states(
+            [blocks[b] for b in group], times, np.array([phi0[b] for b in group]), cfg.rel_tol)
+        for b, phi in zip(group, np.moveaxis(states, 1, 0)):
+            phis[b] = phi
+        steps, exponentials, error = steps + taken, exponentials + formed, max(error, estimate)
+    columns = [np.exp(-1j * np.outer(times, block.energies)) * phi for block, phi in zip(blocks, phis)]
     traj = Trajectory(times, layout, np.concatenate(touched), np.hstack(columns), False,
                       steps=steps, exponentials=exponentials, error_estimate=error)
     return _guarded(traj, 10.0 * cfg.rel_tol)
@@ -778,8 +934,11 @@ def _lowest_eigenvalues(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     rho splits along the connected components of the d x d pattern of
     those entries.  A component of one level holds one population, and
     all of them are read in one masked reduction; the others take a
-    stacked ``eigvalsh`` of their Hermitian part.
+    stacked ``eigvalsh`` of their Hermitian part.  When every entry is a
+    population (a thermal or Fock start) the components are not searched.
     """
+    if np.array_equal(rows, cols):  # populations alone: every component is one level
+        return entries.real.min(axis=1, initial=np.inf)
     pattern = np.zeros((d, d), dtype=bool)
     pattern[rows, cols] = True
     comps = invariant_blocks(pattern)  # each component's levels ascend
@@ -892,43 +1051,16 @@ def _real_if_real(a: np.ndarray) -> np.ndarray:
     return a if np.any(a.imag) else a.real
 
 
-def _block_spectra(L: LiouvillianMatrix) -> tuple[float, list[np.ndarray]]:
-    """|L|_2 and the spectrum of each block of ``L.blocks``, in their order.
-
-    |L|_2 is the largest block norm.  ``L`` preserves Hermiticity,
-    L(rho^dag) = L(rho)^dag, as every generator of ``sparse_liouvillian``
-    does, so the block on the transposed entries of a block (``_mirrors``)
-    is its entrywise conjugate up to the order of its entries: it has the
-    same norm and the conjugate spectrum.  One block of each mirrored pair
-    is solved, and a block with no imaginary part in real arithmetic.
-    """
-    blocks, subs = zip(*L.blocks)
-    mirrors = _mirrors(blocks, L.layout.dim)
-    solved = [b for b, m in enumerate(mirrors) if m >= b]
-    # |A|_2 <= |A|_F: blocks whose Frobenius norm is at most the running
-    # maximum cannot raise it; an overflowing one (entries past ~1e154)
-    # reads inf, and its 2-norm is taken
-    with np.errstate(over="ignore"):
-        frobenius = {b: np.linalg.norm(subs[b]) for b in solved}
-    norm = 0.0
-    for b in sorted(solved, key=frobenius.get, reverse=True):
-        if frobenius[b] <= norm:
-            break
-        norm = max(norm, np.linalg.norm(_real_if_real(subs[b]), ord=2))
-    own = {b: np.linalg.eigvals(_real_if_real(subs[b])) for b in solved}
-    return norm, [own[b] if m >= b else own[m].conj() for b, m in enumerate(mirrors)]
-
-
 def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     """Unique null-space density operator of a trace-preserving Liouvillian.
 
     The null and degeneracy counts run over the union of the block
-    spectra of ``_block_spectra``, against 1e-9 |L|_2; then only the block
+    spectra of ``LiouvillianMatrix.spectra``, against 1e-9 |L|_2; then only the block
     holding the null eigenvalue is eigendecomposed for its null vector,
     in real arithmetic when the block is real.
     """
     d = L.layout.dim
-    norm, spectra = _block_spectra(L)
+    norm, spectra = L.spectra
     eigvals = np.concatenate(spectra)
     order = np.argsort(np.abs(eigvals))
     lam_min = abs(eigvals[order[0]])
@@ -953,3 +1085,25 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     if abs(tr) < 1e-12:
         raise IntegrationError("null vector is traceless; not a steady state")
     return DensityOperator(L.layout, rho / tr)
+
+
+def spectral_gap(L: LiouvillianMatrix, index: np.ndarray | None = None) -> float:
+    """Slowest decay rate of ``L``: the least -Re(lambda) past its null eigenvalue.
+
+    The null eigenvalue is the one of least |lambda| in the whole spectrum,
+    as in ``steady_state``.  With ``index``, vec(rho) positions such as a
+    trajectory's ``index``, only the blocks holding those entries count:
+    the gap that a state on them feels.  inf when no other eigenvalue is
+    left.  Reads the one eigensolve of ``LiouvillianMatrix.spectra``.
+    """
+    _, spectra = L.spectra
+    null = int(np.argmin(np.abs(np.concatenate(spectra))))
+    offsets = np.cumsum([0] + [len(vals) for vals in spectra])
+    rates = [-vals.real for vals in spectra]
+    b = int(np.searchsorted(offsets, null, side="right")) - 1
+    rates[b] = np.delete(rates[b], null - offsets[b])
+    if index is not None:
+        held = np.zeros(L.shape[0], dtype=bool)
+        held[index] = True
+        rates = [r for r, (idx, _) in zip(rates, L.blocks) if held[idx].any()]
+    return float(np.min(np.concatenate(rates), initial=np.inf))

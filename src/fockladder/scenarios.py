@@ -43,6 +43,7 @@ from .lindblad import (
     evolve_density,
     evolve_state,
     sparse_liouvillian,
+    spectral_gap,
     steady_state,
 )
 from .observables import (
@@ -625,6 +626,12 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
 
     target = p["target_fock"]
     rho_ss = steady_state(generator)
+    # the slowest decay of the whole generator, and of the blocks the run touched
+    summary["diagnostics"]["steady"] = {
+        key: gap if np.isfinite(gap) else None
+        for key, gap in (("spectral_gap", spectral_gap(generator)),
+                         ("touched_spectral_gap", spectral_gap(generator, traj.index)))
+    }
     # settling is judged on the target-fidelity column; the remaining
     # diagnostics may still creep within eps at the end of the grid
     fid_col = f"F{target}"

@@ -42,6 +42,7 @@ from fockladder import (
     steady_state,
     thermal_state,
     thermal_terms,
+    StateVector,
     ThermalBathParams,
     selective_dissipators,
     ub_dissipator,
@@ -227,7 +228,8 @@ class TestEvolveState:
         block = lindblad._FrameBlock(terms, np.array([0, 1, 2]))
         assert len(block.residuals)
         times = TimeGrid(0.0, 30.0, 16).times
-        props = [lindblad._interval_propagators(block, times, 2**j) for j in range(7)]
+        props = [lindblad._interval_propagators(lindblad._MagnusLevel([block], times, 2**j))
+                 for j in range(7)]
         diffs = [np.max(np.abs(b - a)) for a, b in zip(props, props[1:])]
         ratios = [a / b for a, b in zip(diffs, diffs[1:])]
         assert all(60.0 <= r <= 68.0 for r in ratios[-3:]), ratios
@@ -279,65 +281,129 @@ class TestEvolveState:
         assert probs[1] == pytest.approx(1.0, abs=1e-9)
 
 
-class TestMagnusLevels:
-    """Step propagators interpolated on a grid of residual phases (``_MagnusLevel``)."""
+def edge_matrix(dim, r, s):
+    """The d x d matrix with one 1 at (r, s)."""
+    m = np.zeros((dim, dim))
+    m[r, s] = 1.0
+    return m
 
-    @staticmethod
-    def direct(level, starts):
-        """Oracle: every step built from its own start phases."""
-        block = level.block
-        return lindblad._magnus_propagators(block, block.start_phases(starts), level.h)
+
+def step_products(level, origins):
+    """Oracle: the level's steps built one by one from their own starts, multiplied in order."""
+    blocks, n, d = level.blocks, level.n, level.blocks[0].dim
+    starts = (origins[:, None] + level.h * np.arange(n)).ravel()
+    phases = np.stack([block.start_phases(starts) for block in blocks])
+    steps = lindblad._magnus_propagators(blocks, phases, level.h)
+    steps = steps.reshape(d, d, len(blocks), len(origins), n)
+    out = np.broadcast_to(np.eye(d)[:, :, None, None], steps.shape[:4]).astype(complex)
+    for k in range(n):
+        out = np.einsum("ijbt,jlbt->ilbt", steps[..., k], out)
+    return out
+
+
+# (steps, step exponentials) of each full-model preset run
+PRESET_MAGNUS_WORK = {"fig2a": (8000, 128), "fig2b": (32000, 160), "fig3a": (89600, 3072),
+                      "fig3b": (256000, 2560)}
+
+
+class TestMagnusLevels:
+    """Interval propagators doubled on a grid of residual phases (``_MagnusLevel``)."""
 
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3a", "fig3b"])
     def test_interpolated_steps_match_direct_build(self, name, monkeypatch):
-        # every level of every block that a preset run builds, at 512 starts
-        # spread over the level's steps
+        # the n-step product of every level that a preset run builds, read
+        # from its doubled phase grid at 9 intervals spread over the grid,
+        # against the steps built one by one; the run's steps and
+        # exponentials are those of the step-by-step products it replaced
+        steps, exponentials = PRESET_MAGNUS_WORK[name]
         levels = []
 
         class Recorded(lindblad._MagnusLevel):
-            def __init__(self, block, times, n):
-                super().__init__(block, times, n)
-                levels.append((self, times, n))
+            def __init__(self, blocks, times, n):
+                super().__init__(blocks, times, n)
+                levels.append(self)
 
         monkeypatch.setattr(lindblad, "_MagnusLevel", Recorded)
-        summary = run_scenario(load_scenario(name)).summary
-        full = summary["diagnostics"]["integrator"]["full"]
-        assert sum((len(times) - 1) * n for _, times, n in levels) == full["steps"]
-        assert full["exponentials"] < full["steps"]
-        for level, times, n in levels:
-            assert level.harmonics is not None
-            count = (len(times) - 1) * n
-            starts = times[0] + level.h * np.linspace(0, count - 1, 512).round()
-            err = np.max(np.abs(level.steps(starts) - self.direct(level, starts)))
-            assert err <= 1e-13, (n, err)
+        full = run_scenario(load_scenario(name)).summary["diagnostics"]["integrator"]["full"]
+        assert (full["steps"], full["exponentials"]) == (steps, exponentials)
+        assert sum((len(level.times) - 1) * level.n * len(level.blocks) for level in levels) == steps
+        for level in levels:
+            assert all(level.sizes)
+            props, failed = level.doubled(range(len(level.blocks)))
+            assert not failed.any()
+            pick = np.linspace(0, len(level.times) - 2, 9).round().astype(int)
+            err = np.max(np.abs(props[..., pick] - step_products(level, level.times[pick])))
+            assert err <= 1e-13, (level.n, err)
+
+    def test_blocks_of_every_shape_match_their_own_runs(self, monkeypatch):
+        # two blocks of dim 2 with one residual each (stacked together), one
+        # of dim 3 with one residual (a cycle) and one of dim 3 with two
+        # (a cycle and a second term on a tree edge); level 10 is a static
+        # spectator and levels 12-13 stay empty
+        dim, layout = 14, field_layout(13)
+        h = TimeDependentHamiltonian(layout, [
+            (0.3, 1.0, edge_matrix(dim, 1, 0)), (0.2, 1.4, edge_matrix(dim, 1, 0)),
+            (0.3, 1.0, edge_matrix(dim, 3, 2)), (0.2, np.sqrt(2.0), edge_matrix(dim, 4, 3)),
+            (0.25j, 0.5, edge_matrix(dim, 4, 2)),
+            (0.2, 0.9, edge_matrix(dim, 6, 5)), (0.3, 1.1, edge_matrix(dim, 7, 6)),
+            (0.15, 2.5, edge_matrix(dim, 7, 5)), (0.1, 0.6, edge_matrix(dim, 6, 5)),
+            (0.25, 0.8, edge_matrix(dim, 9, 8)), (0.2, 1.5, edge_matrix(dim, 9, 8)),
+        ])
+        starts, sectors = (0, 2, 5, 8), ([0, 1], [2, 3, 4], [5, 6, 7], [8, 9])
+        amps = np.zeros(dim, dtype=complex)
+        amps[list(starts)] = [0.4, 0.4j, 0.4, -0.4]
+        amps[10] = 0.6
+        grid = TimeGrid(0.0, 30.0, 16)
+        groups = []
+        magnus_states = lindblad._magnus_states
+
+        def recorded(blocks, *args):
+            groups.append(sorted((block.dim, len(block.frequencies)) for block in blocks))
+            return magnus_states(blocks, *args)
+
+        monkeypatch.setattr(lindblad, "_magnus_states", recorded)
+        psi0 = StateVector(layout, amps)
+        traj = evolve_state(h, psi0, grid, FAST)
+        assert sorted(groups) == [[(2, 1), (2, 1)], [(3, 1)], [(3, 2)]]
+        got = np.array([s.amplitudes for s in traj.states])
+        assert np.max(np.abs(got - dop853_states(h, psi0, grid.times))) <= 1e-8
+        # each block, run alone at the same amplitude, keeps its own levels,
+        # grids and acceptance
+        alone = []
+        for level in starts:
+            one = np.zeros(dim, dtype=complex)
+            one[[level, 10]] = amps[level], np.sqrt(1.0 - 0.4**2)
+            alone.append(evolve_state(h, StateVector(layout, one), grid, FAST))
+        assert traj.steps == sum(run.steps for run in alone)
+        assert traj.exponentials == sum(run.exponentials for run in alone)
+        assert traj.error_estimate == pytest.approx(max(run.error_estimate for run in alone),
+                                                    rel=1e-6)
+        for sector, run in zip(sectors, alone):
+            own = np.array([s.amplitudes for s in run.states])[:, sector]
+            assert np.max(np.abs(got[:, sector] - own)) <= 1e-12
 
     def test_shared_residual_takes_one_phase_dimension(self):
         # a star of edges 0-1, 0-2, 0-3 (the spanning tree) and two edges,
         # 1-2 and 2-3, that keep the same residual 0.05 (to rounding) in
         # the frame of the star; Fock levels 4-9 keep the top of the cutoff empty
         layout = field_layout(9)
-
-        def edge(r, s):
-            m = np.zeros((10, 10))
-            m[r, s] = 1.0
-            return m
-
         h = TimeDependentHamiltonian(layout, [
-            (1.0, 0.7, edge(1, 0)), (1.0, 1.1, edge(2, 0)), (1.0, 1.3, edge(3, 0)),
-            (0.2, 1.1 - 0.7 + 0.05, edge(2, 1)), (0.3, 1.3 - 1.1 + 0.05, edge(3, 2)),
+            (1.0, 0.7, edge_matrix(10, 1, 0)), (1.0, 1.1, edge_matrix(10, 2, 0)),
+            (1.0, 1.3, edge_matrix(10, 3, 0)), (0.2, 1.1 - 0.7 + 0.05, edge_matrix(10, 2, 1)),
+            (0.3, 1.3 - 1.1 + 0.05, edge_matrix(10, 3, 2)),
         ])
         block = lindblad._FrameBlock(lindblad._half_terms(h, layout), np.arange(4))
         assert len(block.amplitudes) == 2
         assert block.frequencies == pytest.approx([0.05], abs=1e-14)
         assert block.dimension.tolist() == [0, 0]
         times = TimeGrid(0.0, 30.0, 16).times
-        level = lindblad._MagnusLevel(block, times, 8)
+        level = lindblad._MagnusLevel([block], times, 8)
         # one-dimensional grids of 16, ..., M nodes, M/2 - 1 harmonics kept
-        size = 2 * (len(level.orders) + 1)
+        size, = level.sizes
         assert level.exponentials == 2 * size - 16
-        assert level.harmonics.shape[1] == len(level.orders)
-        starts = times[0] + level.h * np.arange(120)
-        assert np.max(np.abs(level.steps(starts) - self.direct(level, starts))) <= 1e-13
+        assert level.harmonics[0].shape == (4, 4, size // 2 - 1)
+        props = lindblad._interval_propagators(level)
+        assert np.max(np.abs(props - step_products(level, times[:-1]))) <= 1e-13
         psi0 = fock_state(0, 9)
         traj = evolve_state(h, psi0, TimeGrid(0.0, 30.0, 16), FAST)
         got = np.array([s.amplitudes for s in traj.states])
@@ -348,18 +414,44 @@ class TestMagnusLevels:
         # the grids of 16 and 32 nodes leave harmonics above rounding,
         # and 64 nodes would reach the step count
         layout = field_layout(1)
-        edge = np.array([[0.0, 0.0], [1.0, 0.0]])
+        edge = edge_matrix(2, 1, 0)
         h = TimeDependentHamiltonian(layout, [(0.3, 1.0, edge), (5.0, 1.3, edge)])
         block = lindblad._FrameBlock(lindblad._half_terms(h, layout), np.arange(2))
         times = TimeGrid(0.0, 30.0, 16).times
-        level = lindblad._MagnusLevel(block, times, 4)
-        assert level.harmonics is None
-        props = lindblad._interval_propagators(block, times, 4, level)
+        level = lindblad._MagnusLevel([block], times, 4)
+        assert level.sizes == [0]
+        props = lindblad._interval_propagators(level)
         assert level.exponentials == 16 + 32 + 60
         monkeypatch.setattr(lindblad, "_FIRST_NODES", 64)  # no grid is tried
-        direct = lindblad._MagnusLevel(block, times, 4)
-        assert np.array_equal(props, lindblad._interval_propagators(block, times, 4, direct))
+        direct = lindblad._MagnusLevel([block], times, 4)
+        assert np.array_equal(props, lindblad._interval_propagators(direct))
         assert direct.exponentials == 60
+        assert np.max(np.abs(props - step_products(direct, times[:-1]))) <= 1e-13
+
+    def test_tail_failure_falls_back_to_step_products(self, monkeypatch):
+        # one interval of 30 at amplitude 0.5: the steps converge on 32
+        # nodes, but the 64-step product outgrows that grid at its fifth
+        # doubling, so the level multiplies its 64 steps one by one
+        layout = field_layout(1)
+        edge = edge_matrix(2, 1, 0)
+        h = TimeDependentHamiltonian(layout, [(0.5, 1.0, edge), (0.5, 1.3, edge)])
+        block = lindblad._FrameBlock(lindblad._half_terms(h, layout), np.arange(2))
+        times = TimeGrid(0.0, 30.0, 2).times
+        level = lindblad._MagnusLevel([block], times, 64)
+        assert level.sizes == [32]
+        tails = []
+        tail = lindblad._tail
+        monkeypatch.setattr(lindblad, "_tail", lambda *args: tails.append(tail(*args)) or tails[-1])
+        assert level.doubled([0])[1].tolist() == [True]
+        passed = [float(t[0]) <= lindblad._NODE_ROUNDING for t in tails]
+        assert passed[:4] == [True] * 4 and not all(passed)
+        props = lindblad._interval_propagators(level)
+        assert level.exponentials == 16 + 32 + 64
+        monkeypatch.setattr(lindblad, "_FIRST_NODES", 64)  # no grid is tried
+        direct = lindblad._MagnusLevel([block], times, 64)
+        assert direct.sizes == [0]
+        assert np.array_equal(props, lindblad._interval_propagators(direct))
+        assert np.max(np.abs(props - step_products(direct, times[:-1]))) <= 1e-13
 
 
 class TestEvolveDensity:
@@ -745,6 +837,17 @@ class TestDensityGuardPatterns:
         assert str(err.value) == message
 
 
+    def test_populations_alone_skip_the_component_search(self, monkeypatch):
+        # every entry a population: each is its own one-level component, read
+        # in one reduction without a search; oracle: eigvalsh of diag(entries)
+        entries = np.random.default_rng(5).normal(size=(20, self.D)) + 0j
+        diagonal = np.arange(self.D)
+        monkeypatch.setattr(lindblad, "invariant_blocks", None)
+        low = lindblad._lowest_eigenvalues(entries, diagonal, diagonal, self.D)
+        expected = [np.linalg.eigvalsh(np.diag(row.real)).min() for row in entries]
+        assert np.array_equal(low, expected)
+
+
 class TestLiouvillianMatrix:
     def test_action_matches_master_equation(self):
         # [DERIVED] L vec(rho) == vec(-i[H,rho] + dissipator) elementwise
@@ -915,7 +1018,7 @@ class TestSteadyState:
 
     def test_huge_rate_warns_nothing(self, recwarn):
         # block entries of 1e300 overflow the Frobenius shortcut of
-        # _block_spectra; their 2-norm is taken and the state is |0>
+        # LiouvillianMatrix.spectra; their 2-norm is taken and the state is |0>
         a = annihilation(6)
         rho = steady_state(sparse_liouvillian(None, [LindbladTerm(1e300, a),
                                                      LindbladTerm(1.0, a.dag())]))
@@ -949,7 +1052,7 @@ class TestSteadyState:
             L = self.hamiltonian_case()
         else:
             L = sparse_liouvillian(None, preset_terms(name, cutoff))
-        norm, spectra = lindblad._block_spectra(L)
+        norm, spectra = L.spectra
         assert [len(vals) for vals in spectra] == [len(idx) for idx, _ in L.blocks]
         full = dense(L)
         subs = [full[np.ix_(idx, idx)] for idx in csgraph_blocks(full)]
@@ -976,6 +1079,34 @@ class TestSteadyState:
         steady_state(L)
         assert calls.count(("eigvals", np.dtype(float))) == 25
         assert calls[-1] == ("eig", np.dtype(float)) and len(calls) == 26
+
+    def test_spectral_gaps_share_the_steady_state_eigensolve(self, monkeypatch):
+        # fig4 at cutoff 12: 13 eigvals (populations and orders 1..12) and the
+        # null block's eig, read again by both gaps; oracle: eigvals of the
+        # dense generator and of its population block
+        calls = []
+        for name in ("eigvals", "eig"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, f=original, name=name: (
+                calls.append(name) or f(a)))
+        L = sparse_liouvillian(None, preset_terms("fig4", 12))
+        steady_state(L)
+        gap, touched = lindblad.spectral_gap(L), lindblad.spectral_gap(L, np.arange(13) * 14)
+        assert calls.count("eigvals") == 13 and calls.count("eig") == 1 and len(calls) == 14
+        monkeypatch.undo()
+        full = dense(L)
+        rates = np.sort(-scipy.linalg.eigvals(full).real)
+        populations = np.arange(13) * 14
+        own = np.sort(-scipy.linalg.eigvals(full[np.ix_(populations, populations)]).real)
+        assert abs(rates[0]) < 1e-12 and abs(own[0]) < 1e-12
+        assert gap == pytest.approx(rates[1], rel=1e-10)
+        assert touched == pytest.approx(own[1], rel=1e-10)
+        # the whole generator's slowest mode is a coherence: 3.06 against 3.57
+        assert gap == pytest.approx(3.06, abs=0.005) and touched == pytest.approx(3.57, abs=0.005)
+        # a coherence block alone has no null eigenvalue to drop
+        order_one = L.blocks[1][0]
+        assert lindblad.spectral_gap(L, order_one) == pytest.approx(
+            np.min(-np.linalg.eigvals(L.blocks[1][1]).real), rel=1e-12)
 
     def test_mirrors_follow_the_transposed_index_sets(self):
         d = 13

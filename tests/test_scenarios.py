@@ -212,6 +212,11 @@ class TestRunner:
     def test_density_diagnostics_recorded(self):
         # a thermal field touches only the block of the 13 populations
         fig4 = run_scenario(load_scenario("fig4")).summary
+        # the slowest decay of the whole generator (a coherence) and of the
+        # population block that the thermal start touches, in units of gamma
+        assert fig4["diagnostics"].pop("steady") == {
+            "spectral_gap": pytest.approx(3.0609, abs=1e-4),
+            "touched_spectral_gap": pytest.approx(3.5672, abs=1e-4)}
         assert fig4["diagnostics"] == {"density": {"blocks": 1, "largest_block": 13}}
         doc = collision_document(0.35, t_end=0.02)
         collision = run_scenario(parse_config(doc)).summary
