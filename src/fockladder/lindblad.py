@@ -24,17 +24,17 @@ the block's one or two residual frequencies (entries at one residual
 share a phase).  Each level therefore forms exp(Omega) only on a tensor
 grid of those phases, with the node count M doubled from 16 per phase
 until the upper half of the harmonics is at rounding (Trefethen &
-Weideman, SIAM Rev. 56, 385 (2014)).  The product of the n steps of a
-sample interval is again a periodic function of its start phases, and is
-built from the step by log2 n doublings on a grid of 2M nodes,
-P_2j(phi) = P_j(phi + f j h) P_j(phi), with the shift taken exactly on
-the harmonics and the upper half tested at every doubling; every
-interval is then read from the harmonics at its origin.  A level whose
-grid does not converge, or whose products outgrow it, builds its steps
-one by one and multiplies them by the same doublings over consecutive
-steps.  At every level the blocks of one dim and one frequency count go
-together: one exponential for their nodes, one batch of doublings and
-one matmul per interval for their states.
+Weideman, SIAM Rev. 56, 385 (2014)).  The product P_j of j steps is
+again a periodic function of its start phases, doubled from the step on
+a grid of 2M nodes, P_2j(phi) = P_j(phi + f j h) P_j(phi), with the shift
+taken exactly on the harmonics and the upper half tested at every
+doubling, up to P_n or the last P_j whose tail held.  Every interval is
+the product of its n/j consecutive P_j, each read from the harmonics at
+its own start (one read at the interval origin when j = n, as on every
+preset level).  Only a level whose grid does not converge builds its
+steps one by one.  At every level the blocks of one dim and one
+frequency count go together: one exponential for their nodes, one batch
+of doublings and one matmul per interval for their states.
 
 Density operators are propagated as the column-stacked vector under the
 sparse vectorized Liouvillian, again only in the invariant blocks that
@@ -87,12 +87,12 @@ TRACE_DRIFT_LIMIT = 1e-8
 NEGATIVITY_LIMIT = 1e-7
 
 # Magnus step control of Hamiltonian runs: a block that would need more
-# than _MAX_STEPS steps over the grid fails; step propagators are built
-# _CHUNK_STEPS at a time to bound memory; differences between successive
-# doublings below _ROUNDING_FLOOR count as converged; a doubling level
-# whose step exponentials could need more than _MAX_SQUARINGS squarings
-# (1-norm above 16 theta_16 ~ 13, four times the convergence radius pi of
-# the Magnus series) is not built.
+# than _MAX_STEPS steps over the grid fails; step exponentials, and the
+# factors of interval products, are formed _CHUNK_STEPS at a time to bound
+# memory; differences between successive doublings below _ROUNDING_FLOOR
+# count as converged; a doubling level whose step exponentials could need
+# more than _MAX_SQUARINGS squarings (1-norm above 16 theta_16 ~ 13, four
+# times the convergence radius pi of the Magnus series) is not built.
 _MAX_STEPS = 2**18
 _CHUNK_STEPS = 256
 _ROUNDING_FLOOR = 1e-13
@@ -286,9 +286,10 @@ class Trajectory:
     propagation of a Hamiltonian run: the sixth-order steps taken over
     every block and every doubling level built (a level too coarse for the
     Magnus series is skipped and not counted), the step exponentials
-    formed for them (phase-grid nodes, and the steps of a level built one
-    by one), and the largest Richardson estimate accepted.  All are zero
-    when every block was propagated exactly, and for density runs.
+    formed for them (phase-grid nodes, and the steps of a level with no
+    grid, built one by one), and the largest Richardson estimate accepted.
+    All are zero when every block was propagated exactly, and for density
+    runs.
     ``blocks`` holds the size of each invariant block a density run
     propagated.
     """
@@ -529,24 +530,14 @@ def _magnus_propagators(blocks: Sequence[_FrameBlock], phases: np.ndarray, h: fl
     return expm(b1 + b3 / 12.0 + _commutator(-20.0 * b1 - b3 + c1, b2 + c2) / 240.0)
 
 
-def _doubled(p: np.ndarray, n: int, halves) -> np.ndarray:
-    """P_n from the steps P_1 = ``p`` by log2 n doublings, P_2j = P_j(shifted by j steps) P_j.
+def _doubled(p: np.ndarray, n: int) -> np.ndarray:
+    """Products of runs of n consecutive factors along the last axis, each later factor on the left.
 
-    ``halves(p, j)`` gives the two factors of P_2j from P_j: P_j advanced by
-    j steps and P_j, each at the points where P_2j is taken.  On a phase
-    grid the points stay the nodes and the advance is a phase shift
-    (``_MagnusLevel``); on the exact step starts it is ``_index_shift``.
+    log2 n pairwise products, each of an odd factor after its even one.
     """
-    j = 1
-    while j < n:
-        p = _mul(*halves(p, j))
-        j *= 2
+    while n > 1:
+        p, n = _mul(p[..., 1::2], p[..., 0::2]), n // 2
     return p
-
-
-def _index_shift(p: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of P_2j from consecutive products P_j along the last axis: each odd one after its even one."""
-    return p[..., 1::2], p[..., 0::2]
 
 
 class _MagnusLevel:
@@ -600,78 +591,87 @@ class _MagnusLevel:
         return np.concatenate([_magnus_propagators(blocks, phases[..., j:j + width], self.h)
                                for j in range(0, phases.shape[-1], width)], axis=-1)
 
-    def doubled(self, group: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """P_n of the blocks ``group`` (of one M) over every sample interval, and which of them failed.
+    def doubled(self, group: Sequence[int]) -> tuple[np.ndarray, int]:
+        """The harmonics of P_j, the product of j steps, of the blocks ``group`` (of one M > 0), and j.
 
-        The doublings run on a working grid of W = 2M nodes per angle, in
-        one stack: P_j is shifted by j steps in the coefficient domain
-        (harmonic k times e^{i k.f j h}) and taken back to the nodes, where
-        P_2j is one product.  The product of two polynomials with |k_q| <
-        M/2 has |k_q| < M, so W does not alias it.  After every doubling
-        the harmonics with some |k_q| >= M/2 are tested against
-        _NODE_ROUNDING times the largest node entry and dropped; a block
-        whose tail fails anywhere is flagged.  Every interval is then read
-        from the |k_q| < M/2 harmonics at its origin by one (d^2, harmonics)
-        x (harmonics, intervals) product per block.  Shapes (d, d, blocks,
-        intervals) and (blocks,).
+        P_2j(phi) = P_j(phi + f j h) P_j(phi) is formed on a working grid of
+        W = 2M nodes per angle, in one stack: P_j is shifted by j steps in
+        the coefficient domain (harmonic k times e^{i k.f j h}) and taken
+        back to the nodes, where P_2j is one product.  The product of two
+        polynomials with |k_q| < M/2 has |k_q| < M, so W does not alias it.
+        After every doubling the harmonics with some |k_q| >= M/2 are tested
+        against _NODE_ROUNDING times the largest node entry; the group
+        doubles while j < n and every block's tail holds, and keeps the
+        |k_q| < M/2 harmonics of the last P_j that held, shape (blocks, d^2,
+        harmonics).
         """
         blocks = [self.blocks[b] for b in group]
         size, d, m, count = self.sizes[group[0]], blocks[0].dim, len(blocks[0].frequencies), len(group)
         w = 2 * size
-        harmonics = np.zeros((d, d, count) + (w,) * m, dtype=complex)
+        coeffs = np.zeros((d, d, count) + (w,) * m, dtype=complex)
         first = np.ix_(*[np.arange(1 - size // 4, size // 4) % w] * m)
-        harmonics[(slice(None),) * 3 + first] = np.stack([self.harmonics[b] for b in group], axis=2)
+        coeffs[(slice(None),) * 3 + first] = np.stack([self.harmonics[b] for b in group], axis=2)
         orders = np.fft.fftfreq(w, 1.0 / w)[np.indices((w,) * m)].reshape(m, -1)
         freqs = np.array([block.frequencies for block in blocks])
         advance = (freqs * self.h @ orders).reshape((count,) + (w,) * m)  # k.f h of each harmonic
-        node_axes = tuple(range(3, 3 + m))
         kept = (np.abs(orders).max(axis=0) < size // 2).reshape((w,) * m)
-        failed = np.zeros(count, dtype=bool)
+        p, j = _fourier(coeffs.copy(), inverse=True), 1
+        while j < self.n:
+            # P_j advanced by j steps, its tail dropped, times P_j
+            nodes = _mul(_fourier(coeffs * (np.exp(1j * j * advance) * kept), inverse=True), p)
+            harmonics = _fourier(nodes.copy())
+            scale = _NODE_ROUNDING * np.abs(nodes).max(axis=(0, 1) + tuple(range(3, 3 + m)))
+            if (_tail(harmonics) > scale).any():
+                break
+            p, coeffs, j = nodes, harmonics, 2 * j
+        lower = np.arange(1 - size // 2, size // 2) % w
+        coeffs = coeffs[(slice(None),) * 3 + np.ix_(*[lower] * m)]
+        return np.moveaxis(coeffs.reshape(d * d, count, -1), 1, 0), j
 
-        def transformed(p):  # the harmonics of P_j from its nodes, with its tail tested
-            nonlocal failed
-            coeffs = _fourier(p.copy())
-            failed |= _tail(coeffs) > _NODE_ROUNDING * np.abs(p).max(axis=(0, 1) + node_axes)
-            return coeffs
+    def products(self, group: Sequence[int]) -> np.ndarray:
+        """P_n of the blocks ``group`` (of one M) over every sample interval, shape (d, d, blocks, intervals).
 
-        def halves(p, j):  # P_1's harmonics are known
-            coeffs = harmonics if j == 1 else transformed(p)
-            coeffs *= np.exp(1j * j * advance) * kept  # advanced by j steps, the tail dropped
-            return _fourier(coeffs, inverse=True), p
-
-        p = _doubled(_fourier(harmonics.copy(), inverse=True), self.n, halves)
-        lower = np.arange(1 - size // 2, size // 2)
-        coeffs = transformed(p)[(slice(None),) * 3 + np.ix_(*[lower % w] * m)]
-        coeffs = np.moveaxis(coeffs.reshape(d * d, count, -1), 1, 0)
-        # e^{i k f t} at every origin, k = 1 - M/2 .. M/2 - 1: powers of e^{i f t}
-        turn = np.exp(1j * np.multiply.outer(freqs, self.times[:-1]))  # (blocks, m, intervals)
-        up = np.cumprod(np.broadcast_to(turn, (size // 2 - 1,) + turn.shape), axis=0)
-        waves = np.concatenate([up[::-1].conj(), np.ones((1,) + turn.shape), up])
-        basis = waves[:, :, 0]
-        for q in range(1, m):
-            basis = (basis[:, None] * waves[:, :, q]).reshape(-1, *basis.shape[1:])
-        props = np.matmul(coeffs, np.moveaxis(basis, 1, 0))  # (blocks, d^2, intervals)
-        return np.moveaxis(props, 0, 1).reshape(d, d, count, -1), failed
-
-    def stepped(self, group: Sequence[int], origins: np.ndarray) -> np.ndarray:
-        """P_n of the blocks ``group`` over the intervals from ``origins``, every step built from its start.
-
-        Runs of min(n, _CHUNK_STEPS) consecutive steps are built a chunk at
-        a time and doubled down by ``_index_shift``, and the runs of one
-        interval likewise, so memory stays bounded.  Shape (d, d, blocks,
-        len(origins)).
+        The P_n of an interval from t_0 is the product of the n/j factors
+        P_j(t_0 + k j h), k = 0 .. n/j - 1.  On a grid, P_j is the last
+        product that ``doubled`` kept (j = n on every preset level), read
+        from its harmonics at each start by one (d^2, harmonics) x
+        (harmonics, starts) product per block, with e^{i k f t} taken as
+        powers of e^{i f t}; on a level where no grid converged, j = 1 and
+        every step is built from its start.  The factors are formed
+        _CHUNK_STEPS at a time, in runs of min(n/j, _CHUNK_STEPS) consecutive
+        ones, and multiplied down by ``_doubled``, the runs of one interval
+        likewise, so memory stays bounded.
         """
         blocks = [self.blocks[b] for b in group]
-        per, d, count = min(self.n, _CHUNK_STEPS), blocks[0].dim, len(group)
-        runs = (origins[:, None] + self.h * np.arange(self.n)).reshape(-1, per)
-        chunk = max(1, _CHUNK_STEPS // per)
-        products = []
-        for k in range(0, len(runs), chunk):
-            starts = runs[k:k + chunk].ravel()
-            steps = self._build(blocks, np.stack([block.start_phases(starts) for block in blocks]))
-            products.append(_doubled(steps.reshape(d, d, count, -1, per), per, _index_shift)[..., 0])
-        products = np.concatenate(products, axis=-1).reshape(d, d, count, len(origins), -1)
-        return _doubled(products, self.n // per, _index_shift)[..., 0]
+        size, d, count = self.sizes[group[0]], blocks[0].dim, len(group)
+        if size:
+            coeffs, j = self.doubled(group)
+            freqs = np.array([block.frequencies for block in blocks])
+
+            def factors(starts):
+                # e^{i k f t} at every start, k = 1 - M/2 .. M/2 - 1
+                turn = np.exp(1j * np.multiply.outer(freqs, starts))  # (blocks, m, starts)
+                up = np.cumprod(np.broadcast_to(turn, (size // 2 - 1,) + turn.shape), axis=0)
+                waves = np.concatenate([up[::-1].conj(), np.ones((1,) + turn.shape), up])
+                basis = waves[:, :, 0]
+                for q in range(1, freqs.shape[1]):
+                    basis = (basis[:, None] * waves[:, :, q]).reshape(-1, *basis.shape[1:])
+                props = np.matmul(coeffs, np.moveaxis(basis, 1, 0))  # (blocks, d^2, starts)
+                return np.moveaxis(props, 0, 1).reshape(d, d, count, -1)
+        else:
+            j = 1
+
+            def factors(starts):
+                return self._build(blocks, np.stack([block.start_phases(starts) for block in blocks]))
+
+        origins, per = self.times[:-1], self.n // j
+        run = min(per, _CHUNK_STEPS)
+        runs = (origins[:, None] + self.h * np.arange(0, self.n, j)).reshape(-1, run)
+        chunk = max(1, _CHUNK_STEPS // run)
+        products = np.concatenate([
+            _doubled(factors(runs[k:k + chunk].ravel()).reshape(d, d, count, -1, run), run)[..., 0]
+            for k in range(0, len(runs), chunk)], axis=-1)
+        return _doubled(products.reshape(d, d, count, len(origins), -1), per // run)[..., 0]
 
 
 def _fourier(grid: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -697,21 +697,15 @@ def _tail(harmonics: np.ndarray) -> np.ndarray:
 def _interval_propagators(level: _MagnusLevel) -> np.ndarray:
     """Product of the level's n equal steps over each sample interval, for each of its blocks.
 
-    Stacked (d, d, blocks, intervals).  The blocks of one converged grid
-    size M are doubled on their phase grid together
-    (``_MagnusLevel.doubled``); a block whose grid did not converge, or
-    whose tail test failed, takes the exact product of its steps built one
-    by one (``_MagnusLevel.stepped``).
+    Stacked (d, d, blocks, intervals).  The blocks of one grid size M, 0
+    where no grid converged, are finished together
+    (``_MagnusLevel.products``).
     """
-    origins, d = level.times[:-1], level.blocks[0].dim
-    out = np.empty((d, d, len(level.blocks), len(origins)), dtype=complex)
-    exact = [b for b, size in enumerate(level.sizes) if not size]
-    for size in sorted(set(level.sizes) - {0}):
+    d = level.blocks[0].dim
+    out = np.empty((d, d, len(level.blocks), len(level.times) - 1), dtype=complex)
+    for size in sorted(set(level.sizes)):
         group = [b for b, s in enumerate(level.sizes) if s == size]
-        out[:, :, group], failed = level.doubled(group)
-        exact += [b for b, bad in zip(group, failed) if bad]
-    if exact:
-        out[:, :, sorted(exact)] = level.stepped(sorted(exact), origins)
+        out[:, :, group] = level.products(group)
     return out
 
 

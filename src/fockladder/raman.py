@@ -330,19 +330,21 @@ def dressed_residuals(params: RamanLadderParams, base: int) -> list[float]:
     the cavity-dressed level is g and the laser-dressed one e, for AJC the
     roles swap, which leaves the shifts unchanged.
     """
+    return _laser_residuals(params, _cavity_shifts(params, base))
+
+
+def _cavity_shifts(params: RamanLadderParams, base: int) -> list[float]:
+    """E_cav(base + j) of every ladder step j = 1..K, which the laser detunings do not move."""
+    return [_nearest_zero_level([br.lam * np.sqrt(base + j) for br in params.branches],
+                                [br.sign * br.delta for br in params.branches])
+            for j in range(1, params.n_branches + 1)]
+
+
+def _laser_residuals(params: RamanLadderParams, cavity: list[float]) -> list[float]:
+    """``dressed_residuals`` from the steps' cavity shifts: one laser problem."""
     b = params.branches
-    laser = _nearest_zero_level(
-        [br.omega for br in b], [br.sign * br.delta_tilde for br in b]
-    )
-    theta = derive_couplings(params).theta
-    out = []
-    for j in range(params.n_branches):
-        photons = base + j + 1
-        cavity = _nearest_zero_level(
-            [br.lam * np.sqrt(photons) for br in b], [br.sign * br.delta for br in b]
-        )
-        out.append(cavity - laser + theta[j])
-    return out
+    laser = _nearest_zero_level([br.omega for br in b], [br.sign * br.delta_tilde for br in b])
+    return [shift - laser + theta for shift, theta in zip(cavity, derive_couplings(params).theta)]
 
 
 def _close_resonance(params: RamanLadderParams, base: int, residuals) -> RamanLadderParams:
@@ -385,10 +387,13 @@ def solve_dressed_resonance(params: RamanLadderParams, base: int) -> RamanLadder
 
     The second-order closure leaves each step detuned by fourth-order shifts
     that at the published hierarchies are as large as the step couplings;
-    this moves the laser detunings until ``dressed_residuals`` vanish.
-    Start it from ``solve_resonance`` for the fewest iterations.
+    this moves the laser detunings until ``dressed_residuals`` vanish.  The
+    cavity-dressed shifts do not move with them and are taken once; each
+    residual evaluation solves the laser problem alone (32 on fig2a, from
+    the input detunings or from ``solve_resonance`` alike).
     """
-    return _close_resonance(params, base, dressed_residuals)
+    cavity = _cavity_shifts(params, base)
+    return _close_resonance(params, base, lambda current, _: _laser_residuals(current, cavity))
 
 
 @dataclass(frozen=True)

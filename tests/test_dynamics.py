@@ -311,9 +311,9 @@ class TestMagnusLevels:
 
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3a", "fig3b"])
     def test_interpolated_steps_match_direct_build(self, name, monkeypatch):
-        # the n-step product of every level that a preset run builds, read
-        # from its doubled phase grid at 9 intervals spread over the grid,
-        # against the steps built one by one; the run's steps and
+        # the n-step product of every level that a preset run builds, doubled
+        # on its phase grid to P_n and read at 9 intervals spread over the
+        # grid, against the steps built one by one; the run's steps and
         # exponentials are those of the step-by-step products it replaced
         steps, exponentials = PRESET_MAGNUS_WORK[name]
         levels = []
@@ -329,8 +329,9 @@ class TestMagnusLevels:
         assert sum((len(level.times) - 1) * level.n * len(level.blocks) for level in levels) == steps
         for level in levels:
             assert all(level.sizes)
-            props, failed = level.doubled(range(len(level.blocks)))
-            assert not failed.any()
+            group = range(len(level.blocks))
+            assert level.doubled(group)[1] == level.n
+            props = level.products(group)
             pick = np.linspace(0, len(level.times) - 2, 9).round().astype(int)
             err = np.max(np.abs(props[..., pick] - step_products(level, level.times[pick])))
             assert err <= 1e-13, (level.n, err)
@@ -430,8 +431,9 @@ class TestMagnusLevels:
 
     def test_tail_failure_falls_back_to_step_products(self, monkeypatch):
         # one interval of 30 at amplitude 0.5: the steps converge on 32
-        # nodes, but the 64-step product outgrows that grid at its fifth
-        # doubling, so the level multiplies its 64 steps one by one
+        # nodes, but the 32-step product outgrows that grid at the fifth
+        # doubling, so the level multiplies 4 consecutive 16-step products,
+        # each read from the grid at its own start
         layout = field_layout(1)
         edge = edge_matrix(2, 1, 0)
         h = TimeDependentHamiltonian(layout, [(0.5, 1.0, edge), (0.5, 1.3, edge)])
@@ -442,16 +444,41 @@ class TestMagnusLevels:
         tails = []
         tail = lindblad._tail
         monkeypatch.setattr(lindblad, "_tail", lambda *args: tails.append(tail(*args)) or tails[-1])
-        assert level.doubled([0])[1].tolist() == [True]
+        j = level.doubled([0])[1]
+        assert j == 16 < level.n
         passed = [float(t[0]) <= lindblad._NODE_ROUNDING for t in tails]
         assert passed[:4] == [True] * 4 and not all(passed)
         props = lindblad._interval_propagators(level)
-        assert level.exponentials == 16 + 32 + 64
+        assert level.exponentials == 16 + 32
         monkeypatch.setattr(lindblad, "_FIRST_NODES", 64)  # no grid is tried
         direct = lindblad._MagnusLevel([block], times, 64)
         assert direct.sizes == [0]
-        assert np.array_equal(props, lindblad._interval_propagators(direct))
         assert np.max(np.abs(props - step_products(direct, times[:-1]))) <= 1e-13
+
+    def test_grid_levels_form_only_their_nodes(self, monkeypatch):
+        # the step-doubling cap run (one interval of 20, rel_tol 1e-30) builds
+        # every level up to 2^18 steps; from n = 512 on each level has a grid
+        # whose products outgrow it before P_n, and still forms no exponential
+        # beyond its nodes
+        levels = []
+
+        class Recorded(lindblad._MagnusLevel):
+            def __init__(self, blocks, times, n):
+                super().__init__(blocks, times, n)
+                levels.append(self)
+
+        monkeypatch.setattr(lindblad, "_MagnusLevel", Recorded)
+        h, psi0 = cycle_case()
+        with pytest.raises(IntegrationError, match="Magnus steps"):
+            evolve_state(h, psi0, TimeGrid(0.0, 20.0, 2), IntegratorConfig(rel_tol=1e-30))
+        grids = [level for level in levels if level.sizes[0]]
+        assert [level.n for level in grids] == [2**k for k in range(9, 19)]
+        for level in grids:
+            size, = level.sizes
+            m = len(level.blocks[0].frequencies)
+            tried = [s for s in lindblad._FIRST_NODES * 2 ** np.arange(8) if s <= size]
+            assert level.exponentials == sum(int(s)**m for s in tried), level.n
+        assert all(level.doubled([0])[1] < level.n for level in grids)
 
 
 class TestEvolveDensity:

@@ -20,6 +20,7 @@ from fockladder import (
     solve_dressed_resonance,
     solve_resonance,
 )
+from fockladder import raman
 
 S2, S3, S5, S6 = map(math.sqrt, (2.0, 3.0, 5.0, 6.0))
 
@@ -235,6 +236,23 @@ class TestDressedResonance:
         for j, n in enumerate((3, 4, 5), start=1):
             assert abs(values[f"big_phi({n},{j})"]) > 0.5 * zeta_ref
             assert abs(values[f"dressed_phi({n},{j})"]) <= 1e-10 * abs(d.chi_eff)
+
+    def test_cavity_shifts_solved_once(self, monkeypatch):
+        # the cavity-dressed shifts do not move with the laser detunings: a
+        # fig2a solve diagonalizes K cavity problems, then one laser problem
+        # per residual evaluation
+        second = solve_resonance(raman_params(**FIG2A), 0)
+        problems, evaluations = [], []
+        eigvalsh, close = np.linalg.eigvalsh, raman._close_resonance
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: problems.append(h) or eigvalsh(h))
+
+        def counted(params, base, residuals):
+            return close(params, base, lambda *args: evaluations.append(1) or residuals(*args))
+
+        monkeypatch.setattr(raman, "_close_resonance", counted)
+        solve_dressed_resonance(second, 0)
+        assert len(evaluations) > 1
+        assert len(problems) == second.n_branches + len(evaluations)
 
 
 class TestRegime:
