@@ -191,6 +191,19 @@ def atomic_sigma(r: str, s: str, levels: tuple[str, ...]) -> ComplexOperator:
     return ComplexOperator(HilbertLayout(((ATOM, d),)), mat)
 
 
+def nonzero_triplets(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO (rows, cols, values) of the non-zero entries of a 2-d array, in row-major order."""
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
+def kron_triplets(a, b, n: int, scale: complex = 1.0):
+    """COO (rows, cols, values) of scale * kron(A, B) from the triplets ``a`` of A and ``b`` of an n x n B."""
+    (ar, ac, av), (br, bc, bv) = a, b
+    return ((ar[:, None] * n + br).ravel(), (ac[:, None] * n + bc).ravel(),
+            (scale * av[:, None] * bv).ravel())
+
+
 # ---------------------------------------------------------------------------
 # state constructors
 

@@ -49,15 +49,16 @@ A trajectory keeps only the touched entries of every sample, in one
 array, and every trajectory, of states or of densities, returns through
 one guard routine that checks that array in one batch: norm or trace
 drift, negativity (density runs, over the connected components of the
-touched entries' d x d pattern), then leakage.  No sample is
+pattern of the touched entries), then leakage.  No sample is
 renormalized.  States are built, re-symmetrized, only when a sample is
 read.  Steady states work on the same invariant blocks: a map on vec(rho)
 is split once, by ``LiouvillianMatrix.blocks``, for every reader.  A
 generator preserves Hermiticity, so the blocks of coherence orders +k
 and -k have conjugate spectra, and one of each pair is solved.
 
-The module needs numpy alone.  Vectorized generators are canonical COO
-triplets, and their blocks are split by a union-find over the triplets.
+The module needs numpy alone and forms no dense d x d Hamiltonian: its
+terms and vectorized generators are COO triplets, and their blocks are
+split by one union-find over the triplets (``_split_triplets``).
 Both propagators take their exponentials from one routine, ``expm``: a
 Taylor-16 scaling-and-squaring polynomial in expm1 form, on a single
 block or a stack of steps laid out batch last.
@@ -78,7 +79,9 @@ from .hilbert import (
     HilbertLayout,
     LayoutError,
     StateVector,
+    kron_triplets,
     marginal,
+    nonzero_triplets,
 )
 from .raman import TimeDependentHamiltonian
 
@@ -89,10 +92,11 @@ NEGATIVITY_LIMIT = 1e-7
 # Magnus step control of Hamiltonian runs: a block that would need more
 # than _MAX_STEPS steps over the grid fails; step exponentials, and the
 # factors of interval products, are formed _CHUNK_STEPS at a time to bound
-# memory; differences between successive doublings below _ROUNDING_FLOOR
-# count as converged; a doubling level whose step exponentials could need
-# more than _MAX_SQUARINGS squarings (1-norm above 16 theta_16 ~ 13, four
-# times the convergence radius pi of the Magnus series) is not built.
+# memory; differences between successive doublings at rounding (below
+# _ROUNDING_FLOOR, or eps per step taken) count as converged; a doubling
+# level whose step exponentials could need more than _MAX_SQUARINGS
+# squarings (1-norm above 16 theta_16 ~ 13, four times the convergence
+# radius pi of the Magnus series) is not built.
 _MAX_STEPS = 2**18
 _CHUNK_STEPS = 256
 _ROUNDING_FLOOR = 1e-13
@@ -139,7 +143,7 @@ class DegenerateSteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Output sampling grid; internal integration steps remain adaptive."""
+    """Output sampling grid: ``samples`` equally spaced times from ``t_start`` to ``t_end``."""
 
     t_start: float
     t_end: float
@@ -217,28 +221,13 @@ class LiouvillianMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.layout.dim**2,) * 2
 
-    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the stored entries, as ``ndarray.nonzero`` gives them."""
-        return self.rows, self.cols
-
     @cached_property
     def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(index set, dense diagonal block [idx, idx]) of every invariant block."""
-        blocks = invariant_blocks(self)
-        sizes = [len(idx) for idx in blocks]
-        label, position = np.empty((2, self.shape[0]), dtype=int)
-        flat = np.concatenate(blocks)
-        label[flat] = np.repeat(np.arange(len(blocks)), sizes)
-        position[flat] = np.concatenate([np.arange(n) for n in sizes])
-        owner = label[self.rows]
-        order = np.argsort(owner, kind="stable")  # each block's triplets, one slice each
-        rows, cols = position[self.rows[order]], position[self.cols[order]]
-        values = self.values[order]
-        bounds = np.cumsum(np.bincount(owner, minlength=len(blocks)))
         out = []
-        for idx, lo, hi in zip(blocks, np.r_[0, bounds[:-1]], bounds):
+        for idx, pick, rows, cols in _split_triplets(self.rows, self.cols, self.shape[0]):
             sub = np.zeros((len(idx), len(idx)), dtype=complex)
-            sub[rows[lo:hi], cols[lo:hi]] = values[lo:hi]
+            sub[rows, cols] = self.values[pick]
             sub.setflags(write=False)
             out.append((idx, sub))
         return tuple(out)
@@ -352,25 +341,32 @@ class _States(Sequence):
         return self._traj.state(range(len(self))[k])
 
 
-def _half_terms(H, layout: HilbertLayout) -> list[tuple[float, np.ndarray]]:
-    """(w_k, M_k) with H(t) = sum_k e^{i w_k t} M_k + H.c."""
+def _half_terms(H) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(w, rows, cols, values) of the entries of every M_k in H(t) = sum_k e^{i w_k t} M_k + H.c.
+
+    M_k = c_k T_k, or one M = H/2 of a static Hermitian ``ComplexOperator``, in term
+    order; zero values are dropped, so a term with c_k = 0 couples no levels.
+    """
     if isinstance(H, TimeDependentHamiltonian):
-        terms = [(w, c * m) for c, w, m in H.terms]
+        terms = H.terms
     elif isinstance(H, ComplexOperator):
         if not H.is_hermitian():
             raise ValueError("the Hamiltonian must be Hermitian")
-        terms = [(0.0, 0.5 * H.entries)]
+        terms = [(0.5, 0.0, *nonzero_triplets(H.entries))]
     else:
         raise TypeError(f"unsupported Hamiltonian type {type(H)!r}")
-    if H.layout != layout:
-        raise LayoutError("Hamiltonian layout mismatch")
-    return terms
+    w, rows, cols, values = (np.concatenate(part) for part in zip(
+        *[(np.full(len(v), freq), r, c, coef * v) for coef, freq, r, c, v in terms]))
+    kept = values != 0
+    return w[kept], rows[kept], cols[kept], values[kept]
 
 
 class _FrameBlock:
-    """One invariant block of H(t) in the frame psi = e^{-iEt} phi.
+    """One invariant block of H(t), of d levels, in the frame psi = e^{-iEt} phi.
 
-    The diagonal energies E cancel the phase of every edge of a BFS
+    ``freqs``, ``rows``, ``cols`` and ``vals`` are the block's entries of
+    ``_half_terms``, in their order, at positions within the block.  The
+    diagonal energies E cancel the phase of every edge of a BFS
     spanning tree of the block's coupling graph (E_r - E_s = -w).  In
     that frame i dphi/dt = G(t) phi with G(t) = static + X(t) + X(t)^dag,
     where X holds the entries whose residual w + E_r - E_s is non-zero:
@@ -378,19 +374,7 @@ class _FrameBlock:
     that carries a second term.
     """
 
-    def __init__(self, terms, idx: np.ndarray):
-        d = len(idx)
-        rows, cols, vals, freqs = [], [], [], []
-        for w, m in terms:
-            sub = m[np.ix_(idx, idx)]
-            r, c = np.nonzero(sub)
-            rows.append(r)
-            cols.append(c)
-            vals.append(sub[r, c])
-            freqs.append(np.full(len(r), float(w)))
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        vals, freqs = np.concatenate(vals), np.concatenate(freqs)
-
+    def __init__(self, freqs: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int):
         edge: dict = {}
         for r, c, w in zip(rows.tolist(), cols.tolist(), freqs.tolist()):
             if r != c:
@@ -718,7 +702,8 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
 
     For each block, substeps per sample interval double from 1 until the
     Richardson estimate max|phi_2N - phi_N| / 63 meets ``tol`` while
-    successive differences shrink (or sit at rounding level).  |Omega|_1 is
+    successive differences shrink (or sit at rounding, which grows with the
+    steps taken).  |Omega|_1 is
     about h g, where g = |static|_1 + 2 sum|amplitudes| bounds |G(t)|_1: a
     level with h g above 2^_MAX_SQUARINGS theta_16 is not built for that
     block, and differs infinitely from its neighbours, so two more levels
@@ -737,6 +722,7 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
     prev: list[np.ndarray | None] = [None] * len(blocks)
     diffs: list[list[float]] = [[] for _ in blocks]
     while intervals * n <= _MAX_STEPS:
+        floor = max(_ROUNDING_FLOOR, np.finfo(float).eps * intervals * n)
         open_ = [b for b, state in enumerate(accepted) if state is None]
         built = [b for b in open_ if longest / n * bounds[b] <= _THETA16 * 2.0**_MAX_SQUARINGS]
         states = {}
@@ -755,7 +741,7 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
             if n > 1:
                 both = current is not None and prev[b] is not None
                 diff = float(np.max(np.abs(current - prev[b]))) if both else np.inf
-                shrinking = (diffs[b] and diff < diffs[b][-1]) or diff <= _ROUNDING_FLOOR
+                shrinking = (diffs[b] and diff < diffs[b][-1]) or diff <= floor
                 if diff / 63.0 <= tol and shrinking:
                     accepted[b], error = current, max(error, diff / 63.0)
                     continue
@@ -789,13 +775,16 @@ def evolve_state(
     ``_guarded``, with a norm-drift limit of 10 * ``cfg.rel_tol``.
     """
     layout = psi0.layout
-    terms = _half_terms(H, layout)
+    w, rows, cols, values = _half_terms(H)
+    if H.layout != layout:
+        raise LayoutError("Hamiltonian layout mismatch")
     if not np.isfinite(grid.t_end - grid.t_start):
         raise IntegrationError(f"sampling times {grid.t_start}..{grid.t_end} are not finite")
     times = grid.times
     psi = psi0.amplitudes.astype(complex)
-    touched = [idx for idx in invariant_blocks(sum(np.abs(m) for _, m in terms)) if np.any(psi[idx])]
-    blocks = [_FrameBlock(terms, idx) for idx in touched]
+    parts = [part for part in _split_triplets(rows, cols, layout.dim) if np.any(psi[part[0]])]
+    touched = [idx for idx, *_ in parts]
+    blocks = [_FrameBlock(w[pick], r, c, values[pick], len(idx)) for idx, pick, r, c in parts]
     phi0 = [np.exp(1j * block.energies * times[0]) * psi[idx] for block, idx in zip(blocks, touched)]
     phis, groups = [None] * len(blocks), {}
     for b, block in enumerate(blocks):
@@ -925,87 +914,74 @@ def _lowest_eigenvalues(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                         d: int) -> np.ndarray:
     """Lowest eigenvalue of each sampled rho from its entries at (rows, cols).
 
-    rho splits along the connected components of the d x d pattern of
-    those entries.  A component of one level holds one population, and
-    all of them are read in one masked reduction; the others take a
-    stacked ``eigvalsh`` of their Hermitian part.  When every entry is a
+    rho splits along the connected components of the pattern of those
+    entries.  A component of one level holds one population, and all of
+    them are read in one masked reduction; the others take a stacked
+    ``eigvalsh`` of their Hermitian part.  When every entry is a
     population (a thermal or Fock start) the components are not searched.
     """
     if np.array_equal(rows, cols):  # populations alone: every component is one level
         return entries.real.min(axis=1, initial=np.inf)
-    pattern = np.zeros((d, d), dtype=bool)
-    pattern[rows, cols] = True
-    comps = invariant_blocks(pattern)  # each component's levels ascend
-    sizes = np.array([len(comp) for comp in comps])
-    label = np.empty(d, dtype=int)
-    label[np.concatenate(comps)] = np.repeat(np.arange(len(comps)), sizes)
-    owner = label[rows]
-    lam_min = entries[:, sizes[owner] == 1].real.min(axis=1, initial=np.inf)
-    for c in np.flatnonzero(sizes > 1):
-        comp, inside = comps[c], owner == c
+    lam_min = np.full(len(entries), np.inf)
+    alone = np.zeros(len(rows), dtype=bool)
+    for comp, pick, r, c in _split_triplets(rows, cols, d):
+        if len(comp) == 1:
+            alone[pick] = True
+            continue
         sub = np.zeros((len(entries), len(comp), len(comp)), dtype=complex)
-        sub[:, np.searchsorted(comp, rows[inside]),
-            np.searchsorted(comp, cols[inside])] = entries[:, inside]
+        sub[:, r, c] = entries[:, pick]
         low = np.linalg.eigvalsh(0.5 * (sub + sub.conj().transpose(0, 2, 1))).min(axis=1)
         lam_min = np.minimum(lam_min, low)
-    return lam_min
-
-
-def _kron_triplets(a: np.ndarray, b: np.ndarray, scale: complex):
-    """COO (rows, cols, values) of scale * kron(a, b) for square arrays a, b."""
-    ar, ac = np.nonzero(a)
-    br, bc = np.nonzero(b)
-    n = b.shape[0]
-    return ((ar[:, None] * n + br).ravel(), (ac[:, None] * n + bc).ravel(),
-            (scale * a[ar, ac][:, None] * b[br, bc]).ravel())
+    return np.minimum(lam_min, entries[:, alone].real.min(axis=1, initial=np.inf))
 
 
 def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
     """Vectorized generator L vec(rho) = vec(rho_dot), columns stacked.
 
-    ``H`` is a static ``ComplexOperator`` or None.  The Kronecker pieces
-    are gathered as COO triplets, which ``LiouvillianMatrix`` sums once.
+    ``H`` is None or a static Hamiltonian of ``_half_terms`` (every w = 0).
+    The Kronecker pieces are gathered as COO triplets, which
+    ``LiouvillianMatrix`` sums once.
     """
     if H is None and not terms:
         raise ValueError("need a Hamiltonian or at least one dissipator")
-    if H is not None and not isinstance(H, ComplexOperator):
-        raise TypeError("the Liouvillian requires a static Hamiltonian")
-    if H is not None and not H.is_hermitian():
-        raise ValueError("the Hamiltonian must be Hermitian")
+    if H is not None:
+        w, rows, cols, values = _half_terms(H)
+        if np.any(w):
+            raise TypeError("the Liouvillian requires a static Hamiltonian")
     layout = H.layout if H is not None else terms[0].jump.layout
     d = layout.dim
-    eye = np.eye(d)
+    eye = (np.arange(d), np.arange(d), np.ones(d))
     pieces = []
-    if H is not None:
-        h = H.entries
-        pieces += [_kron_triplets(eye, h, -1j), _kron_triplets(h.T, eye, 1j)]
+    if H is not None:  # -i (1 (x) H - H^T (x) 1) with H = M + M^dag
+        for r, c, v in ((rows, cols, values), (cols, rows, values.conj())):
+            pieces += [kron_triplets(eye, (r, c, v), d, -1j), kron_triplets((c, r, v), eye, d, 1j)]
     for term in terms:
         if term.jump.layout != layout:
             raise LayoutError("jump operator layout mismatch")
         j = term.jump.entries
         jdj = j.conj().T @ j
         half = term.rate / 2.0
-        pieces += [_kron_triplets(j.conj(), j, 2.0 * half),
-                   _kron_triplets(eye, jdj, -half), _kron_triplets(jdj.T, eye, -half)]
+        pieces += [kron_triplets(nonzero_triplets(j.conj()), nonzero_triplets(j), d, 2.0 * half),
+                   kron_triplets(eye, nonzero_triplets(jdj), d, -half),
+                   kron_triplets(nonzero_triplets(jdj.T), eye, d, -half)]
     return LiouvillianMatrix(*(np.concatenate(part) for part in zip(*pieces)), layout)
 
 
-def invariant_blocks(mat) -> list[np.ndarray]:
-    """Index sets of the blocks of a generator that never couple to each other.
+def invariant_blocks(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
+    """Index sets of the blocks of an n x n generator that never couple to each other.
 
-    These are the weakly connected components of the non-zero pattern of
-    ``mat``, a dense array or a ``LiouvillianMatrix`` (whose triplets are
-    read directly), so ``mat`` has no entry between two blocks and its
-    spectrum, null vectors and exponential split block by block.  A
-    generic dense generator is a single block.
+    These are the weakly connected components of the pattern of its
+    entries at (``rows``, ``cols``), COO triplets without zeros, so the
+    generator has no entry between two blocks and its spectrum, null
+    vectors and exponential split block by block.  A generic dense
+    generator is a single block.
     Blocks come in the order of their smallest index, each in ascending
     order.  Every index carries a label, at first itself: each round hooks
     the root label of every edge's end onto the smaller of its two end
     labels and then jumps pointers until every label is a root, so at the
     fixed point each index is labelled by the smallest index of its block.
     """
-    rows, cols = mat.nonzero()
-    label = np.arange(mat.shape[0])
+    label = np.arange(n)
     while True:
         low = np.minimum(label[rows], label[cols])
         hooked = label.copy()
@@ -1018,6 +994,22 @@ def invariant_blocks(mat) -> list[np.ndarray]:
         label = hooked
     order = np.argsort(label, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _split_triplets(rows: np.ndarray, cols: np.ndarray, n: int):
+    """(index set, triplet positions, local rows, local cols) of every invariant block of an n x n pattern.
+
+    Blocks as ``invariant_blocks`` orders them; a block's triplets keep their order.
+    """
+    blocks = invariant_blocks(rows, cols, n)
+    label, position = np.empty((2, n), dtype=int)
+    for b, idx in enumerate(blocks):
+        label[idx], position[idx] = b, np.arange(len(idx))
+    owner = label[rows]
+    order = np.argsort(owner, kind="stable")  # each block's triplets, one slice each
+    picks = np.split(order, np.cumsum(np.bincount(owner, minlength=len(blocks)))[:-1])
+    return [(idx, pick, position[rows[pick]], position[cols[pick]])
+            for idx, pick in zip(blocks, picks)]
 
 
 def _mirrors(blocks: Sequence[np.ndarray], d: int) -> list[int]:

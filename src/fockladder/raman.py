@@ -12,7 +12,6 @@ All rates are dimensionless multiples of a declared reference rate
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -25,6 +24,8 @@ from .hilbert import (
     LayoutError,
     annihilation,
     atomic_sigma,
+    kron_triplets,
+    nonzero_triplets,
 )
 
 Kind = Literal["JC", "AJC"]
@@ -172,17 +173,15 @@ def derive_couplings(params: RamanLadderParams) -> DerivedCouplings:
 
 
 class TimeDependentHamiltonian:
-    """H(t) = sum_k c_k e^{i w_k t} T_k + H.c. over a fixed layout."""
+    """H(t) = sum_k c_k e^{i w_k t} T_k + H.c. over a fixed layout.
 
-    def __init__(self, layout: HilbertLayout, terms: list[tuple[complex, float, np.ndarray]]):
+    ``terms`` holds (c_k, w_k, rows, cols, values), T_k as COO triplets in row-major order.
+    """
+
+    def __init__(self, layout: HilbertLayout, terms):
         self.layout = layout
-        self.terms = [(complex(c), float(w), np.ascontiguousarray(m)) for c, w, m in terms]
-
-    def matrix(self, t: float) -> np.ndarray:
-        h = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
-        for c, w, m in self.terms:
-            h += (c * cmath.exp(1j * w * t)) * m
-        return h + h.conj().T
+        self.terms = [(complex(c), float(w), np.asarray(rows), np.asarray(cols), np.asarray(values))
+                      for c, w, rows, cols, values in terms]
 
 
 def build_full_hamiltonian(
@@ -193,16 +192,15 @@ def build_full_hamiltonian(
         raise LayoutError(
             f"atom factor dim {layout.dim_of(ATOM)} != {2 + params.n_branches}"
         )
-    cutoff = layout.dim_of("field") - 1
-    a = annihilation(cutoff)
+    n = layout.dim_of("field")
+    a = nonzero_triplets(annihilation(n - 1).entries)
+    eye = (np.arange(n), np.arange(n), np.ones(n))
     terms = []
     for br in params.branches:
-        sig_c = atomic_sigma(*br.cavity_transition, params.atom_levels)
-        sig_l = atomic_sigma(*br.laser_transition, params.atom_levels)
-        cav = np.kron(sig_c.entries, a.entries)
-        las = np.kron(sig_l.entries, np.eye(cutoff + 1))
-        terms.append((br.lam, br.sign * br.delta, cav))
-        terms.append((br.omega, br.sign * br.delta_tilde, las))
+        sig_c = nonzero_triplets(atomic_sigma(*br.cavity_transition, params.atom_levels).entries)
+        sig_l = nonzero_triplets(atomic_sigma(*br.laser_transition, params.atom_levels).entries)
+        terms.append((br.lam, br.sign * br.delta, *kron_triplets(sig_c, a, n)))
+        terms.append((br.omega, br.sign * br.delta_tilde, *kron_triplets(sig_l, eye, n)))
     return TimeDependentHamiltonian(layout, terms)
 
 
@@ -249,9 +247,10 @@ def ladder_operator(spec: LadderSpec, cutoff: int) -> ComplexOperator:
     return ComplexOperator(HilbertLayout((("field", cutoff + 1),)), mat)
 
 
-def build_engineered_hamiltonian(spec: LadderSpec, layout: HilbertLayout) -> ComplexOperator:
+def build_engineered_hamiltonian(spec: LadderSpec, layout: HilbertLayout) -> TimeDependentHamiltonian:
     """Static engineered Hamiltonian zeta_ref sigma_ge A^dag + H.c. (sigma_eg for AJC).
 
+    One term with w = 0, so H = M + M^dag is Hermitian by construction.
     The atom factor uses the convention index 0 = g, index 1 = e.
     """
     atom_dim = layout.dim_of(ATOM)
@@ -260,14 +259,11 @@ def build_engineered_hamiltonian(spec: LadderSpec, layout: HilbertLayout) -> Com
     cutoff = layout.dim_of("field") - 1
     if cutoff < spec.top + 2:
         raise ValueError(f"cutoff {cutoff} < ladder top {spec.top} + 2")
-    sig = np.zeros((atom_dim, atom_dim), dtype=complex)
-    if spec.kind == "JC":
-        sig[0, 1] = 1.0  # |g><e|
-    else:
-        sig[1, 0] = 1.0  # |e><g|
-    adag = ladder_operator(spec, cutoff).entries
-    half = spec.zeta_ref * np.kron(sig, adag)
-    return ComplexOperator(layout, half + half.conj().T)
+    r, c = (0, 1) if spec.kind == "JC" else (1, 0)  # |g><e| or |e><g|
+    sig = (np.array([r]), np.array([c]), np.ones(1, dtype=complex))
+    adag = nonzero_triplets(ladder_operator(spec, cutoff).entries)
+    half = kron_triplets(sig, adag, cutoff + 1)
+    return TimeDependentHamiltonian(layout, [(spec.zeta_ref, 0.0, *half)])
 
 
 def ladder_from_conditions(

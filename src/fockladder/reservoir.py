@@ -38,7 +38,7 @@ from .lindblad import (
     propagate_touched,
     sparse_liouvillian,
 )
-from .raman import LadderSpec, ladder_operator
+from .raman import LadderSpec, TimeDependentHamiltonian, ladder_operator
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def thermal_terms(bath: ThermalBathParams, layout: HilbertLayout) -> list[Lindbl
 
 
 def collision_model_evolve(
-    engineered_h: ComplexOperator,
+    engineered_h: TimeDependentHamiltonian,
     inj: AtomInjectionParams,
     bath: ThermalBathParams,
     rho0_field: DensityOperator,
@@ -208,11 +208,10 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLa
     for k, (idx, _) in enumerate(L.blocks):
         owner[idx] = k
     # nodes: the df^2 field entries, then the blocks of L
-    link = np.zeros((df * df + len(L.blocks),) * 2, dtype=bool)
-    link[field[weight != 0], df * df + owner[weight != 0]] = True
-    link[df * df + owner[same], field[same]] = True
-    component = np.empty(len(link), dtype=int)
-    for k, comp in enumerate(invariant_blocks(link)):
+    links = (np.r_[field[weight != 0], df * df + owner[same]],
+             np.r_[df * df + owner[weight != 0], field[same]])
+    component = np.empty(df * df + len(L.blocks), dtype=int)
+    for k, comp in enumerate(invariant_blocks(*links, len(component))):
         component[comp] = k
     kept = (weight != 0) & np.isin(component[field], component[touched])
     rows, cols, values = [], [], []

@@ -14,6 +14,7 @@ from fockladder import (
     HilbertLayout,
     LiouvillianMatrix,
     StateVector,
+    TimeDependentHamiltonian,
     field_layout,
 )
 
@@ -88,22 +89,28 @@ def csgraph_blocks(mat) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
-def csgraph_frame_energies(terms, idx: np.ndarray) -> np.ndarray:
-    """Frame energies of one block of H from scipy's undirected breadth-first
-    spanning tree: E_v = E_pred(v) - w on the tree edge from pred(v) to v."""
-    d = len(idx)
-    rows, cols, edge = [], [], {}
-    for w, m in terms:
-        r, c = np.nonzero(m[np.ix_(idx, idx)])
-        rows += r.tolist()
-        cols += c.tolist()
-        for i, j in zip(r.tolist(), c.tolist()):
-            if i != j:
-                edge.setdefault((i, j), float(w))
-                edge.setdefault((j, i), -float(w))
+def csgraph_frame_energies(freqs, rows, cols, d: int) -> np.ndarray:
+    """Frame energies of one block of H, of d levels, from scipy's undirected
+    breadth-first spanning tree: E_v = E_pred(v) - w on the tree edge from
+    pred(v) to v.  The block's entries of ``_half_terms`` sit at local
+    (rows, cols) with frequencies ``freqs``; the first one on an edge names it."""
+    edge = {}
+    for i, j, w in zip(rows.tolist(), cols.tolist(), freqs.tolist()):
+        if i != j:
+            edge.setdefault((i, j), w)
+            edge.setdefault((j, i), -w)
     graph = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(d, d))
     order, pred = breadth_first_order(graph, 0, directed=False, return_predecessors=True)
     energies = np.zeros(d)
     for v in order[1:]:
         energies[v] = energies[pred[v]] - edge[(v, pred[v])]
     return energies
+
+
+def dense_hamiltonian(h: TimeDependentHamiltonian, t: float) -> np.ndarray:
+    """H(t) = sum_k c_k e^{i w_k t} T_k + H.c. as a dense array, summed from the terms' triplets."""
+    d = h.layout.dim
+    half = np.zeros((d, d), dtype=complex)
+    for c, w, rows, cols, values in h.terms:
+        np.add.at(half, (rows, cols), c * np.exp(1j * w * t) * values)
+    return half + half.conj().T

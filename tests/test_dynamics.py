@@ -48,6 +48,7 @@ from fockladder import (
     ub_dissipator,
 )
 from fockladder import lindblad, scenarios
+from fockladder.hilbert import nonzero_triplets
 from fockladder.lindblad import LiouvillianMatrix, invariant_blocks, propagate_touched
 from fockladder.scenarios import _ladder_from_doc, run_scenario
 from oracles import (
@@ -55,6 +56,7 @@ from oracles import (
     csgraph_blocks,
     csgraph_frame_energies,
     dense,
+    dense_hamiltonian,
     kron_liouvillian,
 )
 
@@ -95,6 +97,25 @@ def static_hamiltonian(layout, seed, active=None):
     return ComplexOperator(layout, h)
 
 
+def from_dense(layout, terms):
+    """TimeDependentHamiltonian of (c, w, dense T) terms, each T passed as its np.nonzero triplets."""
+    return TimeDependentHamiltonian(layout, [(c, w, *nonzero_triplets(m)) for c, w, m in terms])
+
+
+def block_terms(h):
+    """(index set, entries (w, rows, cols, values) of ``_half_terms`` at positions within the
+    block) of every invariant block of h, split as ``evolve_state`` splits them."""
+    w, rows, cols, values = lindblad._half_terms(h)
+    return [(idx, (w[pick], r, c, values[pick]))
+            for idx, pick, r, c in lindblad._split_triplets(rows, cols, h.layout.dim)]
+
+
+def first_frame_block(h):
+    """The ``_FrameBlock`` of the invariant block of h that holds level 0."""
+    idx, entries = block_terms(h)[0]
+    return lindblad._FrameBlock(*entries, len(idx))
+
+
 def full_raman_case(name, kind="JC", cutoff=None):
     """Resonance-solved full Hamiltonian of a preset and a state on three sectors."""
     doc = preset_document(name)
@@ -122,7 +143,7 @@ def cycle_case():
         m[r, s] = 1.0
         return m
 
-    h = TimeDependentHamiltonian(layout, [
+    h = from_dense(layout, [
         (0.3, 1.0, edge(1, 0)),
         (0.2, np.sqrt(2.0), edge(2, 1)),
         (0.25j, 0.5, edge(2, 0)),
@@ -149,9 +170,9 @@ def ladder_jump(cutoff):
 
 
 def dop853_states(h, psi0, times):
-    """Oracle: DOP853 on the full H.matrix(t) @ psi at rtol 1e-12."""
+    """Oracle: DOP853 on the full dense H(t) @ psi at rtol 1e-12."""
     sol = solve_ivp(
-        lambda t, psi: -1j * (h.matrix(t) @ psi),
+        lambda t, psi: -1j * (dense_hamiltonian(h, t) @ psi),
         (times[0], times[-1]),
         psi0.amplitudes.astype(complex),
         method="DOP853",
@@ -192,7 +213,7 @@ class TestEvolveState:
         a = annihilation(5).entries
         proj = np.zeros((6, 6))
         proj[1, 0] = 1.0
-        h = TimeDependentHamiltonian(layout, [(0.3, 2.0, proj)])
+        h = from_dense(layout, [(0.3, 2.0, proj)])
         psi0 = fock_state(0, 5)
         grid = TimeGrid(0.0, 1.5, 4)
         traj = evolve_state(h, psi0, grid, FAST)
@@ -201,7 +222,7 @@ class TestEvolveState:
         dt = 1.5 / steps
         for k in range(steps):
             t_mid = (k + 0.5) * dt
-            psi = scipy.linalg.expm(-1j * h.matrix(t_mid) * dt) @ psi
+            psi = scipy.linalg.expm(-1j * dense_hamiltonian(h, t_mid) * dt) @ psi
         overlap = abs(np.vdot(psi, traj.states[-1].amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-6)
 
@@ -224,9 +245,8 @@ class TestEvolveState:
         # successive doubling differences of the interval propagators fall
         # by 2^6 = 64, which the Richardson estimate diff / 63 assumes
         h, _ = cycle_case()
-        terms = lindblad._half_terms(h, h.layout)
-        block = lindblad._FrameBlock(terms, np.array([0, 1, 2]))
-        assert len(block.residuals)
+        block = first_frame_block(h)  # levels 0, 1 and 2
+        assert block.dim == 3 and len(block.residuals)
         times = TimeGrid(0.0, 30.0, 16).times
         props = [lindblad._interval_propagators(lindblad._MagnusLevel([block], times, 2**j))
                  for j in range(7)]
@@ -342,7 +362,7 @@ class TestMagnusLevels:
         # (a cycle and a second term on a tree edge); level 10 is a static
         # spectator and levels 12-13 stay empty
         dim, layout = 14, field_layout(13)
-        h = TimeDependentHamiltonian(layout, [
+        h = from_dense(layout, [
             (0.3, 1.0, edge_matrix(dim, 1, 0)), (0.2, 1.4, edge_matrix(dim, 1, 0)),
             (0.3, 1.0, edge_matrix(dim, 3, 2)), (0.2, np.sqrt(2.0), edge_matrix(dim, 4, 3)),
             (0.25j, 0.5, edge_matrix(dim, 4, 2)),
@@ -388,13 +408,13 @@ class TestMagnusLevels:
         # 1-2 and 2-3, that keep the same residual 0.05 (to rounding) in
         # the frame of the star; Fock levels 4-9 keep the top of the cutoff empty
         layout = field_layout(9)
-        h = TimeDependentHamiltonian(layout, [
+        h = from_dense(layout, [
             (1.0, 0.7, edge_matrix(10, 1, 0)), (1.0, 1.1, edge_matrix(10, 2, 0)),
             (1.0, 1.3, edge_matrix(10, 3, 0)), (0.2, 1.1 - 0.7 + 0.05, edge_matrix(10, 2, 1)),
             (0.3, 1.3 - 1.1 + 0.05, edge_matrix(10, 3, 2)),
         ])
-        block = lindblad._FrameBlock(lindblad._half_terms(h, layout), np.arange(4))
-        assert len(block.amplitudes) == 2
+        block = first_frame_block(h)
+        assert block.dim == 4 and len(block.amplitudes) == 2
         assert block.frequencies == pytest.approx([0.05], abs=1e-14)
         assert block.dimension.tolist() == [0, 0]
         times = TimeGrid(0.0, 30.0, 16).times
@@ -416,8 +436,8 @@ class TestMagnusLevels:
         # and 64 nodes would reach the step count
         layout = field_layout(1)
         edge = edge_matrix(2, 1, 0)
-        h = TimeDependentHamiltonian(layout, [(0.3, 1.0, edge), (5.0, 1.3, edge)])
-        block = lindblad._FrameBlock(lindblad._half_terms(h, layout), np.arange(2))
+        h = from_dense(layout, [(0.3, 1.0, edge), (5.0, 1.3, edge)])
+        block = first_frame_block(h)
         times = TimeGrid(0.0, 30.0, 16).times
         level = lindblad._MagnusLevel([block], times, 4)
         assert level.sizes == [0]
@@ -436,8 +456,8 @@ class TestMagnusLevels:
         # each read from the grid at its own start
         layout = field_layout(1)
         edge = edge_matrix(2, 1, 0)
-        h = TimeDependentHamiltonian(layout, [(0.5, 1.0, edge), (0.5, 1.3, edge)])
-        block = lindblad._FrameBlock(lindblad._half_terms(h, layout), np.arange(2))
+        h = from_dense(layout, [(0.5, 1.0, edge), (0.5, 1.3, edge)])
+        block = first_frame_block(h)
         times = TimeGrid(0.0, 30.0, 2).times
         level = lindblad._MagnusLevel([block], times, 64)
         assert level.sizes == [32]
@@ -518,7 +538,7 @@ class TestEvolveDensity:
 
     def test_time_dependent_hamiltonian_rejected(self):
         layout = field_layout(4)
-        h = TimeDependentHamiltonian(layout, [(1.0, 0.5, annihilation(4).entries)])
+        h = from_dense(layout, [(1.0, 0.5, annihilation(4).entries)])
         terms = [LindbladTerm(1.0, annihilation(4))]
         with pytest.raises(TypeError):
             evolve_density(sparse_liouvillian(h, terms), fock_state(1, 4).to_density(),
@@ -919,12 +939,17 @@ class TestLiouvillianMatrix:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    @pytest.mark.parametrize("with_h", [False, True], ids=["dissipators", "with-H"])
-    def test_matches_kron_construction(self, with_h):
+    @pytest.mark.parametrize("hamiltonian", [None, "random", "engineered"],
+                             ids=["dissipators", "with-H", "engineered-H"])
+    def test_matches_kron_construction(self, hamiltonian):
         # oracle: the generator summed from scipy.sparse.kron pieces, on the
-        # atom (x) field layout of the collision model with a random H
+        # atom (x) field layout of the collision model with a random H, or
+        # with the engineered H that the collision model passes as one
+        # static term, written out densely for the oracle
         layout = atom_field_layout(2, 5)
-        h = static_hamiltonian(layout, seed=3) if with_h else None
+        h = static_hamiltonian(layout, seed=3) if hamiltonian == "random" else None
+        if hamiltonian == "engineered":
+            h = build_engineered_hamiltonian(LadderSpec(0, (1.0, 0.8j), 0.7), layout)
         field = field_layout(5)
         terms = [
             LindbladTerm(t.rate, ComplexOperator(layout, np.kron(np.eye(2), t.jump.entries)))
@@ -933,6 +958,8 @@ class TestLiouvillianMatrix:
         terms.append(LindbladTerm(1.3, ComplexOperator(
             layout, np.kron(np.eye(2), ladder_jump(5)))))
         got = sparse_liouvillian(h, terms)
+        if hamiltonian == "engineered":
+            h = ComplexOperator(layout, dense_hamiltonian(h, 0.0))
         expected = kron_liouvillian(h, terms)
         assert np.max(np.abs(dense(got) - expected.toarray())) <= 1e-13
         # no stored zeros: the block split reads the stored pattern
@@ -959,14 +986,14 @@ class TestInvariantBlocks:
         elif form == "csr":
             mat = scipy.sparse.csr_matrix(mat)
             mat.data[::4] = 0.0
-        got = invariant_blocks(mat)
+        got = invariant_blocks(*mat.nonzero(), n)
         assert same_blocks(got, csgraph_blocks(mat))
         if density < 0.01:
             assert min(len(idx) for idx in got) == 1
 
     def test_all_zero_matrix_is_singletons(self):
         mat = np.zeros((7, 7))
-        got = invariant_blocks(mat)
+        got = invariant_blocks(*mat.nonzero(), 7)
         assert same_blocks(got, csgraph_blocks(mat))
         assert same_blocks(got, [np.array([k]) for k in range(7)])
 
@@ -979,20 +1006,32 @@ class TestInvariantBlocks:
         path = rng.permutation(200)
         chain[path[1:], path[:-1]] = 1.0
         for mat in (full, chain):
-            got = invariant_blocks(mat)
+            got = invariant_blocks(*mat.nonzero(), len(mat))
             assert same_blocks(got, csgraph_blocks(mat))
             assert len(got) == 1
 
     def test_generic_dense_generator_is_one_block(self):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        blocks = invariant_blocks(mat)
+        blocks = invariant_blocks(*mat.nonzero(), 16)
         assert len(blocks) == 1
         assert sorted(blocks[0]) == list(range(16))
 
+    def test_zero_coupling_term_links_no_levels(self):
+        # a laser leg with Omega = 0 is a term with c = 0: ``_half_terms``
+        # drops its entries, so H splits as its dense H(t) does (oracle:
+        # csgraph on the dense H), into more blocks than the term patterns
+        params = raman_params([1.0, 1.0], [0.0, 0.05], [10.0, 5.0], [9.9, 5.2])
+        h = build_full_hamiltonian(params, atom_field_layout(4, 6))
+        _, rows, cols, _ = lindblad._half_terms(h)
+        got = invariant_blocks(rows, cols, h.layout.dim)
+        assert same_blocks(got, csgraph_blocks(dense_hamiltonian(h, 0.7)))
+        patterns = [np.concatenate([term[k] for term in h.terms]) for k in (2, 3)]
+        assert len(got) > len(invariant_blocks(*patterns, h.layout.dim))
+
     def test_fig4_splits_exactly(self):
         mat = sparse_liouvillian(None, preset_terms("fig4", 24))
-        blocks = invariant_blocks(mat)
+        blocks = invariant_blocks(mat.rows, mat.cols, mat.shape[0])
         assert len(blocks) == 49
         assert max(len(idx) for idx in blocks) == 25
         assert sorted(np.concatenate(blocks)) == list(range(625))
@@ -1010,12 +1049,11 @@ class TestFrameBlock:
         # oracle: the frame energies built from scipy's breadth-first order,
         # equal to the last bit on every block of the preset Hamiltonian
         h, _ = full_raman_case(name, kind=kind)
-        terms = lindblad._half_terms(h, h.layout)
-        blocks = invariant_blocks(sum(np.abs(m) for _, m in terms))
-        assert max(len(idx) for idx in blocks) > 2
-        for idx in blocks:
-            energies = lindblad._FrameBlock(terms, idx).energies
-            assert np.array_equal(energies, csgraph_frame_energies(terms, idx))
+        blocks = block_terms(h)
+        assert max(len(idx) for idx, _ in blocks) > 2
+        for idx, entries in blocks:
+            energies = lindblad._FrameBlock(*entries, len(idx)).energies
+            assert np.array_equal(energies, csgraph_frame_energies(*entries[:3], len(idx)))
 
     def test_cycle_energies_match_csgraph_spanning_tree(self):
         # level 0 reaches 3 along an out-edge and 1 along an in-edge, and 2
@@ -1026,15 +1064,14 @@ class TestFrameBlock:
             m[r, s] = 1.0
             return m
 
-        h = TimeDependentHamiltonian(field_layout(3), [
+        h = from_dense(field_layout(3), [
             (0.3, 1.0, edge(0, 3)), (0.2, np.sqrt(2.0), edge(1, 0)),
             (0.25, np.pi, edge(2, 3)), (0.4, np.e, edge(2, 1)),
         ])
         for h in (h, cycle_case()[0]):
-            terms = lindblad._half_terms(h, h.layout)
-            for idx in invariant_blocks(sum(np.abs(m) for _, m in terms)):
-                energies = lindblad._FrameBlock(terms, idx).energies
-                assert np.array_equal(energies, csgraph_frame_energies(terms, idx))
+            for idx, entries in block_terms(h):
+                energies = lindblad._FrameBlock(*entries, len(idx)).energies
+                assert np.array_equal(energies, csgraph_frame_energies(*entries[:3], len(idx)))
 
 
 class TestSteadyState:
@@ -1054,7 +1091,7 @@ class TestSteadyState:
 
     def test_matches_dense_null_vector_with_hamiltonian(self):
         L = self.hamiltonian_case()
-        assert len(invariant_blocks(L)) > 1
+        assert len(invariant_blocks(L.rows, L.cols, L.shape[0])) > 1
         assert np.allclose(steady_state(L).entries, dense_null_state(L), atol=1e-10)
 
     @staticmethod

@@ -176,6 +176,17 @@ def test_non_finite_state_trips_guard(tmp_path, doc):
     assert [str(w.message) for w in caught] == []
 
 
+def test_long_grid_accepts_estimate_at_rounding(tmp_path):
+    # fig2a on 16,385 samples: the doubling differences of the accepted level
+    # sit at the rounding of 147,456 steps, above a fixed 1e-13 floor; the
+    # floor scales with the steps taken, so the run exits 0
+    code, err, _ = _run(tmp_path, _doc("fig2a", "grid.samples", 16385),
+                        "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    summary = json.loads((tmp_path / "out" / "fig2a.json").read_text())
+    assert summary["diagnostics"]["integrator"]["full"]["error_estimate"] <= 1e-7
+
+
 @pytest.mark.parametrize("path", ["parameters.channels.5.1", "parameters.channels.-1.1",
                                   "parameters.channels.x.1", "parameters.channels.0.2"])
 def test_sweep_rejects_bad_list_index(capsys, path):

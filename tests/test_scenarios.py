@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,21 @@ class TestRunner:
         assert 0 < integrator["full"]["exponentials"] < integrator["full"]["steps"]
         assert 0.0 < integrator["full"]["error_estimate"] <= doc["integrator"]["rel_tol"]
         assert integrator["engineered"] == {"steps": 0, "exponentials": 0, "error_estimate": 0.0}
+
+    def test_full_model_memory_stays_per_block(self):
+        # fig2b at cutoff 480 has d = 1,924 levels in blocks of at most 4; its
+        # Hamiltonian terms are COO triplets, so no d x d array (59 MB of
+        # complex entries) is formed
+        doc = preset_document("fig2b")
+        doc["cutoff"] = 480
+        config = parse_config(doc)
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_density_diagnostics_recorded(self):
         # a thermal field touches only the block of the 13 populations
