@@ -55,17 +55,11 @@ _GUARD_ERRORS = (LeakageError, IntegrationError, DegenerateSteadyStateError, Res
 
 def _load_with_overrides(scenario: str, args) -> "ScenarioConfig":
     config = load_scenario(scenario)
+    if args.cutoff is None:
+        return config
     doc = copy.deepcopy(config.raw)
-    changed = False
-    if getattr(args, "cutoff", None) is not None:
-        doc["cutoff"] = args.cutoff
-        changed = True
-    if getattr(args, "tol", None) is not None:
-        integ = dict(doc.get("integrator", {}))
-        integ["rel_tol"] = args.tol
-        doc["integrator"] = integ
-        changed = True
-    return parse_config(doc) if changed else config
+    doc["cutoff"] = args.cutoff
+    return parse_config(doc)
 
 
 def _make_dir(path: Path) -> None:
@@ -179,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--check", action="store_true",
                        help="compare against the scenario's embedded targets")
     run_p.add_argument("--cutoff", type=int, help="override the Fock cutoff")
-    run_p.add_argument("--tol", type=float, help="override the integrator rel_tol")
     run_p.set_defaults(func=_cmd_run)
 
     presets_p = sub.add_parser("presets", help="list bundled scenarios")
@@ -202,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated list of numeric values")
     sweep_p.add_argument("--out", help="CSV file for the sweep table")
     sweep_p.add_argument("--cutoff", type=int, help="override the Fock cutoff")
-    sweep_p.add_argument("--tol", type=float, help="override the integrator rel_tol")
     sweep_p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -17,7 +17,6 @@ import numpy as np
 ATOM = "atom"
 FIELD = "field"
 
-HERMITICITY_TOL = 1e-10
 NORM_TOL = 1e-9
 
 
@@ -107,9 +106,6 @@ class ComplexOperator:
 
     def dag(self) -> "ComplexOperator":
         return ComplexOperator(self.layout, self.entries.conj().T)
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
 
     def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
         self._check_layout(other)

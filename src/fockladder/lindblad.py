@@ -43,7 +43,7 @@ advances exactly by one matrix exponential of one sample interval (Moler
 & Van Loan, SIAM Rev. 45, 3 (2003)); a thermal or Fock start touches only
 the block of the d populations, which makes this the population rate
 equation.  The collision model of ``reservoir`` runs through the same
-routine with its one-atom field map as the step.
+routine with the touched blocks of its one-atom field map as the step.
 
 A trajectory keeps only the touched entries of every sample, in one
 array, and every trajectory, of states or of densities, returns through
@@ -51,10 +51,11 @@ one guard routine that checks that array in one batch: norm or trace
 drift, negativity (density runs, over the connected components of the
 pattern of the touched entries), then leakage.  No sample is
 renormalized.  States are built, re-symmetrized, only when a sample is
-read.  Steady states work on the same invariant blocks: a map on vec(rho)
-is split once, by ``LiouvillianMatrix.blocks``, for every reader.  A
-generator preserves Hermiticity, so the blocks of coherence orders +k
-and -k have conjugate spectra, and one of each pair is solved.
+read.  Steady states work on the same invariant blocks: a generator is
+split once, by ``LiouvillianMatrix.blocks``, for its trajectory and its
+steady state.  A generator preserves Hermiticity, so the blocks of
+coherence orders +k and -k have conjugate spectra, and one of each pair
+is solved.
 
 The module needs numpy alone and forms no dense d x d Hamiltonian: its
 terms and vectorized generators are COO triplets, and their blocks are
@@ -192,12 +193,13 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class LiouvillianMatrix:
-    """A d^2 x d^2 map on vec(rho): a Lindblad generator, or the collision model's one-atom map.
+    """A d^2 x d^2 Lindblad generator on vec(rho).
 
     Columns are stacked, vec(A rho B) = (B^T (x) A) vec(rho).  The map is
     held as read-only COO triplets in canonical form: sorted by flat index
-    row * d^2 + col, duplicates summed and zeros dropped.  So the split
-    into invariant blocks is taken once, by ``blocks``, and cannot go stale.
+    row * d^2 + col, duplicates summed and zeros dropped; an index outside
+    [0, d^2) is rejected.  So the split into invariant blocks is taken
+    once, by ``blocks``, and cannot go stale.
     """
 
     rows: np.ndarray
@@ -207,8 +209,10 @@ class LiouvillianMatrix:
 
     def __post_init__(self):
         n = self.shape[0]
-        flat, where = np.unique(np.asarray(self.rows) * n + np.asarray(self.cols),
-                                return_inverse=True)
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)):
+            raise ValueError(f"map entries must lie in [0, {n}) x [0, {n})")
+        flat, where = np.unique(rows * n + cols, return_inverse=True)
         values = np.zeros(len(flat), dtype=complex)
         np.add.at(values, where, self.values)
         kept = values != 0
@@ -341,22 +345,16 @@ class _States(Sequence):
         return self._traj.state(range(len(self))[k])
 
 
-def _half_terms(H) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _half_terms(H: TimeDependentHamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(w, rows, cols, values) of the entries of every M_k in H(t) = sum_k e^{i w_k t} M_k + H.c.
 
-    M_k = c_k T_k, or one M = H/2 of a static Hermitian ``ComplexOperator``, in term
-    order; zero values are dropped, so a term with c_k = 0 couples no levels.
+    M_k = c_k T_k of a ``TimeDependentHamiltonian``, Hermitian by construction,
+    in term order; zero values are dropped, so a term with c_k = 0 couples no levels.
     """
-    if isinstance(H, TimeDependentHamiltonian):
-        terms = H.terms
-    elif isinstance(H, ComplexOperator):
-        if not H.is_hermitian():
-            raise ValueError("the Hamiltonian must be Hermitian")
-        terms = [(0.5, 0.0, *nonzero_triplets(H.entries))]
-    else:
+    if not isinstance(H, TimeDependentHamiltonian):
         raise TypeError(f"unsupported Hamiltonian type {type(H)!r}")
     w, rows, cols, values = (np.concatenate(part) for part in zip(
-        *[(np.full(len(v), freq), r, c, coef * v) for coef, freq, r, c, v in terms]))
+        *[(np.full(len(v), freq), r, c, coef * v) for coef, freq, r, c, v in H.terms]))
     kept = values != 0
     return w[kept], rows[kept], cols[kept], values[kept]
 
@@ -765,14 +763,14 @@ def evolve_state(
 ) -> Trajectory:
     """Propagate i dpsi/dt = H(t) psi (hbar = 1) over the sampling grid.
 
-    ``H`` is a static Hermitian ``ComplexOperator`` or a
-    ``TimeDependentHamiltonian``.  Only the invariant blocks of H that
-    psi0 touches are propagated; the rest of the state stays exactly
-    zero.  Blocks with no residual frequency in their frame are
-    propagated exactly, the others by Magnus steps to ``cfg.rel_tol``,
-    those of one dim and one frequency count stacked together
-    (``_magnus_states``).  The trajectory goes through the guards of
-    ``_guarded``, with a norm-drift limit of 10 * ``cfg.rel_tol``.
+    ``H`` is a ``TimeDependentHamiltonian`` (a static H is one term with
+    w = 0).  Only the invariant blocks of H that psi0 touches are
+    propagated; the rest of the state stays exactly zero.  Blocks with
+    no residual frequency in their frame are propagated exactly, the
+    others by Magnus steps to ``cfg.rel_tol``, those of one dim and one
+    frequency count stacked together (``_magnus_states``).  The
+    trajectory goes through the guards of ``_guarded``, with a norm-drift
+    limit of 10 * ``cfg.rel_tol``.
     """
     layout = psi0.layout
     w, rows, cols, values = _half_terms(H)
@@ -938,7 +936,8 @@ def _lowest_eigenvalues(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 def sparse_liouvillian(H, terms: list[LindbladTerm]) -> LiouvillianMatrix:
     """Vectorized generator L vec(rho) = vec(rho_dot), columns stacked.
 
-    ``H`` is None or a static Hamiltonian of ``_half_terms`` (every w = 0).
+    ``H`` is None or a ``TimeDependentHamiltonian`` whose every term has
+    w = 0, such as ``build_engineered_hamiltonian`` returns.
     The Kronecker pieces are gathered as COO triplets, which
     ``LiouvillianMatrix`` sums once.
     """

@@ -175,13 +175,17 @@ def derive_couplings(params: RamanLadderParams) -> DerivedCouplings:
 class TimeDependentHamiltonian:
     """H(t) = sum_k c_k e^{i w_k t} T_k + H.c. over a fixed layout.
 
-    ``terms`` holds (c_k, w_k, rows, cols, values), T_k as COO triplets in row-major order.
+    ``terms`` holds (c_k, w_k, rows, cols, values), T_k as COO triplets in row-major order;
+    an index outside [0, d) is rejected.
     """
 
     def __init__(self, layout: HilbertLayout, terms):
         self.layout = layout
         self.terms = [(complex(c), float(w), np.asarray(rows), np.asarray(cols), np.asarray(values))
                       for c, w, rows, cols, values in terms]
+        for _, _, rows, cols, _ in self.terms:
+            if np.any((rows < 0) | (rows >= layout.dim) | (cols < 0) | (cols >= layout.dim)):
+                raise ValueError(f"term entries must lie in [0, {layout.dim}) x [0, {layout.dim})")
 
 
 def build_full_hamiltonian(

@@ -171,29 +171,26 @@ def collision_model_evolve(
         for t in thermal_terms(bath, field_layout_)
     ]
     vec0 = rho0_field.entries.astype(complex).ravel(order="F")
-    field_map = _field_map(sparse_liouvillian(engineered_h, bath_joint), inj, field_layout_,
-                           np.flatnonzero(vec0))
-    steps = [(idx, sub) for idx, sub in field_map.blocks if np.any(vec0[idx])]
+    steps = _field_map(sparse_liouvillian(engineered_h, bath_joint), inj, field_layout_, vec0 != 0)
     times = inj.tau * np.arange(n_atoms + 1)
     return propagate_touched(steps, vec0, times, field_layout_, step_name="collisions")
 
 
 def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLayout,
-               touched: np.ndarray) -> LiouvillianMatrix:
-    """One collision as a map on column-stacked field states of ``layout``.
+               touched: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One collision, on the blocks of the field map that hold an entry of the mask ``touched``.
 
     attach (rho_f -> rho_atom (x) rho_f), exp(L tau) and the trace over the
-    atom contracted into one (df^2, df^2) map.  Attach and trace are index
-    maps, so the contraction runs block by block: each used block of L
-    adds step[out, in] * weight[in] at (field[out], field[in]), over its
-    attached entries ``in`` and its atom-diagonal entries ``out``.
-
-    The map is exact on the invariant blocks it shares with the field
-    entries ``touched``, and zero in every column outside them.  A field
-    entry links to the blocks of L it is attached into, and a block of L
-    to the field entries traced out of it; the components of these links
-    that hold ``touched`` are closed under the map, and only the blocks of
-    L that their field entries are attached into are exponentiated.
+    atom, contracted into a map on column-stacked field states of
+    ``layout``.  Attach and trace are index maps, so each block of L with
+    attached entries ``in`` adds step[out, in] * weight[in] at
+    (field[out], field[in]) over its atom-diagonal entries ``out``, in the
+    order of L's blocks.  Those field entries and that block are linked,
+    and the components of the links are closed under the map.  Returned is
+    the (index set, dense block) pair of each component that holds a
+    ``touched`` entry, by its smallest entry, as
+    ``lindblad.propagate_touched`` takes them; only their blocks of L are
+    exponentiated.
     """
     df = layout.dim
     amp = inj.atom_state.amplitudes
@@ -203,24 +200,26 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLa
     b, m, a, n = np.unravel_index(np.arange(dj), (2, df, 2, df))
     field = m * df + n
     weight = rho_atom[a, b]
-    same = a == b
+    attached = weight != 0
     owner = np.empty(dj, dtype=int)
     for k, (idx, _) in enumerate(L.blocks):
         owner[idx] = k
+    traced = (a == b) & np.isin(owner, owner[attached])
     # nodes: the df^2 field entries, then the blocks of L
-    links = (np.r_[field[weight != 0], df * df + owner[same]],
-             np.r_[df * df + owner[weight != 0], field[same]])
-    component = np.empty(df * df + len(L.blocks), dtype=int)
-    for k, comp in enumerate(invariant_blocks(*links, len(component))):
-        component[comp] = k
-    kept = (weight != 0) & np.isin(component[field], component[touched])
-    rows, cols, values = [], [], []
-    for k in np.unique(owner[kept]):
-        idx, sub = L.blocks[k]
-        out, into = idx[same[idx]], idx[kept[idx]]
-        step = expm(sub * inj.tau)[np.ix_(same[idx], kept[idx])] * weight[into]
-        rows.append(np.repeat(field[out], len(into)))
-        cols.append(np.tile(field[into], len(out)))
-        values.append(step.ravel())
-    return LiouvillianMatrix(np.concatenate(rows), np.concatenate(cols),
-                             np.concatenate(values), layout)
+    links = (np.r_[field[attached], df * df + owner[traced]],
+             np.r_[df * df + owner[attached], field[traced]])
+    position = np.empty(df * df, dtype=int)
+    steps = []
+    for comp in invariant_blocks(*links, df * df + len(L.blocks)):
+        idx = comp[comp < df * df]  # ascending, so the field entries come first
+        if not touched[idx].any():
+            continue
+        position[idx] = np.arange(len(idx))
+        block = np.zeros((len(idx), len(idx)), dtype=complex)
+        for k in comp[len(idx):] - df * df:
+            part, sub = L.blocks[k]
+            out, into = part[traced[part]], part[attached[part]]
+            step = expm(sub * inj.tau)[np.ix_(traced[part], attached[part])] * weight[into]
+            np.add.at(block, (position[field[out]][:, None], position[field[into]]), step)
+        steps.append((idx, block))
+    return steps

@@ -85,8 +85,9 @@ def dense_null_state(L):
 
 
 def static_hamiltonian(layout, seed, active=None):
-    """Random hermitian operator, optionally restricted to the first
-    ``active`` basis states so the truncation guard stays quiet."""
+    """Random hermitian H, optionally restricted to the first ``active``
+    basis states so the truncation guard stays quiet, as one static term
+    (``from_dense`` of H/2)."""
     rng = np.random.default_rng(seed)
     d = layout.dim
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -94,7 +95,7 @@ def static_hamiltonian(layout, seed, active=None):
     if active is not None:
         h[active:, :] = 0.0
         h[:, active:] = 0.0
-    return ComplexOperator(layout, h)
+    return from_dense(layout, [(0.5, 0.0, h)])
 
 
 def from_dense(layout, terms):
@@ -193,7 +194,7 @@ class TestEvolveState:
         grid = TimeGrid(0.0, 2.0, 9)
         traj = evolve_state(h, psi0, grid, FAST)
         for t, state in zip(grid.times, traj.states):
-            expected = scipy.linalg.expm(-1j * h.entries * t) @ psi0.amplitudes
+            expected = scipy.linalg.expm(-1j * dense_hamiltonian(h, 0.0) * t) @ psi0.amplitudes
             phase = np.vdot(expected, state.amplitudes)
             phase /= abs(phase)
             assert np.allclose(state.amplitudes, phase * expected, atol=1e-7)
@@ -270,10 +271,23 @@ class TestEvolveState:
         with pytest.raises(TypeError):
             evolve_state(h, fock_state(0, 4), TimeGrid(0.0, 1.0, 3), FAST)
 
-    def test_non_hermitian_hamiltonian_rejected(self):
-        h = ComplexOperator(field_layout(4), annihilation(4).entries)
-        with pytest.raises(ValueError, match="Hermitian"):
+    def test_dense_hamiltonian_rejected(self):
+        # a Hamiltonian is a TimeDependentHamiltonian of COO terms, for
+        # state runs and generators alike
+        h = ComplexOperator(field_layout(4), number_operator(4).entries)
+        with pytest.raises(TypeError, match="unsupported Hamiltonian type"):
             evolve_state(h, fock_state(1, 4), TimeGrid(0.0, 1.0, 3), FAST)
+        with pytest.raises(TypeError, match="unsupported Hamiltonian type"):
+            sparse_liouvillian(h, [LindbladTerm(1.0, annihilation(4))])
+
+    def test_out_of_range_term_index_rejected(self):
+        # column 7 of a 4-level field; it ended in a bare IndexError inside
+        # the block split of evolve_state
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            TimeDependentHamiltonian(field_layout(3), [(1.0, 0.0, np.array([0]), np.array([7]),
+                                                        np.array([1.0]))])
+        with pytest.raises(ValueError):
+            TimeDependentHamiltonian(field_layout(3), [(1.0, 0.0, [-1], [0], [1.0])])
 
     def test_step_doubling_cap_raises(self):
         h, psi0 = cycle_case()
@@ -284,7 +298,7 @@ class TestEvolveState:
         # resonant JC ladder across the whole space drives population to the top
         layout = field_layout(4)
         a = annihilation(4)
-        drive = ComplexOperator(layout, 2.0 * (a.entries + a.entries.conj().T))
+        drive = from_dense(layout, [(2.0, 0.0, a.entries)])
         with pytest.raises(LeakageError):
             evolve_state(drive, fock_state(0, 4), TimeGrid(0.0, 10.0, 21), FAST)
 
@@ -544,12 +558,6 @@ class TestEvolveDensity:
             evolve_density(sparse_liouvillian(h, terms), fock_state(1, 4).to_density(),
                            TimeGrid(0.0, 1.0, 3))
 
-    def test_non_hermitian_hamiltonian_rejected(self):
-        # a generator from a non-Hermitian H would not preserve Hermiticity
-        terms = [LindbladTerm(1.0, annihilation(4))]
-        with pytest.raises(ValueError, match="the Hamiltonian must be Hermitian"):
-            sparse_liouvillian(annihilation(4), terms)
-
     def test_hamiltonian_and_dissipator_together(self):
         # [DERIVED] compare against the vectorized Liouvillian propagator
         layout = field_layout(6)
@@ -571,7 +579,7 @@ class TestEvolveDensity:
         # orders 0 and +-2 only and every other entry stays exactly zero.
         cutoff = 6
         n = np.diag(np.arange(cutoff + 1.0))
-        h = ComplexOperator(field_layout(cutoff), 0.7 * n + 0.3 * n @ n)
+        h = from_dense(field_layout(cutoff), [(0.5, 0.0, 0.7 * n + 0.3 * n @ n)])
         terms = [LindbladTerm(0.8, annihilation(cutoff)),
                  LindbladTerm(0.2, number_operator(cutoff))]
         rho0 = field_superposition({1: 0.6, 3: 0.8j}, cutoff).to_density()
@@ -613,7 +621,7 @@ class TestTrajectoryStorage:
     def density_run(self):
         cutoff = 6
         n = np.diag(np.arange(cutoff + 1.0))
-        h = ComplexOperator(field_layout(cutoff), 0.7 * n + 0.3 * n @ n)
+        h = from_dense(field_layout(cutoff), [(0.5, 0.0, 0.7 * n + 0.3 * n @ n)])
         terms = [LindbladTerm(0.8, annihilation(cutoff))]
         rho0 = field_superposition({1: 0.6, 3: 0.8j}, cutoff).to_density()
         return evolve_density(sparse_liouvillian(h, terms), rho0, TimeGrid(0.0, 1.0, 11))
@@ -907,7 +915,8 @@ class TestLiouvillianMatrix:
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        rhs = -1j * (h.entries @ rho - rho @ h.entries)
+        hm = dense_hamiltonian(h, 0.0)
+        rhs = -1j * (hm @ rho - rho @ hm)
         for term in terms:
             j = term.jump.entries
             jd = j.conj().T
@@ -939,13 +948,20 @@ class TestLiouvillianMatrix:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_out_of_range_index_rejected(self):
+        # column 5 of a 4 x 4 map was folded into row 1 and stored at (1, 1)
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            LiouvillianMatrix(np.array([0]), np.array([5]), np.array([1.0]), field_layout(1))
+        with pytest.raises(ValueError):
+            LiouvillianMatrix(np.array([-1]), np.array([0]), np.array([1.0]), field_layout(1))
+
     @pytest.mark.parametrize("hamiltonian", [None, "random", "engineered"],
                              ids=["dissipators", "with-H", "engineered-H"])
     def test_matches_kron_construction(self, hamiltonian):
         # oracle: the generator summed from scipy.sparse.kron pieces, on the
         # atom (x) field layout of the collision model with a random H, or
-        # with the engineered H that the collision model passes as one
-        # static term, written out densely for the oracle
+        # with the engineered H that the collision model passes; either is
+        # one static term, written out densely for the oracle
         layout = atom_field_layout(2, 5)
         h = static_hamiltonian(layout, seed=3) if hamiltonian == "random" else None
         if hamiltonian == "engineered":
@@ -958,7 +974,7 @@ class TestLiouvillianMatrix:
         terms.append(LindbladTerm(1.3, ComplexOperator(
             layout, np.kron(np.eye(2), ladder_jump(5)))))
         got = sparse_liouvillian(h, terms)
-        if hamiltonian == "engineered":
+        if h is not None:
             h = ComplexOperator(layout, dense_hamiltonian(h, 0.0))
         expected = kron_liouvillian(h, terms)
         assert np.max(np.abs(dense(got) - expected.toarray())) <= 1e-13
@@ -1099,7 +1115,7 @@ class TestSteadyState:
         """fig4's generator at cutoff 12 plus an excitation-conserving H, which
         keeps it split into blocks and makes every coherence block complex."""
         n = np.diag(np.arange(13.0))
-        h = ComplexOperator(field_layout(12), 0.7 * n + 0.3 * n @ n)
+        h = from_dense(field_layout(12), [(0.5, 0.0, 0.7 * n + 0.3 * n @ n)])
         return sparse_liouvillian(h, preset_terms("fig4", 12))
 
     @pytest.mark.parametrize("name, cutoff", [

@@ -90,11 +90,6 @@ class TestOperators:
         expected[0, 1] = 1.0
         assert np.allclose(sig.entries, expected)
 
-    def test_hermiticity_flag(self):
-        n_op = number_operator(4)
-        assert n_op.is_hermitian()
-        assert not annihilation(4).is_hermitian()
-
 
 class TestStates:
     def test_fock_state(self):

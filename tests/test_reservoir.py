@@ -44,6 +44,14 @@ def joint_generator(h, bath, field):
     return sparse_liouvillian(h, bath_joint)
 
 
+def block_diagonal(steps, n):
+    """The n x n map holding each (index set, block) pair of ``steps`` on its indices."""
+    out = np.zeros((n, n), dtype=complex)
+    for idx, block in steps:
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
 def joint_collisions(h, inj, bath, rho0, n_atoms):
     """Oracle: field states after each atom, by attaching the atom, propagating
     the joint state with the dense exponential of the full generator and
@@ -225,20 +233,36 @@ class TestCollisionModel:
                                 ThermalBathParams(gamma=1.0, n_bar=0.05), field)
         inj = AtomInjectionParams(tau=tau, atom_state=atom_state(amps, ("g", "e")))
         vec0 = field_superposition({2: 1.0}, cutoff).to_density().entries.ravel(order="F")
-        part = _field_map(L, inj, field, np.flatnonzero(vec0))
-        full = _field_map(L, inj, field, np.arange(vec0.size))
-        touched = [idx for idx, _ in full.blocks if np.any(vec0[idx])]
-        assert [idx.tolist() for idx, _ in part.blocks if np.any(vec0[idx])] == [
-            idx.tolist() for idx in touched]
+        part = _field_map(L, inj, field, vec0 != 0)
+        full = _field_map(L, inj, field, np.ones(vec0.size, dtype=bool))
+        touched = [idx for idx, _ in full if np.any(vec0[idx])]
+        assert [idx.tolist() for idx, _ in part] == [idx.tolist() for idx in touched]
         cols = np.concatenate(touched)
         assert len(cols) > 1
-        assert np.max(np.abs((dense(part) - dense(full))[:, cols])) <= 1e-14
+        assert np.max(np.abs((block_diagonal(part, vec0.size)
+                              - block_diagonal(full, vec0.size))[:, cols])) <= 1e-14
         coherences = np.count_nonzero(cols % (cutoff + 2))  # vec index n + n*d is a population
         if len(amps) == 1:
             assert coherences == 0
-            assert len(part.values) < len(full.values)
+            assert (sum(np.count_nonzero(block) for _, block in part)
+                    < sum(np.count_nonzero(block) for _, block in full))
         else:
             assert coherences > 0
+
+    def test_thermal_start_takes_one_population_block(self):
+        # fig4 at cutoff 12: of the 169 field entries a thermal start touches
+        # the 13 populations, which one collision keeps among themselves;
+        # no block is returned for an entry it does not touch
+        cutoff, tau = 12, 0.2**2 / 63.0
+        field, joint = field_layout(cutoff), atom_field_layout(2, cutoff)
+        spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=0.2 / tau)
+        L = joint_generator(build_engineered_hamiltonian(spec, joint),
+                            ThermalBathParams(gamma=1.0, n_bar=0.05), field)
+        vec0 = thermal_state(0.05, cutoff).entries.ravel(order="F")
+        steps = _field_map(L, AtomInjectionParams(tau=tau, atom_state=EXC), field, vec0 != 0)
+        assert len(steps) == 1
+        idx, block = steps[0]
+        assert idx.tolist() == (np.arange(13) * 14).tolist() and block.shape == (13, 13)
 
     @staticmethod
     def leaking_case(cutoff, n_atoms):

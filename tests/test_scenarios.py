@@ -450,6 +450,19 @@ class TestCli:
         assert code == 2
         assert "is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "fig4"],
+        ["sweep", "--scenario", "fig4", "--param", "parameters.Gamma", "--values", "50"],
+    ], ids=["run", "sweep"])
+    def test_tol_option_is_gone(self, command, capsys, monkeypatch):
+        # the document's integrator.rel_tol is the one way to set the tolerance
+        monkeypatch.setattr("fockladder.cli.run_scenario", lambda config: pytest.fail("ran"))
+        monkeypatch.setattr("fockladder.cli.sweep", lambda *args: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*command, "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
     def test_run_unknown_scenario_exits_2(self, capsys):
         assert cli_main(["run", "--scenario", "fig9"]) == 2
 
