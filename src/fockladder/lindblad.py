@@ -34,7 +34,9 @@ its own start (one read at the interval origin when j = n, as on every
 preset level).  Only a level whose grid does not converge builds its
 steps one by one.  At every level the blocks of one dim and one
 frequency count go together: one exponential for their nodes, one batch
-of doublings and one matmul per interval for their states.
+of doublings, and one matmul per interval for their states, which
+advance through each batch of interval products as it is formed; no
+level holds its products for every interval.
 
 Density operators are propagated as the column-stacked vector under the
 sparse vectorized Liouvillian, again only in the invariant blocks that
@@ -71,6 +73,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -610,8 +613,8 @@ class _MagnusLevel:
         coeffs = coeffs[(slice(None),) * 3 + np.ix_(*[lower] * m)]
         return np.moveaxis(coeffs.reshape(d * d, count, -1), 1, 0), j
 
-    def products(self, group: Sequence[int]) -> np.ndarray:
-        """P_n of the blocks ``group`` (of one M) over every sample interval, shape (d, d, blocks, intervals).
+    def products(self, group: Sequence[int]):
+        """Yield P_n of the blocks ``group`` (of one M) over the sample intervals, in batches (intervals, blocks, d, d).
 
         The P_n of an interval from t_0 is the product of the n/j factors
         P_j(t_0 + k j h), k = 0 .. n/j - 1.  On a grid, P_j is the last
@@ -622,38 +625,37 @@ class _MagnusLevel:
         every step is built from its start.  The factors are formed
         _CHUNK_STEPS at a time, in runs of min(n/j, _CHUNK_STEPS) consecutive
         ones, and multiplied down by ``_doubled``, the runs of one interval
-        likewise, so memory stays bounded.
+        likewise.  Each yield is one contiguous array of the whole intervals
+        that one batch of factors covers (one interval, when it takes more
+        batches), so memory stays bounded by the batch.
         """
         blocks = [self.blocks[b] for b in group]
         size, d, count = self.sizes[group[0]], blocks[0].dim, len(group)
-        if size:
-            coeffs, j = self.doubled(group)
-            freqs = np.array([block.frequencies for block in blocks])
+        coeffs, j = self.doubled(group) if size else (None, 1)
 
-            def factors(starts):
-                # e^{i k f t} at every start, k = 1 - M/2 .. M/2 - 1
-                turn = np.exp(1j * np.multiply.outer(freqs, starts))  # (blocks, m, starts)
-                up = np.cumprod(np.broadcast_to(turn, (size // 2 - 1,) + turn.shape), axis=0)
-                waves = np.concatenate([up[::-1].conj(), np.ones((1,) + turn.shape), up])
-                basis = waves[:, :, 0]
-                for q in range(1, freqs.shape[1]):
-                    basis = (basis[:, None] * waves[:, :, q]).reshape(-1, *basis.shape[1:])
-                props = np.matmul(coeffs, np.moveaxis(basis, 1, 0))  # (blocks, d^2, starts)
-                return np.moveaxis(props, 0, 1).reshape(d, d, count, -1)
-        else:
-            j = 1
-
-            def factors(starts):
-                return self._build(blocks, np.stack([block.start_phases(starts) for block in blocks]))
+        def factors(starts):
+            turn = np.stack([block.start_phases(starts) for block in blocks])  # (blocks, m, starts)
+            if not size:
+                return self._build(blocks, turn)
+            # e^{i k f t} at every start, k = 1 - M/2 .. M/2 - 1
+            up = np.cumprod(np.broadcast_to(turn, (size // 2 - 1,) + turn.shape), axis=0)
+            waves = np.concatenate([up[::-1].conj(), np.ones((1,) + turn.shape), up])
+            basis = waves[:, :, 0]
+            for q in range(1, turn.shape[1]):
+                basis = (basis[:, None] * waves[:, :, q]).reshape(-1, *basis.shape[1:])
+            props = np.matmul(coeffs, np.moveaxis(basis, 1, 0))  # (blocks, d^2, starts)
+            return np.moveaxis(props, 0, 1).reshape(d, d, count, -1)
 
         origins, per = self.times[:-1], self.n // j
         run = min(per, _CHUNK_STEPS)
-        runs = (origins[:, None] + self.h * np.arange(0, self.n, j)).reshape(-1, run)
-        chunk = max(1, _CHUNK_STEPS // run)
-        products = np.concatenate([
-            _doubled(factors(runs[k:k + chunk].ravel()).reshape(d, d, count, -1, run), run)[..., 0]
-            for k in range(0, len(runs), chunk)], axis=-1)
-        return _doubled(products.reshape(d, d, count, len(origins), -1), per // run)[..., 0]
+        chunk = max(1, _CHUNK_STEPS // run)  # runs per batch of factors, and intervals per yield
+        for i in range(0, len(origins), chunk):
+            runs = (origins[i:i + chunk, None] + self.h * np.arange(0, self.n, j)).reshape(-1, run)
+            products = np.concatenate([
+                _doubled(factors(runs[k:k + chunk].ravel()).reshape(d, d, count, -1, run), run)[..., 0]
+                for k in range(0, len(runs), chunk)], axis=-1)
+            products = _doubled(products.reshape(d, d, count, -1, per // run), per // run)[..., 0]
+            yield np.ascontiguousarray(products.transpose(3, 2, 0, 1))
 
 
 def _fourier(grid: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -676,21 +678,6 @@ def _tail(harmonics: np.ndarray) -> np.ndarray:
                    for axis in grid], axis=0)
 
 
-def _interval_propagators(level: _MagnusLevel) -> np.ndarray:
-    """Product of the level's n equal steps over each sample interval, for each of its blocks.
-
-    Stacked (d, d, blocks, intervals).  The blocks of one grid size M, 0
-    where no grid converged, are finished together
-    (``_MagnusLevel.products``).
-    """
-    d = level.blocks[0].dim
-    out = np.empty((d, d, len(level.blocks), len(level.times) - 1), dtype=complex)
-    for size in sorted(set(level.sizes)):
-        group = [b for b, s in enumerate(level.sizes) if s == size]
-        out[:, :, group] = level.products(group)
-    return out
-
-
 def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.ndarray, tol: float):
     """Frame states at ``times`` of blocks of one dim and one frequency count, by step doubling.
 
@@ -707,7 +694,10 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
     block, and differs infinitely from its neighbours, so two more levels
     are needed to accept.  A block whose g^2 overflows raises before any
     step is built.  Each level builds the blocks that are still open in one
-    ``_MagnusLevel`` and advances their states by one matmul per interval.
+    ``_MagnusLevel``; those of each grid size advance their states by one
+    matmul per interval, through each batch of interval products as
+    ``_MagnusLevel.products`` yields it, so only the states span every
+    interval.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         bounds = np.array([np.abs(block.static).sum(axis=0).max() + 2.0 * np.abs(block.amplitudes).sum()
@@ -726,12 +716,13 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
         states = {}
         if built:
             level = _MagnusLevel([blocks[b] for b in built], times, n)
-            props = np.ascontiguousarray(_interval_propagators(level).transpose(3, 2, 0, 1))
-            run = np.empty((len(times), len(built), blocks[0].dim, 1), dtype=complex)
-            run[0, :, :, 0] = phi0[built]
-            for i, u in enumerate(props):
-                np.matmul(u, run[i], out=run[i + 1])
-            states = dict(zip(built, np.moveaxis(run[..., 0], 1, 0)))
+            for size in sorted(set(level.sizes)):
+                group = [b for b, s in enumerate(level.sizes) if s == size]
+                run = np.empty((len(times), len(group), blocks[0].dim, 1), dtype=complex)
+                run[0, :, :, 0] = phi0[[built[b] for b in group]]
+                for i, u in enumerate(chain.from_iterable(level.products(group))):
+                    np.matmul(u, run[i], out=run[i + 1])
+                states.update(zip([built[b] for b in group], np.moveaxis(run[..., 0], 1, 0)))
             steps += len(built) * intervals * n
             exponentials += level.exponentials
         for b in open_:

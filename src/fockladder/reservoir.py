@@ -33,6 +33,7 @@ from .lindblad import (
     LindbladTerm,
     LiouvillianMatrix,
     Trajectory,
+    _split_triplets,
     expm,
     invariant_blocks,
     propagate_touched,
@@ -189,8 +190,8 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLa
     and the components of the links are closed under the map.  Returned is
     the (index set, dense block) pair of each component that holds a
     ``touched`` entry, by its smallest entry, as
-    ``lindblad.propagate_touched`` takes them; only their blocks of L are
-    exponentiated.
+    ``lindblad.propagate_touched`` takes them; only their blocks of L, split
+    from its triplets, are formed dense and exponentiated.
     """
     df = layout.dim
     amp = inj.atom_state.amplitudes
@@ -201,8 +202,9 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLa
     field = m * df + n
     weight = rho_atom[a, b]
     attached = weight != 0
+    parts = _split_triplets(L.rows, L.cols, dj)
     owner = np.empty(dj, dtype=int)
-    for k, (idx, _) in enumerate(L.blocks):
+    for k, (idx, *_) in enumerate(parts):
         owner[idx] = k
     traced = (a == b) & np.isin(owner, owner[attached])
     # nodes: the df^2 field entries, then the blocks of L
@@ -210,14 +212,16 @@ def _field_map(L: LiouvillianMatrix, inj: AtomInjectionParams, layout: HilbertLa
              np.r_[df * df + owner[attached], field[traced]])
     position = np.empty(df * df, dtype=int)
     steps = []
-    for comp in invariant_blocks(*links, df * df + len(L.blocks)):
+    for comp in invariant_blocks(*links, df * df + len(parts)):
         idx = comp[comp < df * df]  # ascending, so the field entries come first
         if not touched[idx].any():
             continue
         position[idx] = np.arange(len(idx))
         block = np.zeros((len(idx), len(idx)), dtype=complex)
         for k in comp[len(idx):] - df * df:
-            part, sub = L.blocks[k]
+            part, pick, rows, cols = parts[k]
+            sub = np.zeros((len(part), len(part)), dtype=complex)
+            sub[rows, cols] = L.values[pick]
             out, into = part[traced[part]], part[attached[part]]
             step = expm(sub * inj.tau)[np.ix_(traced[part], attached[part])] * weight[into]
             np.add.at(block, (position[field[out]][:, None], position[field[into]]), step)

@@ -249,8 +249,7 @@ class TestEvolveState:
         block = first_frame_block(h)  # levels 0, 1 and 2
         assert block.dim == 3 and len(block.residuals)
         times = TimeGrid(0.0, 30.0, 16).times
-        props = [lindblad._interval_propagators(lindblad._MagnusLevel([block], times, 2**j))
-                 for j in range(7)]
+        props = [interval_products(lindblad._MagnusLevel([block], times, 2**j)) for j in range(7)]
         diffs = [np.max(np.abs(b - a)) for a, b in zip(props, props[1:])]
         ratios = [a / b for a, b in zip(diffs, diffs[1:])]
         assert all(60.0 <= r <= 68.0 for r in ratios[-3:]), ratios
@@ -322,6 +321,16 @@ def edge_matrix(dim, r, s):
     return m
 
 
+def interval_products(level):
+    """The level's P_n over every sample interval, stacked (d, d, blocks, intervals), from the yields of each size group."""
+    d = level.blocks[0].dim
+    out = np.empty((d, d, len(level.blocks), len(level.times) - 1), dtype=complex)
+    for size in set(level.sizes):
+        group = [b for b, s in enumerate(level.sizes) if s == size]
+        out[:, :, group] = np.concatenate(list(level.products(group))).transpose(2, 3, 1, 0)
+    return out
+
+
 def step_products(level, origins):
     """Oracle: the level's steps built one by one from their own starts, multiplied in order."""
     blocks, n, d = level.blocks, level.n, level.blocks[0].dim
@@ -365,7 +374,7 @@ class TestMagnusLevels:
             assert all(level.sizes)
             group = range(len(level.blocks))
             assert level.doubled(group)[1] == level.n
-            props = level.products(group)
+            props = interval_products(level)
             pick = np.linspace(0, len(level.times) - 2, 9).round().astype(int)
             err = np.max(np.abs(props[..., pick] - step_products(level, level.times[pick])))
             assert err <= 1e-13, (level.n, err)
@@ -437,7 +446,7 @@ class TestMagnusLevels:
         size, = level.sizes
         assert level.exponentials == 2 * size - 16
         assert level.harmonics[0].shape == (4, 4, size // 2 - 1)
-        props = lindblad._interval_propagators(level)
+        props = interval_products(level)
         assert np.max(np.abs(props - step_products(level, times[:-1]))) <= 1e-13
         psi0 = fock_state(0, 9)
         traj = evolve_state(h, psi0, TimeGrid(0.0, 30.0, 16), FAST)
@@ -455,11 +464,11 @@ class TestMagnusLevels:
         times = TimeGrid(0.0, 30.0, 16).times
         level = lindblad._MagnusLevel([block], times, 4)
         assert level.sizes == [0]
-        props = lindblad._interval_propagators(level)
+        props = interval_products(level)
         assert level.exponentials == 16 + 32 + 60
         monkeypatch.setattr(lindblad, "_FIRST_NODES", 64)  # no grid is tried
         direct = lindblad._MagnusLevel([block], times, 4)
-        assert np.array_equal(props, lindblad._interval_propagators(direct))
+        assert np.array_equal(props, interval_products(direct))
         assert direct.exponentials == 60
         assert np.max(np.abs(props - step_products(direct, times[:-1]))) <= 1e-13
 
@@ -482,7 +491,7 @@ class TestMagnusLevels:
         assert j == 16 < level.n
         passed = [float(t[0]) <= lindblad._NODE_ROUNDING for t in tails]
         assert passed[:4] == [True] * 4 and not all(passed)
-        props = lindblad._interval_propagators(level)
+        props = interval_products(level)
         assert level.exponentials == 16 + 32
         monkeypatch.setattr(lindblad, "_FIRST_NODES", 64)  # no grid is tried
         direct = lindblad._MagnusLevel([block], times, 64)
