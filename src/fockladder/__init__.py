@@ -23,7 +23,6 @@ from .hilbert import (
     field_layout,
     field_superposition,
     fock_state,
-    marginal,
     number_operator,
     product_state,
     thermal_state,

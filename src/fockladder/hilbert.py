@@ -261,14 +261,17 @@ def thermal_state(n_bar: float, cutoff: int) -> DensityOperator:
 # contractions
 
 
-def marginal(probs: np.ndarray, layout: HilbertLayout, keep: str) -> np.ndarray:
-    """Distribution over factor ``keep`` of basis-state probabilities.
+def field_populations(layout: HilbertLayout, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Field populations P_n from the weights of some basis states of ``layout``.
 
-    ``probs`` holds one probability per basis state of ``layout`` along its
-    last axis (any leading axes are kept), e.g. |amplitudes|^2 or the real
-    diagonal of a density matrix; the other factors are summed out.
+    ``weights[..., k]`` is the probability held by flat basis position
+    ``index[k]`` (|amplitude|^2, or the real diagonal of a density matrix);
+    every other basis state holds none.  Each weight is added into its
+    field level, in ascending basis order, so the atom is summed out in
+    the same order as over the whole basis; any leading axes are kept.
     """
-    axis = layout.axis(keep)
-    lead = probs.ndim - 1
-    shaped = probs.reshape(probs.shape[:-1] + layout.dims)
-    return shaped.sum(axis=tuple(lead + i for i in range(len(layout.dims)) if i != axis))
+    levels = np.unravel_index(index, layout.dims)[layout.axis(FIELD)]
+    out = np.zeros(weights.shape[:-1] + (layout.dim_of(FIELD),))
+    for k in np.argsort(index, kind="stable"):
+        out[..., levels[k]] += weights[..., k]
+    return out

@@ -83,8 +83,8 @@ from .hilbert import (
     HilbertLayout,
     LayoutError,
     StateVector,
+    field_populations,
     kron_triplets,
-    marginal,
     nonzero_triplets,
 )
 from .raman import TimeDependentHamiltonian
@@ -307,15 +307,17 @@ class Trajectory:
 
     @cached_property
     def populations(self) -> np.ndarray:
-        """Field populations P_n, one row per sample (atom summed out)."""
+        """Field populations P_n, one row per sample (atom summed out).
+
+        Read from the touched entries alone (the touched diagonal of a
+        density run), so no (samples, d) array is formed.
+        """
+        if not self.density:
+            return field_populations(self.layout, self.index, np.abs(self.entries) ** 2)
         d = self.layout.dim
-        probs = np.zeros((len(self.times), d))
-        if self.density:
-            diagonal = self.index % (d + 1) == 0  # vec index i + i*d
-            probs[:, self.index[diagonal] // (d + 1)] = self.entries[:, diagonal].real
-        else:
-            probs[:, self.index] = np.abs(self.entries) ** 2
-        return marginal(probs, self.layout, "field")
+        diagonal = self.index % (d + 1) == 0  # vec index i + i*d
+        return field_populations(self.layout, self.index[diagonal] // (d + 1),
+                                 self.entries[:, diagonal].real)
 
     def purity(self) -> np.ndarray:
         """tr(rho^2) of every sample."""

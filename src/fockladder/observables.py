@@ -1,7 +1,13 @@
 """Scalar diagnostics over states and trajectories.
 
 Fock probabilities, Fock-state fidelity, Mandel Q, purity, trace distance
-and steady-state detection over sampled observable series.
+and steady-state detection over sampled observable series.  Field
+populations come from ``hilbert.field_populations``, the reader that
+``Trajectory.populations`` uses, so a single state and a trajectory
+sample give the same bits.  Mandel Q has one vacuum rule:
+``photon_mandel_q`` is NaN wherever the mean photon number is below
+MEAN_PHOTON_FLOOR, and ``mandel_q`` of one state raises
+VacuumDominatedError there.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from .hilbert import (
     DensityOperator,
     LayoutError,
     StateVector,
-    marginal,
+    field_populations,
 )
 
 MEAN_PHOTON_FLOOR = 1e-9
@@ -24,38 +30,37 @@ class VacuumDominatedError(ValueError):
     """Mandel Q is undefined for a vanishing mean photon number."""
 
 
-def _field_populations(state: StateVector | DensityOperator) -> np.ndarray:
-    """P_n of the field factor of one state (atom summed out when present)."""
-    layout = state.layout
-    if "field" not in layout.labels:
-        raise LayoutError("state has no field factor")
+def fock_probabilities(state: StateVector | DensityOperator) -> np.ndarray:
+    """P_n of the field factor (atom summed out when present)."""
     if isinstance(state, StateVector):
         probs = np.abs(state.amplitudes) ** 2
     else:
         probs = np.real(np.diagonal(state.entries))
-    return marginal(probs, layout, "field")
-
-
-def fock_probabilities(state: StateVector | DensityOperator) -> np.ndarray:
-    """P_n of the field factor (atom traced out when present)."""
-    return _field_populations(state)
+    return field_populations(state.layout, np.arange(state.layout.dim), probs)
 
 
 def fidelity_fock(rho: StateVector | DensityOperator, n: int) -> float:
     """Overlap with the Fock state |n>: the n-th field population."""
-    pops = _field_populations(rho)
-    if n >= len(pops):
-        raise ValueError(f"Fock index {n} beyond cutoff {len(pops) - 1}")
+    pops = fock_probabilities(rho)
+    if not 0 <= n < len(pops):
+        raise ValueError(f"Fock index {n} out of range for cutoff {len(pops) - 1}")
     return float(pops[n])
 
 
 def mean_photon(state: StateVector | DensityOperator) -> float:
-    return float(photon_mean(_field_populations(state)))
+    return float(photon_mean(fock_probabilities(state)))
 
 
 def mandel_q(state: StateVector | DensityOperator) -> float:
-    """Q = (<n^2> - <n>^2 - <n>) / <n>; -1 for Fock states, 0 for coherent."""
-    return float(photon_mandel_q(_field_populations(state)))
+    """Q = (<n^2> - <n>^2 - <n>) / <n>; -1 for Fock states, 0 for coherent.
+
+    Raises VacuumDominatedError when <n> is below MEAN_PHOTON_FLOOR.
+    """
+    pops = fock_probabilities(state)
+    mean = photon_mean(pops)
+    if mean < MEAN_PHOTON_FLOOR:
+        raise VacuumDominatedError(f"mean photon number {mean} below {MEAN_PHOTON_FLOOR}; Q undefined")
+    return float(photon_mandel_q(pops))
 
 
 def photon_mean(pops: np.ndarray) -> np.ndarray:
@@ -66,18 +71,14 @@ def photon_mean(pops: np.ndarray) -> np.ndarray:
 def photon_mandel_q(pops: np.ndarray) -> np.ndarray:
     """Mandel Q of Fock populations along the last axis of ``pops``.
 
-    Raises VacuumDominatedError for the first population row whose mean
-    photon number is below MEAN_PHOTON_FLOOR.
+    NaN on every row whose mean photon number is below MEAN_PHOTON_FLOOR,
+    where Q is undefined.
     """
     n = np.arange(pops.shape[-1])
     mean = pops @ n
-    low = np.flatnonzero(np.ravel(mean) < MEAN_PHOTON_FLOOR)
-    if low.size:
-        raise VacuumDominatedError(
-            f"mean photon number {np.ravel(mean)[low[0]]} below {MEAN_PHOTON_FLOOR}; Q undefined"
-        )
-    second = pops @ (n ** 2)
-    return (second - mean ** 2 - mean) / mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (pops @ (n ** 2) - mean ** 2 - mean) / mean
+    return np.where(mean >= MEAN_PHOTON_FLOOR, q, np.nan)
 
 
 def purity(rho: DensityOperator) -> float:

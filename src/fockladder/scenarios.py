@@ -29,11 +29,11 @@ import numpy as np
 
 from .hilbert import (
     DensityOperator,
-    StateVector,
     atom_field_layout,
     atom_state,
     field_layout,
     field_superposition,
+    fock_state,
     product_state,
     thermal_state,
 )
@@ -49,10 +49,8 @@ from .lindblad import (
 from .observables import (
     MEAN_PHOTON_FLOOR,
     ObservableSeries,
-    VacuumDominatedError,
     detect_steady,
-    fidelity_fock,
-    mandel_q,
+    fock_probabilities,
     photon_mandel_q,
     photon_mean,
     trace_distance,
@@ -415,10 +413,7 @@ def _probe_columns(traj, outputs) -> dict[str, np.ndarray]:
         if name[0] in "PF" and name[1:].isdigit():
             cols[name] = pops[:, int(name[1:])]
         elif name == "Q":
-            # undefined (nan) on samples at the vacuum
-            defined = photon_mean(pops) >= MEAN_PHOTON_FLOOR
-            cols[name] = np.full(len(pops), np.nan)
-            cols[name][defined] = photon_mandel_q(pops[defined])
+            cols[name] = photon_mandel_q(pops)  # nan on samples at the vacuum
         elif name == "mean_n":
             cols[name] = photon_mean(pops)
         elif name == "purity":
@@ -479,10 +474,17 @@ def _ladder_record(spec: LadderSpec) -> dict:
     }
 
 
-def _finish(summary: dict, times, cols: dict) -> ObservableSeries:
-    """Record the last sample of every column (null if not finite) and return the series."""
-    summary["final"] = {name: float(col[-1]) if np.isfinite(col[-1]) else None
-                        for name, col in sorted(cols.items())}
+def _finite(x) -> float | None:
+    """``x`` as a float, or None (JSON null) when it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def _finish(summary: dict, times, cols: dict, probed: dict | None = None) -> ObservableSeries:
+    """Record the last sample of every column and of every ``probed`` column
+    (null if not finite) and return the series of ``cols``."""
+    finals = {**cols, **(probed or {})}
+    summary["final"] = {name: _finite(col[-1]) for name, col in sorted(finals.items())}
     return ObservableSeries(times, cols)
 
 
@@ -586,10 +588,7 @@ def _initial_field_density(config: ScenarioConfig) -> DensityOperator:
     init = config.initial_state
     if "thermal_n_bar" in init:
         return thermal_state(float(init["thermal_n_bar"]), config.cutoff)
-    layout = field_layout(config.cutoff)
-    amps = np.zeros(config.cutoff + 1, dtype=complex)
-    amps[int(init["fock"])] = 1.0
-    return StateVector(layout, amps).to_density()
+    return fock_state(init["fock"], config.cutoff).to_density()
 
 
 def _density_finish(config: ScenarioConfig, summary: dict, traj) -> dict[str, np.ndarray]:
@@ -598,14 +597,6 @@ def _density_finish(config: ScenarioConfig, summary: dict, traj) -> dict[str, np
     summary["diagnostics"] = {"density": {"blocks": len(traj.blocks),
                                           "largest_block": max(traj.blocks)}}
     return _probe_columns(traj, config.outputs)
-
-
-def _defined_q(q_of, state) -> float | None:
-    """Mandel Q of ``state``, or None on a vacuum (mean photon number below the floor)."""
-    try:
-        return float(q_of(state))
-    except VacuumDominatedError:
-        return None
 
 
 def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
@@ -622,34 +613,31 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
 
     generator = sparse_liouvillian(None, list(dissipator.terms) + thermal_terms(bath, layout))
     traj = evolve_density(generator, _initial_field_density(config), config.grid)
-    series = _finish(summary, config.grid.times, _density_finish(config, summary, traj))
-
+    # the target fidelity and Q are probed whether or not they are output
+    # columns, so final and settling read the same values as the CSV would
     target = p["target_fock"]
+    fid_col = f"F{target}"
+    probed = _probe_columns(traj, (fid_col, "Q"))
+    series = _finish(summary, config.grid.times, _density_finish(config, summary, traj), probed)
+
     rho_ss = steady_state(generator)
+    steady_pops = fock_probabilities(rho_ss)
     # the slowest decay of the whole generator, and of the blocks the run touched
     summary["diagnostics"]["steady"] = {
-        key: gap if np.isfinite(gap) else None
-        for key, gap in (("spectral_gap", spectral_gap(generator)),
-                         ("touched_spectral_gap", spectral_gap(generator, traj.index)))
+        "spectral_gap": _finite(spectral_gap(generator)),
+        "touched_spectral_gap": _finite(spectral_gap(generator, traj.index)),
     }
-    # settling is judged on the target-fidelity column; the remaining
-    # diagnostics may still creep within eps at the end of the grid
-    fid_col = f"F{target}"
-    fid_series = (
-        ObservableSeries(series.times, {fid_col: series.column(fid_col)})
-        if fid_col in series.columns
-        else series
-    )
+    # settling is judged on the target-fidelity column alone; the other
+    # columns may still creep within eps at the end of the grid
     summary["steady"] = {
         "window": p["steady_window"],
         "eps": p["steady_eps"],
-        "detected_at": detect_steady(fid_series, p["steady_window"], p["steady_eps"]),
+        "detected_at": detect_steady(ObservableSeries(series.times, {fid_col: probed[fid_col]}),
+                                     p["steady_window"], p["steady_eps"]),
         "null_space_trace_distance": trace_distance(traj.states[-1], rho_ss),
-        "null_space_fidelity": fidelity_fock(rho_ss, target),
-        "null_space_mandel_q": _defined_q(mandel_q, rho_ss),
+        "null_space_fidelity": float(steady_pops[target]),
+        "null_space_mandel_q": _finite(photon_mandel_q(steady_pops)),
     }
-    summary["final"][fid_col] = float(traj.populations[-1, target])
-    summary["final"]["Q"] = _defined_q(photon_mandel_q, traj.populations[-1])
     return series
 
 

@@ -1,6 +1,7 @@
 """Closed and open propagation, Liouvillian structure, steady states."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -679,6 +680,26 @@ class TestTrajectoryStorage:
         # only the blocks psi0 touches are stored
         assert len(traj.index) < psi0.layout.dim
         assert np.all(amps[:, np.setdiff1d(np.arange(psi0.layout.dim), traj.index)] == 0)
+
+    def test_state_populations_are_read_from_touched_entries(self):
+        # 32,769 samples of 4 touched entries of an 80-level atom-field
+        # layout: no (samples, 80) array may be formed on the way
+        layout, samples = atom_field_layout(5, 15), 32769
+        index = np.array([40, 3, 77, 19])  # unsorted; 3 and 19 share field level 3
+        rng = np.random.default_rng(5)
+        entries = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
+        traj = lindblad.Trajectory(np.arange(samples, dtype=float), layout, index, entries, False)
+        tracemalloc.start()
+        try:
+            pops = traj.populations
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * pops.nbytes
+        # oracle: the whole-basis probabilities summed over the atom
+        full = np.zeros((samples, layout.dim))
+        full[:, index] = np.abs(entries) ** 2
+        assert np.array_equal(pops, full.reshape(samples, 5, 16).sum(axis=1))
 
 
 class TestPropagateTouched:

@@ -16,6 +16,7 @@ from fockladder import (
     fock_state,
     mandel_q,
     mean_photon,
+    photon_mandel_q,
     atom_state,
     product_state,
     purity,
@@ -60,6 +61,11 @@ class TestFockProbabilities:
         with pytest.raises(ValueError):
             fidelity_fock(fock_state(0, 3), 7)
 
+    def test_fidelity_negative_index_rejected(self):
+        # -1 would otherwise read the top level, here the whole population
+        with pytest.raises(ValueError):
+            fidelity_fock(fock_state(5, 5), -1)
+
 
 class TestMoments:
     def test_mean_photon_fock(self):
@@ -81,6 +87,14 @@ class TestMoments:
     def test_mandel_q_vacuum_undefined(self):
         with pytest.raises(VacuumDominatedError):
             mandel_q(fock_state(0, 5))
+
+    def test_photon_mandel_q_is_nan_at_the_vacuum(self):
+        # rows below MEAN_PHOTON_FLOOR read nan, the others their Q
+        pops = np.array([[1.0, 0, 0], [0, 1.0, 0], [1 - 1e-10, 1e-10, 0], [0.5, 0, 0.5]])
+        q = photon_mandel_q(pops)
+        assert np.isnan(q[[0, 2]]).all()
+        assert q[1] == -1.0 and q[3] == 0.0
+        assert np.isnan(photon_mandel_q(pops[0]))
 
 
 class TestPurityAndDistance:

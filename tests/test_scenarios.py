@@ -297,6 +297,20 @@ class TestRunner:
         assert s["steady"]["null_space_trace_distance"] < 0.01
         assert s["gamma_eff"]["configured"] == [63.0]
 
+    @pytest.mark.parametrize("name", ["fig4", "fig6a", "fig6b"])
+    def test_final_reads_the_probed_columns(self, name):
+        result = run_scenario(load_scenario(name))
+        header, *rows = series_to_csv(result.series, "gamma_t").strip().split("\n")
+        last = dict(zip(header.split(",")[1:], map(float, rows[-1].split(",")[1:])))
+        assert result.summary["final"] == {k: v if np.isfinite(v) else None for k, v in last.items()}
+        # settling and the target and Q finals do not depend on the output columns
+        doc = preset_document(name)
+        doc["outputs"] = ["mean_n", "P0"]
+        other = run_scenario(parse_config(doc)).summary
+        assert other["steady"]["detected_at"] == result.summary["steady"]["detected_at"]
+        for key in (f"F{doc['parameters']['target_fock']}", "Q"):
+            assert other["final"][key] == result.summary["final"][key]
+
     def test_fig6_recipe_rates_exposed(self):
         result = run_scenario(load_scenario("fig6a"))
         recipe = result.summary["gamma_eff"]["recipe"]
@@ -603,6 +617,18 @@ class TestCli:
 
 
 class TestDemos:
+    def test_readme_quick_start(self, capsys):
+        """The README's quick start runs and prints the populations it shows."""
+        readme = (Path(fockladder.__file__).resolve().parents[2] / "README.md").read_text()
+        code = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        scope: dict = {}
+        exec(code, scope)
+        printed = [float(x) for x in capsys.readouterr().out.strip().strip("[]").split()]
+        assert np.allclose(printed, [0.5, 0.00146338, 0.49853662, 0.0], rtol=0, atol=1e-8)
+        # one state and the trajectory read their populations alike
+        traj = scope["trajectory"]
+        assert np.array_equal(fockladder.fock_probabilities(traj.states[-1]), traj.populations[-1])
+
     @pytest.mark.parametrize("demo", ["steady_fock_state.py", "atom_beam_microsimulation.py"])
     def test_dissipative_demo_runs(self, tmp_path, demo):
         """The dissipative demos run to completion against the library.
