@@ -118,6 +118,7 @@ def _cmd_regime(args) -> int:
         raise ScenarioValidationError("model", "regime checks apply to full-raman scenarios")
     doc = copy.deepcopy(config.raw)
     doc["regime_only"] = True
+    doc["check"] = {}  # a regime-only run reports nothing to check
     if args.threshold is not None:
         doc["parameters"]["regime_threshold"] = args.threshold
     result = run_scenario(parse_config(doc))

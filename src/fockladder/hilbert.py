@@ -9,6 +9,7 @@ construction; every operation returns a new value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -264,14 +265,20 @@ def thermal_state(n_bar: float, cutoff: int) -> DensityOperator:
 def field_populations(layout: HilbertLayout, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Field populations P_n from the weights of some basis states of ``layout``.
 
-    ``weights[..., k]`` is the probability held by flat basis position
-    ``index[k]`` (|amplitude|^2, or the real diagonal of a density matrix);
-    every other basis state holds none.  Each weight is added into its
-    field level, in ascending basis order, so the atom is summed out in
+    ``weights[..., k]`` is the probability held by the distinct flat basis
+    position ``index[k]`` (|amplitude|^2, or the real diagonal of a density
+    matrix); every other basis state holds none.  Each weight is added into
+    its field level, in ascending basis order, so the atom is summed out in
     the same order as over the whole basis; any leading axes are kept.
     """
-    levels = np.unravel_index(index, layout.dims)[layout.axis(FIELD)]
+    axis = layout.axis(FIELD)
+    levels = np.unravel_index(index, layout.dims)[axis]
+    # an entry's position with its field at |0> names its atom level (the
+    # other factors); in ascending order these keep the basis order, and
+    # the entries of one atom level hold distinct field levels
+    others = index - levels * math.prod(layout.dims[axis + 1:])
     out = np.zeros(weights.shape[:-1] + (layout.dim_of(FIELD),))
-    for k in np.argsort(index, kind="stable"):
+    for other in np.unique(others):
+        k = np.flatnonzero(others == other)
         out[..., levels[k]] += weights[..., k]
     return out

@@ -93,7 +93,7 @@ MODELS = (
 
 HAMILTONIAN_MODELS = ("full-raman", "engineered-ladder")
 
-# steady-state detection defaults (dimensionless gamma t)
+# steady-state detection of every Liouvillian run (dimensionless gamma t)
 STEADY_WINDOW = 0.05
 STEADY_EPS = 1e-3
 
@@ -212,6 +212,19 @@ def _choice(*options):
 BOOLEAN = _choice(True, False)
 
 
+def _read_by(v, at, ctx, models=(), check=None):
+    """``check``, on a document whose model reads the key; any other model rejects it."""
+    if ctx["model"] not in models:
+        _fail(at, f"{ctx['model']} runs do not read it")
+    return check(v, at, ctx)
+
+
+def _unit(v, at, ctx):
+    """The reference rate: lambda1 for Hamiltonian models, gamma for dissipative ones."""
+    unit = "lambda1" if ctx["model"] in HAMILTONIAN_MODELS else "gamma"
+    return _one_of(v, at, ctx, options=(unit,))
+
+
 def _string(v, at, ctx, pattern=r".*", what="a string"):
     if not (isinstance(v, str) and re.fullmatch(pattern, v, re.DOTALL)):
         _fail(at, f"expected {what}, got {v!r}")
@@ -253,11 +266,13 @@ def _channel(v, at, ctx) -> tuple[int, float]:
     return STEP(v[0], f"{at}[0]", ctx), float(NON_NEGATIVE(v[1], f"{at}[1]", ctx))
 
 
+# the kind picks the atom's transition; the ub-liouvillian pump is the bare ladder operator
+_LADDER_KIND = partial(_read_by, models=("engineered-ladder", "collision-model"),
+                       check=_choice("JC", "AJC"))
 _LADDER = _object({"base": FOCK, "weights": partial(_list, item=_amplitude),
-                   "kind": (_choice("JC", "AJC"), "JC")})
+                   "kind": (_LADDER_KIND, "JC")})
 _ANALYTIC = (_choice(None, *ANALYTIC_PRESETS), None)
-_STEADY = {"gamma": NON_NEGATIVE, "n_bar": NON_NEGATIVE, "target_fock": FOCK,
-           "steady_window": (NON_NEGATIVE, STEADY_WINDOW), "steady_eps": (NON_NEGATIVE, STEADY_EPS)}
+_STEADY = {"gamma": NON_NEGATIVE, "n_bar": NON_NEGATIVE, "target_fock": FOCK}
 _PARAMETERS = {
     "full-raman": {
         "lambdas": partial(_list, item=COUPLING, lo=2),
@@ -266,7 +281,6 @@ _PARAMETERS = {
         "delta_tildes": partial(_list, item=NONZERO, lo=2),
         "mode": _choice("upper-bounded", "sliced"), "base": FOCK,
         "kind": (_choice("JC", "AJC"), "JC"), "analytic": _ANALYTIC,
-        "solve_detunings": (BOOLEAN, True), "compare_engineered": (BOOLEAN, True),
         "n_bar_regime": (NON_NEGATIVE, 0.0), "regime_threshold": (NON_NEGATIVE, 10.0),
     },
     "engineered-ladder": {"ladder": _LADDER, "zeta_ref": _amplitude, "analytic": _ANALYTIC},
@@ -278,7 +292,7 @@ _PARAMETERS = {
     },
     "collision-model": {
         "ladder": _LADDER, "Gamma": POSITIVE, "zeta_tau": POSITIVE,
-        "gamma": NON_NEGATIVE, "n_bar": NON_NEGATIVE, "target_fock": (FOCK, OPTIONAL),
+        "gamma": NON_NEGATIVE, "n_bar": NON_NEGATIVE,
         "atom_state": partial(_mapping, key=_choice("g", "e"), value=_amplitude),
     },
 }
@@ -294,14 +308,14 @@ _SCENARIO = {
     "name": STEM,
     "model": _choice(*MODELS),
     "description": (_string, ""),
-    "reference_rate": _object({"unit": _choice("lambda1", "gamma", "Hz"),
-                               "value_hz": (POSITIVE, OPTIONAL)}),
+    "reference_rate": _object({"unit": _unit, "value_hz": (POSITIVE, OPTIONAL)}),
     "cutoff": AT_LEAST_2,
     "grid": _object({"start": _number, "stop": _number, "samples": AT_LEAST_2}),
     "outputs": partial(_list, lo=0, hi=math.inf, item=partial(
         _string, pattern=r"Q|mean_n|purity|[PF][0-9]+", what="a column Q|mean_n|purity|P<n>|F<n>")),
-    "integrator": (_object({"rel_tol": (POSITIVE, OPTIONAL)}), {}),
-    "regime_only": (BOOLEAN, False),
+    "integrator": (partial(_read_by, models=HAMILTONIAN_MODELS,
+                           check=_object({"rel_tol": (POSITIVE, OPTIONAL)})), {}),
+    "regime_only": (partial(_read_by, models=("full-raman",), check=BOOLEAN), False),
     "parameters": lambda v, at, ctx: _walk(_PARAMETERS[ctx["model"]], v, at, ctx),
     "initial_state": lambda v, at, ctx: _walk(_INITIAL_STATE[
         "hamiltonian" if ctx["model"] in HAMILTONIAN_MODELS else "density"], v, at, ctx),
@@ -321,15 +335,29 @@ def _fits(top: int, at: str, cutoff: int) -> None:
         _fail(at, f"needs cutoff >= {top}, got {cutoff}")
 
 
+def _reported(c: dict) -> dict[str, set[str]]:
+    """The names a run of the converted document reports: the ``final``
+    columns a target rule reads, and the deviations a max rule reads."""
+    model, p = c["model"], c["parameters"]
+    if c["regime_only"]:
+        return {"column": set(), "deviation": set()}
+    suffixes = ("_full", "_engineered") if model == "full-raman" else ("",)
+    final = {name + suffix for name in c["outputs"] for suffix in suffixes}
+    deviations = {"full_vs_engineered", "outside_subspace"} if model == "full-raman" else set()
+    if p.get("analytic"):
+        final |= {f"P{n}_analytic" for n in analytic_probabilities(p["analytic"], 0.0)}
+        deviations.add("engineered_vs_analytic")
+    if model.endswith("liouvillian"):
+        final |= {f"F{p['target_fock']}", "Q"}
+    return {"column": final, "deviation": deviations}
+
+
 def _cross_rules(c: dict) -> None:
     """The rules that tie keys together, on the converted document."""
     model, p, init, cutoff = c["model"], c["parameters"], c["initial_state"], c["cutoff"]
     span = float(c["grid"]["stop"]) - float(c["grid"]["start"])
     if not 0 < span < math.inf:
         _fail("grid", "stop must exceed start by a finite span")
-    for key, rule in c["check"].items():
-        if set(rule) not in ({"target", "tol"}, {"max"}):
-            _fail(f"check.{key}", "need a target/tol or max rule")
     if len(set(c["outputs"])) != len(c["outputs"]):
         _fail("outputs", "duplicate column names")
     for col in c["outputs"]:
@@ -349,9 +377,8 @@ def _cross_rules(c: dict) -> None:
         levels = ("g", "e") + (AUX_LABELS[:len(p["lambdas"])] if model == "full-raman" else ())
         if not set(init["atom"]) <= set(levels):
             _fail("initial_state.atom", f"levels must be among {levels}")
-        engineered = model == "engineered-ladder" or (
-            p["compare_engineered"] and not c["regime_only"])
-        if engineered and p["analytic"] is not None:
+        # regime_only (full-raman alone) skips the engineered run and its closed forms
+        if not c["regime_only"] and p["analytic"] is not None:
             _fits(max(analytic_probabilities(p["analytic"], 0.0)), "parameters.analytic", cutoff)
     elif len(init) != 1:
         _fail("initial_state", "give exactly one of thermal_n_bar and fock")
@@ -366,15 +393,15 @@ def _cross_rules(c: dict) -> None:
             _fail("parameters", "lambdas, omegas, deltas and delta_tildes differ in length")
         if p["mode"] == "upper-bounded" and p["base"] != 0:
             _fail("parameters.base", "upper-bounded ladders start at the vacuum (base 0)")
-        if engineered:
+        if not c["regime_only"]:
             _fits(p["base"] + k + 2, "parameters.base", cutoff)
             if not 0 < _norm2(init["atom"].get(label, 0j) for label in ("g", "e")) < math.inf:
                 _fail("initial_state.atom", "the engineered comparison needs a g or e amplitude")
     elif model == "engineered-ladder" and p["zeta_ref"] == 0:
         _fail("parameters.zeta_ref", "must be nonzero")
     elif model.endswith("liouvillian"):
-        if p["steady_window"] > span:
-            _fail("parameters.steady_window", f"longer than the grid span {span}")
+        if STEADY_WINDOW > span:
+            _fail("grid", f"span {span} is shorter than the steady window {STEADY_WINDOW}")
         steps = [k for k, _ in p.get("channels", ())]
         if len(set(steps)) != len(steps):
             _fail("parameters.channels", f"duplicate ladder steps {steps}")
@@ -387,6 +414,15 @@ def _cross_rules(c: dict) -> None:
         atoms = span / tau if 0 < tau < math.inf else math.inf
         if not atoms <= MAX_ATOMS:
             _fail("parameters.zeta_tau", f"the grid needs {atoms:.4g} atoms, more than {MAX_ATOMS}")
+    # last: the names a run reports hold only for an otherwise valid document
+    reported = _reported(c)
+    for key, rule in c["check"].items():
+        if set(rule) not in ({"target", "tol"}, {"max"}):
+            _fail(f"check.{key}", "need a target/tol or max rule")
+        kind = "column" if "target" in rule else "deviation"
+        if key not in reported[kind]:
+            _fail(f"check.{key}", f"the run reports no {kind} of that name; "
+                                  f"it has {sorted(reported[kind])}")
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -529,8 +565,7 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
     base = p["base"]
     params = raman_params(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], kind=p["kind"])
     input_tildes = [br.delta_tilde for br in params.branches]
-    if p["solve_detunings"]:
-        params = solve_dressed_resonance(solve_resonance(params, base), base)
+    params = solve_dressed_resonance(solve_resonance(params, base), base)
     derived = derive_couplings(params)
     spec = ladder_from_conditions(derived, p["mode"], base, params.n_branches)
     report = check_regime(params, derived, base, spec.steps,
@@ -558,21 +593,20 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
     traj = _hamiltonian_run(config, summary, "full", partial(build_full_hamiltonian, params),
                             params.atom_levels, spec.zeta_ref)
     cols = {f"{name}_full": col for name, col in _probe_columns(traj, config.outputs).items()}
-    if p["compare_engineered"]:
-        # The engineered reference is the ideal uniform-weight target ladder;
-        # the drive parameters realize it only approximately, and the residual
-        # weight mismatch is reported alongside the deviations.
-        summary["couplings"]["weight_mismatch"] = max(abs(w - 1.0) for w in spec.weights)
-        traj_eng, eng_cols = _engineered_run(
-            config, summary, replace(spec, weights=(1.0,) * spec.steps), "_engineered")
-        cols.update(eng_cols)
-        full = traj.populations
-        n = np.arange(full.shape[1])
-        inside = (spec.base <= n) & (n <= spec.top)
-        summary.setdefault("deviations", {}).update(
-            full_vs_engineered=float(np.max(np.abs(full - traj_eng.populations)[:, inside])),
-            outside_subspace=float(np.max(full[:, ~inside], initial=0.0)),
-        )
+    # The engineered reference is the ideal uniform-weight target ladder;
+    # the drive parameters realize it only approximately, and the residual
+    # weight mismatch is reported alongside the deviations.
+    summary["couplings"]["weight_mismatch"] = max(abs(w - 1.0) for w in spec.weights)
+    traj_eng, eng_cols = _engineered_run(
+        config, summary, replace(spec, weights=(1.0,) * spec.steps), "_engineered")
+    cols.update(eng_cols)
+    full = traj.populations
+    n = np.arange(full.shape[1])
+    inside = (spec.base <= n) & (n <= spec.top)
+    summary.setdefault("deviations", {}).update(
+        full_vs_engineered=float(np.max(np.abs(full - traj_eng.populations)[:, inside])),
+        outside_subspace=float(np.max(full[:, ~inside], initial=0.0)),
+    )
     return _finish(summary, config.grid.times, cols)
 
 
@@ -630,10 +664,10 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     # settling is judged on the target-fidelity column alone; the other
     # columns may still creep within eps at the end of the grid
     summary["steady"] = {
-        "window": p["steady_window"],
-        "eps": p["steady_eps"],
+        "window": STEADY_WINDOW,
+        "eps": STEADY_EPS,
         "detected_at": detect_steady(ObservableSeries(series.times, {fid_col: probed[fid_col]}),
-                                     p["steady_window"], p["steady_eps"]),
+                                     STEADY_WINDOW, STEADY_EPS),
         "null_space_trace_distance": trace_distance(traj.states[-1], rho_ss),
         "null_space_fidelity": float(steady_pops[target]),
         "null_space_mandel_q": _finite(photon_mandel_q(steady_pops)),
@@ -739,8 +773,6 @@ def _full_raman_preset(name, description, *, lambdas, omegas, deltas, delta_tild
             "delta_tildes": delta_tildes,
             "mode": mode,
             "base": base,
-            "solve_detunings": True,
-            "compare_engineered": True,
             "analytic": analytic,
         },
         "anchor": anchor,

@@ -25,6 +25,7 @@ from fockladder import (
     product_state,
     thermal_state,
 )
+from fockladder.hilbert import field_populations
 from oracles import coherent_state, partial_trace
 
 
@@ -156,6 +157,24 @@ class TestPartialTrace:
         rho = StateVector(layout, amps).to_density()
         rho_f = partial_trace(rho, "field")
         assert np.allclose(rho_f.entries, np.eye(2) / 2)
+
+
+class TestFieldPopulations:
+    @pytest.mark.parametrize("factors", [
+        (("atom", 6), ("field", 9)), (("field", 7), ("atom", 3)), (("field", 13),),
+    ], ids=["atom-field", "field-atom", "field"])
+    def test_sums_each_level_in_basis_order(self, factors):
+        # a subset of the basis, unsorted, with a leading sample axis; each
+        # P_n must add its weights in ascending basis order, bit for bit
+        layout = HilbertLayout(factors)
+        rng = np.random.default_rng(3)
+        index = rng.permutation(layout.dim)[: 2 * layout.dim // 3]
+        weights = rng.random((4, len(index))) * 10.0 ** rng.uniform(-9, 2, size=(4, len(index)))
+        levels = np.unravel_index(index, layout.dims)[layout.axis("field")]
+        expected = np.zeros((4, layout.dim_of("field")))
+        for k in np.argsort(index):
+            expected[:, levels[k]] += weights[:, k]
+        assert np.array_equal(field_populations(layout, index, weights), expected)
 
 
 class TestProperties:

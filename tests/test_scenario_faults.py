@@ -75,10 +75,11 @@ REJECTED = {
     "kind-lowercase": (_doc("fig2a", "parameters.kind", "jc"), (), "parameters.kind"),
     "ladder-kind": (_doc("fig4", "parameters.ladder.kind", "XYZ"), (), "parameters.ladder.kind"),
     "regime-only-string": (_doc("fig2a", "regime_only", "false"), (), "regime_only"),
+    # removed options, now unknown keys whatever their value
     "solve-detunings-string": (_doc("fig2a", "parameters.solve_detunings", "no"), (),
-                               "parameters.solve_detunings"),
+                               "parameters"),
     "compare-engineered-string": (_doc("fig2a", "parameters.compare_engineered", "no"), (),
-                                  "parameters.compare_engineered"),
+                                  "parameters"),
     "name-escapes-out": (_doc("fig4", "name", "../escape"), (), "name"),
     "check-list": (_doc("fig4", "check", []), ("--check",), "check"),
     "check-without-tol": (_doc("fig4", "check", {"F3": {"target": 0.9}}), ("--check",),
@@ -110,10 +111,9 @@ REJECTED = {
     "n-bar-regime-string": (_doc("fig2a", "parameters.n_bar_regime", "x"), (),
                             "parameters.n_bar_regime"),
     "upper-bounded-base-20": (_doc("fig2a", "parameters.base", 20), (), "parameters.base"),
-    "steady-window-string": (_doc("fig4", "parameters.steady_window", "a"), (),
-                             "parameters.steady_window"),
-    "steady-window-past-grid": (_doc("fig4", "parameters.steady_window", 5.0), (),
-                                "parameters.steady_window"),
+    "steady-window-string": (_doc("fig4", "parameters.steady_window", "a"), (), "parameters"),
+    # the fixed steady window of 0.05 gamma t needs a longer grid
+    "steady-window-past-grid": (_doc("fig4", "grid.stop", 0.01), (), "grid"),
     "ladder-past-cutoff": (_doc("fig4", "parameters.ladder.base", 11), (), "parameters.ladder"),
     # found by mutating documents: each ended in a traceback or in an exit 2 without a key path
     "coupling-square-overflows": (_doc("fig2a", "parameters.lambdas.0", 1e308), (),
@@ -129,6 +129,29 @@ REJECTED = {
     "Q-on-vacuum-start": (_doc("fig4", "initial_state.thermal_n_bar", 0), (), "outputs"),
     "recipe-rates-overflow": (_doc("fig6b", "parameters.recipe.tau", 1e308), (),
                               "parameters.recipe"),
+    # keys the model does not read, and check rules on values the run never reports
+    "regime-only-on-liouvillian": (_doc("fig4", "regime_only", True), (), "regime_only"),
+    "integrator-on-liouvillian": (_doc("fig4", "integrator", {"rel_tol": 1e-3}), (),
+                                  "integrator"),
+    "ladder-kind-on-ub-liouvillian": (_doc("fig4", "parameters.ladder.kind", "AJC"), (),
+                                      "parameters.ladder.kind"),
+    "check-unreported-deviation": (_doc("fig2a", "check", {"full_vs_engineerd": {"max": 1}}),
+                                   ("--check",), "check.full_vs_engineerd"),
+    "check-unreported-column": (_doc("fig4", "check.P9", {"target": 0.0, "tol": 1.0}),
+                                ("--check",), "check.P9"),
+    "check-target-on-deviation": (_doc("fig2a", "check.outside_subspace",
+                                       {"target": 0.0, "tol": 1.0}), ("--check",),
+                                  "check.outside_subspace"),
+    "check-on-regime-only": (_doc("regime-check-fig2a", "check",
+                                  {"full_vs_engineered": {"max": 1}}), ("--check",),
+                             "check.full_vs_engineered"),
+    "unit-gamma-on-hamiltonian": (_doc("fig2a", "reference_rate.unit", "gamma"), (),
+                                  "reference_rate.unit"),
+    "unit-lambda1-on-liouvillian": (_doc("fig4", "reference_rate.unit", "lambda1"), (),
+                                    "reference_rate.unit"),
+    "unit-hz": (_doc("fig6a", "reference_rate.unit", "Hz"), (), "reference_rate.unit"),
+    "target-fock-on-collision": (_set(collision_document(0.2, 0.05), "parameters.target_fock", 3),
+                                 (), "parameters"),
 }
 
 

@@ -26,7 +26,7 @@ from fockladder import (
     summary_to_json,
     sweep,
 )
-from fockladder import cli
+from fockladder import cli, scenarios
 from fockladder.cli import main as cli_main
 from fockladder.scenarios import SCHEMA_VERSION
 
@@ -319,6 +319,25 @@ class TestRunner:
         assert len(recipe) == 2
         assert recipe[0] / 176.0 == pytest.approx(2.0, rel=0.02)
 
+    @pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS) + ["collision", "engineered"])
+    def test_check_names_are_the_reported_ones(self, name):
+        # the schema decides which names a check rule may read before the
+        # run; they are the names the run then reports
+        if name == "collision":
+            doc = collision_document(0.2, 0.05)
+        elif name == "engineered":
+            doc = engineered_doc(parameters={"ladder": {"base": 0, "weights": [1.0, 1.0]},
+                                             "zeta_ref": 0.01, "analytic": "fig2a"})
+        else:
+            doc = preset_document(name)
+            doc["grid"]["samples"] = 21
+        config = parse_config(doc)
+        summary = run_scenario(config).summary
+        assert scenarios._reported(vars(config)) == {
+            "column": set(summary.get("final", {})),
+            "deviation": set(summary.get("deviations", {})),
+        }
+
     def test_check_evaluation(self):
         result = run_scenario(load_scenario("fig4"))
         findings = evaluate_check(result)
@@ -381,6 +400,17 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0]["value"] == 10.0
         assert rows[1]["F3"] > rows[0]["F3"]
+
+    def test_sweep_rows_carry_deviations(self, capsys):
+        # fig2a at its own laser coupling: the row holds the run's deviations
+        deviations = run_scenario(load_scenario("fig2a")).summary["deviations"]
+        assert cli_main(["sweep", "--scenario", "fig2a", "--param", "parameters.omegas.1",
+                         "--values", "0.05"]) == 0
+        header, row = capsys.readouterr().out.strip().split("\n")
+        cols = dict(zip(header.split(","), map(float, row.split(","))))
+        assert set(deviations) == {"full_vs_engineered", "outside_subspace",
+                                   "engineered_vs_analytic"}
+        assert {k: cols[k] for k in deviations} == deviations
 
     def test_bad_path_rejected(self):
         cfg = load_scenario("fig4")
@@ -498,6 +528,19 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(path), "--check"]) == 4
         # without --check the embedded targets are not enforced
         assert cli_main(["run", "--scenario", str(path)]) == 0
+
+    def test_run_check_max_rules(self, tmp_path, capsys):
+        # fig3b meets its three max rules; a max of 0 misses
+        assert cli_main(["run", "--scenario", "fig3b", "--check"]) == 0
+        lines = [line for line in capsys.readouterr().out.split("\n") if line.startswith("check ")]
+        assert len(lines) == 3
+        assert all(": pass (actual " in line and ", max " in line for line in lines)
+        doc = preset_document("fig3b")
+        doc["check"]["full_vs_engineered"] = {"max": 0}
+        path = tmp_path / "fig3b.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--scenario", str(path), "--check"]) == 4
+        assert "check full_vs_engineered: FAIL (actual " in capsys.readouterr().out
 
     @pytest.mark.parametrize("case", ["steady", "last-sample"])
     def test_undefined_q_recorded_as_null(self, tmp_path, capsys, case):
