@@ -278,7 +278,14 @@ def field_populations(layout: HilbertLayout, index: np.ndarray, weights: np.ndar
     # the entries of one atom level hold distinct field levels
     others = index - levels * math.prod(layout.dims[axis + 1:])
     out = np.zeros(weights.shape[:-1] + (layout.dim_of(FIELD),))
+    # an ascending index holds each level's field levels in ascending order, so
+    # entries and field levels whose endpoints span as many places as they number add as slices
+    ascending = bool(np.all(index[1:] > index[:-1]))
     for other in np.unique(others):
         k = np.flatnonzero(others == other)
-        out[..., levels[k]] += weights[..., k]
+        span, first = len(k) - 1, levels[k[0]]
+        if ascending and k[-1] - k[0] == span and levels[k[-1]] - first == span:
+            out[..., first:first + span + 1] += weights[..., k[0]:k[-1] + 1]
+        else:
+            out[..., levels[k]] += weights[..., k]
     return out

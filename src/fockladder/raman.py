@@ -298,7 +298,7 @@ def ladder_from_conditions(
 
 RESONANCE_DAMPING = 0.5
 RESONANCE_MAX_ITER = 200
-RESONANCE_REL_TOL = 1e-10
+RESONANCE_REL_TOL = 1e-10  # of the smallest step coupling |zeta_j|
 HIERARCHY_THRESHOLD = 1.0  # regime threshold of the |chi_eff|/|zeta| (RWA) ratios
 
 
@@ -351,10 +351,11 @@ def _close_resonance(params: RamanLadderParams, base: int, residuals) -> RamanLa
     """Damped fixed point on the laser detunings until ``residuals`` vanish.
 
     Branch j moves theta_j = s_j (Delta~_j - Delta_j) by minus its residual,
-    s_j being the branch's detuning sign.  The tolerance is relative to
-    |chi_eff|.
+    s_j being the branch's detuning sign.  It stops when every residual is
+    at most RESONANCE_REL_TOL times the smallest step coupling |zeta_j|, or
+    at the rounding of the level energies the residuals are read from
+    (16 eps times the largest |Delta_k|, |Delta~_k|) where that is larger.
     """
-    scale = abs(derive_couplings(params).chi_eff)
     current = params
     res = residuals(current, base)
     for _ in range(RESONANCE_MAX_ITER):
@@ -364,7 +365,9 @@ def _close_resonance(params: RamanLadderParams, base: int, residuals) -> RamanLa
         )
         current = replace(current, branches=branches)
         res = residuals(current, base)
-        if max(abs(r) for r in res) <= RESONANCE_REL_TOL * scale:
+        energy = max(abs(x) for br in branches for x in (br.delta, br.delta_tilde))
+        coupling = min(abs(z) for z in derive_couplings(current).zeta)
+        if max(map(abs, res)) <= max(RESONANCE_REL_TOL * coupling, 16 * np.finfo(float).eps * energy):
             return current
     raise ResonanceError(
         f"no convergence after {RESONANCE_MAX_ITER} iterations "
@@ -385,12 +388,12 @@ def solve_resonance(params: RamanLadderParams, base: int) -> RamanLadderParams:
 def solve_dressed_resonance(params: RamanLadderParams, base: int) -> RamanLadderParams:
     """Close the same ladder-step resonances with the exact dressed shifts.
 
-    The second-order closure leaves each step detuned by fourth-order shifts
-    that at the published hierarchies are as large as the step couplings;
-    this moves the laser detunings until ``dressed_residuals`` vanish.  The
-    cavity-dressed shifts do not move with them and are taken once; each
-    residual evaluation solves the laser problem alone (32 on fig2a, from
-    the input detunings or from ``solve_resonance`` alike).
+    The second-order shifts leave each step detuned by fourth-order shifts as
+    large as the step couplings at the published hierarchies, and diverge as
+    a detuning goes to zero; this moves the laser detunings, from where they
+    are given, until ``dressed_residuals`` vanish.  The cavity-dressed shifts
+    do not move with them and are taken once; each residual evaluation
+    solves the laser problem alone (35 on fig2a).
     """
     cavity = _cavity_shifts(params, base)
     return _close_resonance(params, base, lambda current, _: _laser_residuals(current, cavity))

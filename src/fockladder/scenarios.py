@@ -59,17 +59,15 @@ from .raman import (
     ANALYTIC_PRESETS,
     AUX_LABELS,
     LadderSpec,
+    RamanLadderParams,
     build_engineered_hamiltonian,
     build_full_hamiltonian,
     check_regime,
     derive_couplings,
-    dressed_residuals,
     ladder_from_conditions,
     analytic_probabilities,
     raman_params,
-    second_order_residuals,
     solve_dressed_resonance,
-    solve_resonance,
 )
 from .reservoir import (
     AtomInjectionParams,
@@ -126,7 +124,6 @@ class ScenarioConfig:
     integrator: IntegratorConfig
     anchor: dict
     check: dict
-    regime_only: bool
     raw: dict
 
     @property
@@ -207,9 +204,6 @@ def _one_of(v, at, ctx, options=()):
 
 def _choice(*options):
     return partial(_one_of, options=options)
-
-
-BOOLEAN = _choice(True, False)
 
 
 def _read_by(v, at, ctx, models=(), check=None):
@@ -315,7 +309,6 @@ _SCENARIO = {
         _string, pattern=r"Q|mean_n|purity|[PF][0-9]+", what="a column Q|mean_n|purity|P<n>|F<n>")),
     "integrator": (partial(_read_by, models=HAMILTONIAN_MODELS,
                            check=_object({"rel_tol": (POSITIVE, OPTIONAL)})), {}),
-    "regime_only": (partial(_read_by, models=("full-raman",), check=BOOLEAN), False),
     "parameters": lambda v, at, ctx: _walk(_PARAMETERS[ctx["model"]], v, at, ctx),
     "initial_state": lambda v, at, ctx: _walk(_INITIAL_STATE[
         "hamiltonian" if ctx["model"] in HAMILTONIAN_MODELS else "density"], v, at, ctx),
@@ -339,8 +332,6 @@ def _reported(c: dict) -> dict[str, set[str]]:
     """The names a run of the converted document reports: the ``final``
     columns a target rule reads, and the deviations a max rule reads."""
     model, p = c["model"], c["parameters"]
-    if c["regime_only"]:
-        return {"column": set(), "deviation": set()}
     suffixes = ("_full", "_engineered") if model == "full-raman" else ("",)
     final = {name + suffix for name in c["outputs"] for suffix in suffixes}
     deviations = {"full_vs_engineered", "outside_subspace"} if model == "full-raman" else set()
@@ -377,8 +368,7 @@ def _cross_rules(c: dict) -> None:
         levels = ("g", "e") + (AUX_LABELS[:len(p["lambdas"])] if model == "full-raman" else ())
         if not set(init["atom"]) <= set(levels):
             _fail("initial_state.atom", f"levels must be among {levels}")
-        # regime_only (full-raman alone) skips the engineered run and its closed forms
-        if not c["regime_only"] and p["analytic"] is not None:
+        if p["analytic"] is not None:
             _fits(max(analytic_probabilities(p["analytic"], 0.0)), "parameters.analytic", cutoff)
     elif len(init) != 1:
         _fail("initial_state", "give exactly one of thermal_n_bar and fock")
@@ -393,10 +383,9 @@ def _cross_rules(c: dict) -> None:
             _fail("parameters", "lambdas, omegas, deltas and delta_tildes differ in length")
         if p["mode"] == "upper-bounded" and p["base"] != 0:
             _fail("parameters.base", "upper-bounded ladders start at the vacuum (base 0)")
-        if not c["regime_only"]:
-            _fits(p["base"] + k + 2, "parameters.base", cutoff)
-            if not 0 < _norm2(init["atom"].get(label, 0j) for label in ("g", "e")) < math.inf:
-                _fail("initial_state.atom", "the engineered comparison needs a g or e amplitude")
+        _fits(p["base"] + k + 2, "parameters.base", cutoff)
+        if not 0 < _norm2(init["atom"].get(label, 0j) for label in ("g", "e")) < math.inf:
+            _fail("initial_state.atom", "the engineered comparison needs a g or e amplitude")
     elif model == "engineered-ladder" and p["zeta_ref"] == 0:
         _fail("parameters.zeta_ref", "must be nonzero")
     elif model.endswith("liouvillian"):
@@ -474,7 +463,7 @@ def _complex_pair(z: complex) -> list[float]:
 @dataclass
 class RunResult:
     config: ScenarioConfig
-    series: ObservableSeries | None
+    series: ObservableSeries
     summary: dict
 
 
@@ -560,12 +549,18 @@ def _engineered_run(config: ScenarioConfig, summary: dict, spec: LadderSpec, suf
     return traj, cols
 
 
-def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries | None:
+def resonant_drive(config: ScenarioConfig, summary: dict) -> tuple[RamanLadderParams, LadderSpec]:
+    """The drive half of a full-raman run, written into ``summary``.
+
+    Closes the ladder-step resonances on the dressed shifts from the input
+    detunings, derives the couplings, selects the ladder and judges the
+    validity regime; ``fockladder regime`` reads the table from here.
+    """
     p = config.parameters
     base = p["base"]
     params = raman_params(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], kind=p["kind"])
     input_tildes = [br.delta_tilde for br in params.branches]
-    params = solve_dressed_resonance(solve_resonance(params, base), base)
+    params = solve_dressed_resonance(params, base)
     derived = derive_couplings(params)
     spec = ladder_from_conditions(derived, p["mode"], base, params.n_branches)
     report = check_regime(params, derived, base, spec.steps,
@@ -580,16 +575,19 @@ def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries |
         "theta": list(derived.theta),
         **_ladder_record(spec),
     }
+    values = [value for _, value in report.residuals]  # second-order, then dressed
     summary["detunings"] = {
         "input_delta_tilde": input_tildes,
         "solved_delta_tilde": [br.delta_tilde for br in params.branches],
-        "residuals": second_order_residuals(params, base),
-        "dressed_residuals": dressed_residuals(params, base),
+        "residuals": values[:spec.steps],
+        "dressed_residuals": values[spec.steps:],
     }
     summary["regime"] = report.as_dict()
-    if config.regime_only:
-        return None
+    return params, spec
 
+
+def _run_full_raman(config: ScenarioConfig, summary: dict) -> ObservableSeries:
+    params, spec = resonant_drive(config, summary)
     traj = _hamiltonian_run(config, summary, "full", partial(build_full_hamiltonian, params),
                             params.atom_levels, spec.zeta_ref)
     cols = {f"{name}_full": col for name, col in _probe_columns(traj, config.outputs).items()}
@@ -864,16 +862,6 @@ def _build_presets() -> dict[str, dict]:
         anchor={"figure": "3b", "targets": {"P3_start": 0.5}},
     )
 
-    for fig in ("fig2a", "fig2b", "fig3a", "fig3b"):
-        variant = copy.deepcopy(presets[fig])
-        variant["name"] = f"regime-check-{fig}"
-        variant["description"] = (
-            f"Validity-regime table for the {fig} parameter set (no evolution)."
-        )
-        variant["regime_only"] = True
-        variant["check"] = {}
-        presets[variant["name"]] = variant
-
     presets["fig4"] = _steady_preset(
         "fig4",
         "Steady Fock state |3> from the collective three-step "
@@ -977,7 +965,7 @@ def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:
         _assign_path(doc, param_path, value)
         result = run_scenario(parse_config(doc))
         row = {"param": param_path, "value": value}
-        row.update({k: v for k, v in result.summary.get("final", {}).items()})
+        row.update(result.summary["final"])
         if "deviations" in result.summary:
             row.update(result.summary["deviations"])
         rows.append(row)

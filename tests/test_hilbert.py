@@ -160,18 +160,27 @@ class TestPartialTrace:
 
 
 class TestFieldPopulations:
-    @pytest.mark.parametrize("factors", [
-        (("atom", 6), ("field", 9)), (("field", 7), ("atom", 3)), (("field", 13),),
-    ], ids=["atom-field", "field-atom", "field"])
-    def test_sums_each_level_in_basis_order(self, factors):
-        # a subset of the basis, unsorted, with a leading sample axis; each
-        # P_n must add its weights in ascending basis order, bit for bit
+    @pytest.mark.parametrize("factors,index,rows", [
+        ((("atom", 6), ("field", 9)), None, 4), ((("field", 7), ("atom", 3)), None, 4),
+        ((("field", 13),), None, 4),
+        # a collision run: the 13 populations in order, on 7,561 samples
+        ((("field", 13),), np.arange(13), 7561),
+        # ascending: atom level 0 whole, 1 on field levels 0, 2, 4, and 2 on 1, 2
+        ((("atom", 3), ("field", 5)), np.array([0, 1, 2, 3, 4, 5, 7, 9, 11, 12]), 201),
+        # not ascending, though its endpoints span as many places as it has entries
+        ((("field", 5),), np.array([0, 2, 1, 3, 4]), 4),
+    ], ids=["atom-field", "field-atom", "field", "collision", "ascending-runs", "unordered-run"])
+    def test_sums_each_level_in_basis_order(self, factors, index, rows):
+        # a subset of the basis, unsorted unless given, with a leading sample
+        # axis; each P_n must add its weights in ascending basis order, bit for bit
         layout = HilbertLayout(factors)
         rng = np.random.default_rng(3)
-        index = rng.permutation(layout.dim)[: 2 * layout.dim // 3]
-        weights = rng.random((4, len(index))) * 10.0 ** rng.uniform(-9, 2, size=(4, len(index)))
+        if index is None:
+            index = rng.permutation(layout.dim)[: 2 * layout.dim // 3]
+        shape = (rows, len(index))
+        weights = rng.random(shape) * 10.0 ** rng.uniform(-9, 2, size=shape)
         levels = np.unravel_index(index, layout.dims)[layout.axis("field")]
-        expected = np.zeros((4, layout.dim_of("field")))
+        expected = np.zeros((rows, layout.dim_of("field")))
         for k in np.argsort(index):
             expected[:, levels[k]] += weights[:, k]
         assert np.array_equal(field_populations(layout, index, weights), expected)

@@ -13,6 +13,7 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from fockladder import ScenarioValidationError, collision_document, load_scenario, preset_document
 from fockladder import scenarios
 from fockladder.cli import main as cli_main
+from fockladder.raman import RESONANCE_REL_TOL
 from fockladder.scenarios import sweep
 
 
@@ -74,8 +76,9 @@ REJECTED = {
     "kind-unknown": (_doc("fig2a", "parameters.kind", "XYZ"), (), "parameters.kind"),
     "kind-lowercase": (_doc("fig2a", "parameters.kind", "jc"), (), "parameters.kind"),
     "ladder-kind": (_doc("fig4", "parameters.ladder.kind", "XYZ"), (), "parameters.ladder.kind"),
-    "regime-only-string": (_doc("fig2a", "regime_only", "false"), (), "regime_only"),
-    # removed options, now unknown keys whatever their value
+    # removed options, now unknown keys whatever their value and model
+    "regime-only-string": (_doc("fig2a", "regime_only", "false"), (), "scenario"),
+    "regime-only-on-liouvillian": (_doc("fig4", "regime_only", True), (), "scenario"),
     "solve-detunings-string": (_doc("fig2a", "parameters.solve_detunings", "no"), (),
                                "parameters"),
     "compare-engineered-string": (_doc("fig2a", "parameters.compare_engineered", "no"), (),
@@ -120,7 +123,7 @@ REJECTED = {
                                   "parameters.lambdas[0]"),
     "coupling-square-overflows-integer": (_doc("fig2a", "parameters.omegas.0", 10**300), (),
                                           "parameters.omegas[0]"),
-    "laser-coupling-zero": (_doc("regime-check-fig2a", "parameters.omegas.1", 0), (),
+    "laser-coupling-zero": (_doc("fig2a", "parameters.omegas.1", 0), (),
                             "parameters.omegas[1]"),
     "zeta-ref-zero": (_doc(_engineered_run(), "parameters.zeta_ref", 0), (),
                       "parameters.zeta_ref"),
@@ -130,7 +133,6 @@ REJECTED = {
     "recipe-rates-overflow": (_doc("fig6b", "parameters.recipe.tau", 1e308), (),
                               "parameters.recipe"),
     # keys the model does not read, and check rules on values the run never reports
-    "regime-only-on-liouvillian": (_doc("fig4", "regime_only", True), (), "regime_only"),
     "integrator-on-liouvillian": (_doc("fig4", "integrator", {"rel_tol": 1e-3}), (),
                                   "integrator"),
     "ladder-kind-on-ub-liouvillian": (_doc("fig4", "parameters.ladder.kind", "AJC"), (),
@@ -142,9 +144,6 @@ REJECTED = {
     "check-target-on-deviation": (_doc("fig2a", "check.outside_subspace",
                                        {"target": 0.0, "tol": 1.0}), ("--check",),
                                   "check.outside_subspace"),
-    "check-on-regime-only": (_doc("regime-check-fig2a", "check",
-                                  {"full_vs_engineered": {"max": 1}}), ("--check",),
-                             "check.full_vs_engineered"),
     "unit-gamma-on-hamiltonian": (_doc("fig2a", "reference_rate.unit", "gamma"), (),
                                   "reference_rate.unit"),
     "unit-lambda1-on-liouvillian": (_doc("fig4", "reference_rate.unit", "lambda1"), (),
@@ -181,12 +180,11 @@ def test_regime_threshold_nan_rejected(capsys):
     _doc("fig2a", "grid.stop", 1e308),
     # the Magnus generator's square overflows before any step is built
     _doc("fig2a", "parameters.lambdas", [1.3e154, 1.3e154]),
-    _doc("fig2a", "parameters.deltas", [1e-300, 5.0]),
     # Magnus steps far outside convergence: no doubling level is built
     _doc("fig2a", "grid.stop", 1e4),
     _doc("fig2a", "grid.stop", 1e12),
 ], ids=["fig4-Gamma", "fig4-Gamma-gamma", "fig4-grid-stop", "collision-gamma",
-        "fig2a-grid-stop", "fig2a-lambdas-overflow", "fig2a-deltas-overflow",
+        "fig2a-grid-stop", "fig2a-lambdas-overflow",
         "fig2a-grid-stop-1e4", "fig2a-grid-stop-1e12"])
 def test_non_finite_state_trips_guard(tmp_path, doc):
     # exit 3 with the guard's one line on stderr, and no numpy warning
@@ -197,6 +195,21 @@ def test_non_finite_state_trips_guard(tmp_path, doc):
     assert err.startswith("numerical guard: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("delta", [1e-20, 1e-150, 1e-300])
+def test_small_first_detuning_closes_the_resonance(tmp_path, delta):
+    # as Delta_1 -> 0 the second-order shifts diverge but the dressed ones
+    # stay finite: the closure lands within its tolerance and the run exits 0
+    code, err, _ = _run(tmp_path, _doc("fig2a", "parameters.deltas", [delta, 5.0]),
+                        "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    summary = json.loads((tmp_path / "out" / "fig2a.json").read_text())
+    det = summary["detunings"]
+    coupling = min(abs(complex(*z)) for z in summary["couplings"]["zeta"])
+    rounding = 16 * np.finfo(float).eps * max(map(abs, [delta, 5.0, *det["solved_delta_tilde"]]))
+    tol = max(RESONANCE_REL_TOL * coupling, rounding)
+    assert all(abs(r) <= tol for r in det["dressed_residuals"]), (det, tol)
 
 
 def test_long_grid_accepts_estimate_at_rounding(tmp_path):
@@ -228,7 +241,7 @@ def _short(name: str) -> dict:
     return _set(preset_document(name), "grid.samples", 21)
 
 
-BASES = [preset_document("regime-check-fig2a"), _engineered_run(), _short("fig4"),
+BASES = [_set(_short("fig2a"), "grid.stop", 0.5), _engineered_run(), _short("fig4"),
          _short("fig6b"), collision_document(0.2, 0.05)]
 
 

@@ -30,11 +30,7 @@ from fockladder import cli, scenarios
 from fockladder.cli import main as cli_main
 from fockladder.scenarios import SCHEMA_VERSION
 
-EXPECTED_PRESETS = {
-    "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig6a", "fig6b",
-    "regime-check-fig2a", "regime-check-fig2b",
-    "regime-check-fig3a", "regime-check-fig3b",
-}
+EXPECTED_PRESETS = {"fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig6a", "fig6b"}
 
 
 def engineered_doc(**overrides):
@@ -271,20 +267,23 @@ class TestRunner:
                 == full.summary["deviations"]["engineered_vs_analytic"])
         assert engineered.summary["leakage"]["engineered"] == full.summary["leakage"]["engineered"]
 
-    def test_regime_only_skips_evolution(self):
-        result = run_scenario(load_scenario("regime-check-fig2a"))
-        assert result.series is None
-        assert "regime" in result.summary
-        assert "final" not in result.summary
+    def test_regime_only_skips_evolution(self, monkeypatch):
+        # the drive half, all that ``fockladder regime`` runs, propagates nothing
+        monkeypatch.setattr(scenarios, "evolve_state", None)
+        summary = {}
+        scenarios.resonant_drive(load_scenario("fig2a"), summary)
+        assert "regime" in summary
+        assert "final" not in summary
 
     def test_detunings_report_both_residuals(self):
-        result = run_scenario(load_scenario("regime-check-fig3b"))
-        det = result.summary["detunings"]
-        chi_eff = abs(result.summary["couplings"]["chi_eff"])
+        summary = {}
+        scenarios.resonant_drive(load_scenario("fig3b"), summary)
+        det = summary["detunings"]
+        chi_eff = abs(summary["couplings"]["chi_eff"])
         assert len(det["residuals"]) == len(det["dressed_residuals"]) == 3
         assert max(abs(r) for r in det["dressed_residuals"]) <= 1e-10 * chi_eff
         assert max(abs(r) for r in det["residuals"]) > 1e-3
-        labels = [r["label"] for r in result.summary["regime"]["residuals"]]
+        labels = [r["label"] for r in summary["regime"]["residuals"]]
         assert labels[3:] == ["dressed_phi(3,1)", "dressed_phi(4,2)", "dressed_phi(5,3)"]
 
     def test_fig4_summary_contents(self):
@@ -638,6 +637,17 @@ class TestCli:
     def test_regime_threshold_controls_exit(self, capsys):
         assert cli_main(["regime", "--scenario", "fig2a", "--threshold", "5"]) == 0
         assert cli_main(["regime", "--scenario", "fig2a", "--threshold", "20"]) == 1
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3a", "fig3b"])
+    def test_regime_prints_the_run_table(self, capsys, name):
+        report = run_scenario(load_scenario(name)).summary["regime"]
+        capsys.readouterr()
+        assert cli_main(["regime", "--scenario", name]) == (0 if report["passed"] else 1)
+        rows = [f"{e['name']:40s} ratio {e['ratio']:12.6g} >= {e['threshold']:g}  "
+                + ("pass" if e["pass"] else "FAIL") for e in report["entries"]]
+        rows += [f"{r['label']:40s} value {r['value']:12.6g}" for r in report["residuals"]]
+        rows.append("regime: " + ("pass" if report["passed"] else "FAIL"))
+        assert capsys.readouterr().out.splitlines() == rows
 
     def test_regime_rejects_dissipative_scenario(self, capsys):
         assert cli_main(["regime", "--scenario", "fig4"]) == 2
