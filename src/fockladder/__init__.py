@@ -30,7 +30,6 @@ from .hilbert import (
 from .raman import (
     DerivedCouplings,
     LadderSpec,
-    RamanBranch,
     RamanLadderParams,
     RegimeEntry,
     RegimeReport,
@@ -44,7 +43,6 @@ from .raman import (
     dressed_residuals,
     ladder_from_conditions,
     ladder_operator,
-    raman_params,
     second_order_residuals,
     solve_dressed_resonance,
     solve_resonance,

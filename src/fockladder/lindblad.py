@@ -331,8 +331,7 @@ class Trajectory:
         full[self.index] = self.entries[k]
         if not self.density:
             return StateVector(self.layout, full)
-        rho = full.reshape((d, d), order="F")
-        return DensityOperator(self.layout, 0.5 * (rho + rho.conj().T))
+        return DensityOperator(self.layout, full.reshape((d, d), order="F")).symmetrized()
 
 
 class _States(Sequence):
@@ -1057,8 +1056,7 @@ def steady_state(L: LiouvillianMatrix) -> DensityOperator:
     k = int(np.argmin(np.abs(vals)))
     full = np.zeros(d * d, dtype=complex)
     full[idx] = vecs[:, k]
-    rho = full.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = DensityOperator(L.layout, full.reshape((d, d), order="F")).symmetrized().entries
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise IntegrationError("null vector is traceless; not a steady state")

@@ -6,6 +6,11 @@ of the auxiliary levels, constructs the engineered weighted-ladder
 Hamiltonians (upper-bounded and sliced), solves the resonance
 conditions for the laser detunings, and checks the validity regime.
 
+A drive is held as its four coupling and detuning lists and its kind
+(``RamanLadderParams``); the detuning signs, the atom levels, the
+couplings, the ladder and its step count are derived from it where they
+are read.
+
 All rates are dimensionless multiples of a declared reference rate
 (lambda_1 for Hamiltonian-validation scenarios).
 """
@@ -38,84 +43,52 @@ class ResonanceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RamanBranch:
-    """One Raman branch: a cavity leg and a laser leg through one auxiliary level.
+class RamanLadderParams:
+    """K-branch Raman drive (K = 2, 3 or 4 auxiliary levels).
 
-    ``sign`` is the sign of the detuning exponents e^{i * sign * Delta * t}
-    multiplying the cavity and the laser term alike.
+    Branch j couples the cavity with lambdas[j] at detuning deltas[j] and
+    the laser with omegas[j] at detuning delta_tildes[j], both through the
+    auxiliary level atom_levels[2 + j].  Branch 1 carries negative detuning
+    exponents e^{-i Delta t}, every later branch positive ones (``signs``).
+    For JC the cavity drives g <-> aux_j and the laser e <-> aux_j; AJC
+    interchanges the two roles.
     """
 
-    lam: float
-    omega: float
-    delta: float
-    delta_tilde: float
-    sign: int
-    cavity_transition: tuple[str, str]
-    laser_transition: tuple[str, str]
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("cavity coupling lambda must be positive")
-        if self.omega < 0:
-            raise ValueError("laser coupling omega must be non-negative")
-        if self.delta == 0 or self.delta_tilde == 0:
-            raise ValueError("detunings must be nonzero")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class RamanLadderParams:
-    """K-branch Raman configuration (K = 2, 3 or 4 auxiliary levels)."""
-
-    branches: tuple[RamanBranch, ...]
-    atom_levels: tuple[str, ...]
+    lambdas: tuple[float, ...]
+    omegas: tuple[float, ...]
+    deltas: tuple[float, ...]
+    delta_tildes: tuple[float, ...]
     kind: Kind = "JC"
 
     def __post_init__(self):
-        k = len(self.branches)
+        for name in ("lambdas", "omegas", "deltas", "delta_tildes"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        k = len(self.lambdas)
+        if not (len(self.omegas) == len(self.deltas) == len(self.delta_tildes) == k):
+            raise ValueError("parameter lists must have equal length")
         if k not in (2, 3, 4):
             raise ValueError(f"need 2, 3 or 4 branches, got {k}")
-        if len(self.atom_levels) != 2 + k:
-            raise ValueError("atom_levels must be (g, e) plus one label per branch")
+        if self.kind not in ("JC", "AJC"):
+            raise ValueError(f"kind must be 'JC' or 'AJC', got {self.kind!r}")
+        if any(lam <= 0 for lam in self.lambdas):
+            raise ValueError("cavity coupling lambda must be positive")
+        if any(omega < 0 for omega in self.omegas):
+            raise ValueError("laser coupling omega must be non-negative")
+        if 0 in self.deltas + self.delta_tildes:
+            raise ValueError("detunings must be nonzero")
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
+        return len(self.lambdas)
 
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """Sign s_j of branch j's detuning exponents e^{i s_j Delta_j t}, cavity and laser alike."""
+        return (-1,) + (1,) * (len(self.lambdas) - 1)
 
-def raman_params(
-    lambdas,
-    omegas,
-    deltas,
-    delta_tildes,
-    kind: Kind = "JC",
-) -> RamanLadderParams:
-    """Build a standard K-branch configuration.
-
-    Branch 1 carries negative detuning exponents, all further branches
-    positive ones.  For JC the cavity drives g <-> aux_j and the laser
-    drives e <-> aux_j; AJC interchanges the two roles.
-    """
-    k = len(lambdas)
-    if not (len(omegas) == len(deltas) == len(delta_tildes) == k):
-        raise ValueError("parameter lists must have equal length")
-    aux = AUX_LABELS[:k]
-    branches = []
-    for j in range(k):
-        cavity_lower, laser_lower = ("g", "e") if kind == "JC" else ("e", "g")
-        branches.append(
-            RamanBranch(
-                lam=float(lambdas[j]),
-                omega=float(omegas[j]),
-                delta=float(deltas[j]),
-                delta_tilde=float(delta_tildes[j]),
-                sign=-1 if j == 0 else 1,
-                cavity_transition=(aux[j], cavity_lower),
-                laser_transition=(aux[j], laser_lower),
-            )
-        )
-    return RamanLadderParams(tuple(branches), ("g", "e") + aux, kind)
+    @property
+    def atom_levels(self) -> tuple[str, ...]:
+        return ("g", "e") + AUX_LABELS[:self.n_branches]
 
 
 @dataclass(frozen=True)
@@ -155,17 +128,20 @@ class DerivedCouplings:
 
 def derive_couplings(params: RamanLadderParams) -> DerivedCouplings:
     """Evaluate the adiabatic-elimination couplings from the raw drive parameters."""
-    b = params.branches
-    chi = b[0].lam ** 2 / b[0].delta - b[1].lam ** 2 / b[1].delta
-    varpi = b[0].omega ** 2 / b[0].delta_tilde - b[1].omega ** 2 / b[1].delta_tilde
-    chi_tilde = sum(br.lam ** 2 / br.delta for br in b[2:])
-    omega_shift = sum(br.omega ** 2 / br.delta_tilde for br in b[2:])
+    lam, om, de, dt = params.lambdas, params.omegas, params.deltas, params.delta_tildes
+    chi = lam[0] ** 2 / de[0] - lam[1] ** 2 / de[1]
+    varpi = om[0] ** 2 / dt[0] - om[1] ** 2 / dt[1]
+    chi_tilde = sum(c ** 2 / d for c, d in zip(lam[2:], de[2:]))
+    omega_shift = sum(w ** 2 / d for w, d in zip(om[2:], dt[2:]))
     zeta = tuple(
-        complex((br.lam * br.omega / 2.0) * (1.0 / br.delta + 1.0 / br.delta_tilde))
-        for br in b
+        complex((c * w / 2.0) * (1.0 / d + 1.0 / t)) for c, w, d, t in zip(lam, om, de, dt)
     )
-    theta = tuple(br.sign * (br.delta_tilde - br.delta) for br in b)
-    return DerivedCouplings(chi, chi_tilde, varpi, omega_shift, zeta, theta)
+    return DerivedCouplings(chi, chi_tilde, varpi, omega_shift, zeta, _theta(params))
+
+
+def _theta(params: RamanLadderParams) -> tuple[float, ...]:
+    """Engineered detunings theta_j = s_j (Delta~_j - Delta_j)."""
+    return tuple(s * (t - d) for s, t, d in zip(params.signs, params.delta_tildes, params.deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +175,16 @@ def build_full_hamiltonian(
     n = layout.dim_of("field")
     a = nonzero_triplets(annihilation(n - 1).entries)
     eye = (np.arange(n), np.arange(n), np.ones(n))
+    levels = params.atom_levels
+    cavity_lower, laser_lower = ("g", "e") if params.kind == "JC" else ("e", "g")
     terms = []
-    for br in params.branches:
-        sig_c = nonzero_triplets(atomic_sigma(*br.cavity_transition, params.atom_levels).entries)
-        sig_l = nonzero_triplets(atomic_sigma(*br.laser_transition, params.atom_levels).entries)
-        terms.append((br.lam, br.sign * br.delta, *kron_triplets(sig_c, a, n)))
-        terms.append((br.omega, br.sign * br.delta_tilde, *kron_triplets(sig_l, eye, n)))
+    for aux, lam, omega, s, delta, delta_tilde in zip(
+            levels[2:], params.lambdas, params.omegas, params.signs, params.deltas,
+            params.delta_tildes):
+        sig_c = nonzero_triplets(atomic_sigma(aux, cavity_lower, levels).entries)
+        sig_l = nonzero_triplets(atomic_sigma(aux, laser_lower, levels).entries)
+        terms.append((lam, s * delta, *kron_triplets(sig_c, a, n)))
+        terms.append((omega, s * delta_tilde, *kron_triplets(sig_l, eye, n)))
     return TimeDependentHamiltonian(layout, terms)
 
 
@@ -228,6 +208,8 @@ class LadderSpec:
             raise ValueError("ladder must have 1 to 4 steps")
         if self.weights[0] != 1:
             raise ValueError("first ladder weight must be exactly 1")
+        if self.kind not in ("JC", "AJC"):
+            raise ValueError(f"kind must be 'JC' or 'AJC', got {self.kind!r}")
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
         object.__setattr__(self, "zeta_ref", complex(self.zeta_ref))
 
@@ -271,26 +253,24 @@ def build_engineered_hamiltonian(spec: LadderSpec, layout: HilbertLayout) -> Tim
 
 
 def ladder_from_conditions(
-    derived: DerivedCouplings,
+    params: RamanLadderParams,
     mode: Literal["upper-bounded", "sliced"],
     base: int,
-    steps: int,
 ) -> LadderSpec:
-    """Ladder weights selected by the resonance conditions.
+    """The ladder a resonant drive engineers, of the drive's kind.
 
     Step i+1 is carried by branch i+1, so w_i = zeta^(i+1)_{M+i} / zeta^(1)_M.
     """
-    if steps != len(derived.zeta):
-        raise ValueError(f"steps {steps} != number of branches {len(derived.zeta)}")
     if mode == "upper-bounded" and base != 0:
         raise ValueError("upper-bounded ladders start at the vacuum (base 0)")
+    derived = derive_couplings(params)
     if derived.zeta[0] == 0:
         raise ValueError("zeta_1 vanishes; no reference coupling")
     zeta_ref = derived.zeta_n(base, 1)
     weights = (1.0,) + tuple(
-        derived.zeta_n(base + i, i + 1) / zeta_ref for i in range(1, steps)
+        derived.zeta_n(base + i, i + 1) / zeta_ref for i in range(1, params.n_branches)
     )
-    return LadderSpec(base=base, weights=weights, zeta_ref=zeta_ref)
+    return LadderSpec(base=base, weights=weights, zeta_ref=zeta_ref, kind=params.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +304,7 @@ def dressed_residuals(params: RamanLadderParams, base: int) -> list[float]:
     Step j (1-based) runs at n = base + j - 1.  The cavity-dressed level
     with m photons couples with lambda_k sqrt(m) to aux_k at s_k Delta_k;
     the laser-dressed level couples with Omega_k to aux_k at s_k Delta~_k
-    (s_k the branch's detuning sign).
+    (s_k = ``params.signs[k]``).
     Each shift is the eigenvalue nearest zero of its (1+K)-level problem;
     to second order they are m chi_eff and varpi - omega_shift.  For JC
     the cavity-dressed level is g and the laser-dressed one e, for AJC the
@@ -335,37 +315,35 @@ def dressed_residuals(params: RamanLadderParams, base: int) -> list[float]:
 
 def _cavity_shifts(params: RamanLadderParams, base: int) -> list[float]:
     """E_cav(base + j) of every ladder step j = 1..K, which the laser detunings do not move."""
-    return [_nearest_zero_level([br.lam * np.sqrt(base + j) for br in params.branches],
-                                [br.sign * br.delta for br in params.branches])
+    energies = [s * delta for s, delta in zip(params.signs, params.deltas)]
+    return [_nearest_zero_level([lam * np.sqrt(base + j) for lam in params.lambdas], energies)
             for j in range(1, params.n_branches + 1)]
 
 
 def _laser_residuals(params: RamanLadderParams, cavity: list[float]) -> list[float]:
     """``dressed_residuals`` from the steps' cavity shifts: one laser problem."""
-    b = params.branches
-    laser = _nearest_zero_level([br.omega for br in b], [br.sign * br.delta_tilde for br in b])
-    return [shift - laser + theta for shift, theta in zip(cavity, derive_couplings(params).theta)]
+    laser = _nearest_zero_level(params.omegas,
+                                [s * t for s, t in zip(params.signs, params.delta_tildes)])
+    return [shift - laser + theta for shift, theta in zip(cavity, _theta(params))]
 
 
 def _close_resonance(params: RamanLadderParams, base: int, residuals) -> RamanLadderParams:
     """Damped fixed point on the laser detunings until ``residuals`` vanish.
 
     Branch j moves theta_j = s_j (Delta~_j - Delta_j) by minus its residual,
-    s_j being the branch's detuning sign.  It stops when every residual is
-    at most RESONANCE_REL_TOL times the smallest step coupling |zeta_j|, or
-    at the rounding of the level energies the residuals are read from
-    (16 eps times the largest |Delta_k|, |Delta~_k|) where that is larger.
+    in one new drive per iteration.  It stops when every residual is at most
+    RESONANCE_REL_TOL times the smallest step coupling |zeta_j|, or at the
+    rounding of the level energies the residuals are read from (16 eps
+    times the largest |Delta_k|, |Delta~_k|) where that is larger.
     """
     current = params
     res = residuals(current, base)
     for _ in range(RESONANCE_MAX_ITER):
-        branches = tuple(
-            replace(br, delta_tilde=br.delta_tilde - RESONANCE_DAMPING * br.sign * r)
-            for br, r in zip(current.branches, res)
-        )
-        current = replace(current, branches=branches)
+        current = replace(current, delta_tildes=tuple(
+            t - RESONANCE_DAMPING * s * r
+            for t, s, r in zip(current.delta_tildes, current.signs, res)))
         res = residuals(current, base)
-        energy = max(abs(x) for br in branches for x in (br.delta, br.delta_tilde))
+        energy = max(map(abs, current.deltas + current.delta_tildes))
         coupling = min(abs(z) for z in derive_couplings(current).zeta)
         if max(map(abs, res)) <= max(RESONANCE_REL_TOL * coupling, 16 * np.finfo(float).eps * energy):
             return current
@@ -436,13 +414,11 @@ def _ratio(big: float, small: float) -> float:
 
 def check_regime(
     params: RamanLadderParams,
-    derived: DerivedCouplings,
     base: int,
-    steps: int,
     n_bar: float = 0.0,
     threshold: float = 10.0,
 ) -> RegimeReport:
-    """Validity-regime report for the adiabatic elimination and the RWA.
+    """Validity-regime report for the adiabatic elimination and the RWA, one step per branch.
 
     Both orientations of the elimination inequalities are reported (the
     primary one pairs lambda with Delta and Omega with Delta~; the ``alt``
@@ -450,21 +426,24 @@ def check_regime(
     elimination ratios; the coupling-hierarchy (RWA) ratios are held to
     HIERARCHY_THRESHOLD, since their natural scale is weaker.
     """
+    derived = derive_couplings(params)
+    steps = params.n_branches
     entries = []
     root = np.sqrt(n_bar + 1.0)
-    for j, br in enumerate(params.branches, start=1):
+    for j, (lam, omega, delta, delta_tilde) in enumerate(
+            zip(params.lambdas, params.omegas, params.deltas, params.delta_tildes), start=1):
         entries.append(
-            RegimeEntry(f"Delta{j}/(sqrt(nbar+1)*lambda{j})", _ratio(br.delta, root * br.lam), threshold)
+            RegimeEntry(f"Delta{j}/(sqrt(nbar+1)*lambda{j})", _ratio(delta, root * lam), threshold)
         )
-        entries.append(RegimeEntry(f"Dtilde{j}/Omega{j}", _ratio(br.delta_tilde, br.omega), threshold))
+        entries.append(RegimeEntry(f"Dtilde{j}/Omega{j}", _ratio(delta_tilde, omega), threshold))
         entries.append(
             RegimeEntry(
                 f"Dtilde{j}/(sqrt(nbar+1)*lambda{j}) [alt]",
-                _ratio(br.delta_tilde, root * br.lam),
+                _ratio(delta_tilde, root * lam),
                 threshold,
             )
         )
-        entries.append(RegimeEntry(f"Delta{j}/Omega{j} [alt]", _ratio(br.delta, br.omega), threshold))
+        entries.append(RegimeEntry(f"Delta{j}/Omega{j} [alt]", _ratio(delta, omega), threshold))
     for j in range(1, steps + 1):
         small = abs(derived.zeta_n(base + j, j))
         entries.append(

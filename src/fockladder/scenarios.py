@@ -66,7 +66,6 @@ from .raman import (
     derive_couplings,
     ladder_from_conditions,
     analytic_probabilities,
-    raman_params,
     solve_dressed_resonance,
 )
 from .reservoir import (
@@ -558,13 +557,11 @@ def resonant_drive(config: ScenarioConfig, summary: dict) -> tuple[RamanLadderPa
     """
     p = config.parameters
     base = p["base"]
-    params = raman_params(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], kind=p["kind"])
-    input_tildes = [br.delta_tilde for br in params.branches]
-    params = solve_dressed_resonance(params, base)
+    given = RamanLadderParams(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], p["kind"])
+    params = solve_dressed_resonance(given, base)
+    spec = ladder_from_conditions(params, p["mode"], base)
+    report = check_regime(params, base, n_bar=p["n_bar_regime"], threshold=p["regime_threshold"])
     derived = derive_couplings(params)
-    spec = ladder_from_conditions(derived, p["mode"], base, params.n_branches)
-    report = check_regime(params, derived, base, spec.steps,
-                          n_bar=p["n_bar_regime"], threshold=p["regime_threshold"])
     summary["couplings"] = {
         "chi": derived.chi,
         "chi_tilde": derived.chi_tilde,
@@ -577,8 +574,8 @@ def resonant_drive(config: ScenarioConfig, summary: dict) -> tuple[RamanLadderPa
     }
     values = [value for _, value in report.residuals]  # second-order, then dressed
     summary["detunings"] = {
-        "input_delta_tilde": input_tildes,
-        "solved_delta_tilde": [br.delta_tilde for br in params.branches],
+        "input_delta_tilde": list(given.delta_tildes),
+        "solved_delta_tilde": list(params.delta_tildes),
         "residuals": values[:spec.steps],
         "dressed_residuals": values[spec.steps:],
     }

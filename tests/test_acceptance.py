@@ -24,13 +24,13 @@ import scipy.linalg
 
 from fockladder import (
     LadderSpec,
+    RamanLadderParams,
     ThermalBathParams,
     TimeGrid,
     analytic_probabilities,
     atom_field_layout,
     atom_state,
     build_engineered_hamiltonian,
-    derive_couplings,
     evolve_density,
     evolve_state,
     fidelity_fock,
@@ -44,7 +44,6 @@ from fockladder import (
     parse_config,
     preset_document,
     product_state,
-    raman_params,
     run_scenario,
     solve_resonance,
     sparse_liouvillian,
@@ -78,11 +77,8 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def ideal_ladder(preset: str) -> LadderSpec:
-    params = solve_resonance(raman_params(**PRESET_PARAMS[preset]), PRESET_BASE[preset])
-    derived = derive_couplings(params)
-    spec = ladder_from_conditions(
-        derived, PRESET_MODE[preset], PRESET_BASE[preset], params.n_branches
-    )
+    params = solve_resonance(RamanLadderParams(**PRESET_PARAMS[preset]), PRESET_BASE[preset])
+    spec = ladder_from_conditions(params, PRESET_MODE[preset], PRESET_BASE[preset])
     return LadderSpec(base=spec.base, weights=(1.0,) * spec.steps,
                       zeta_ref=spec.zeta_ref, kind=spec.kind)
 

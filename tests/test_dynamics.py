@@ -19,6 +19,7 @@ from fockladder import (
     LadderSpec,
     LeakageError,
     LindbladTerm,
+    RamanLadderParams,
     TimeDependentHamiltonian,
     TimeGrid,
     annihilation,
@@ -36,7 +37,6 @@ from fockladder import (
     build_full_hamiltonian,
     field_superposition,
     preset_document,
-    raman_params,
     solve_dressed_resonance,
     solve_resonance,
     sparse_liouvillian,
@@ -123,7 +123,7 @@ def full_raman_case(name, kind="JC", cutoff=None):
     doc = preset_document(name)
     p = doc["parameters"]
     cutoff = cutoff or doc["cutoff"]
-    params = raman_params(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], kind=kind)
+    params = RamanLadderParams(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], kind)
     params = solve_dressed_resonance(solve_resonance(params, p["base"]), p["base"])
     h = build_full_hamiltonian(params, atom_field_layout(len(params.atom_levels), cutoff))
     base = p["base"]
@@ -1067,7 +1067,7 @@ class TestInvariantBlocks:
         # a laser leg with Omega = 0 is a term with c = 0: ``_half_terms``
         # drops its entries, so H splits as its dense H(t) does (oracle:
         # csgraph on the dense H), into more blocks than the term patterns
-        params = raman_params([1.0, 1.0], [0.0, 0.05], [10.0, 5.0], [9.9, 5.2])
+        params = RamanLadderParams([1.0, 1.0], [0.0, 0.05], [10.0, 5.0], [9.9, 5.2])
         h = build_full_hamiltonian(params, atom_field_layout(4, 6))
         _, rows, cols, _ = lindblad._half_terms(h)
         got = invariant_blocks(rows, cols, h.layout.dim)

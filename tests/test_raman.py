@@ -7,6 +7,7 @@ import pytest
 
 from fockladder import (
     LadderSpec,
+    RamanLadderParams,
     analytic_probabilities,
     atom_field_layout,
     build_engineered_hamiltonian,
@@ -16,7 +17,6 @@ from fockladder import (
     dressed_residuals,
     ladder_from_conditions,
     ladder_operator,
-    raman_params,
     solve_dressed_resonance,
     solve_resonance,
 )
@@ -40,7 +40,7 @@ FIG3B = dict(lambdas=[1, 1, 1],
 class TestDerivedCouplings:
     def test_hand_computed_two_branch(self):
         # [DERIVED] plain arithmetic on simple inputs
-        params = raman_params([1.0, 2.0], [0.2, 0.1], [10.0, 5.0], [8.0, 4.0])
+        params = RamanLadderParams([1.0, 2.0], [0.2, 0.1], [10.0, 5.0], [8.0, 4.0])
         d = derive_couplings(params)
         assert d.chi == pytest.approx(1.0 / 10.0 - 4.0 / 5.0)
         assert d.varpi == pytest.approx(0.04 / 8.0 - 0.01 / 4.0)
@@ -52,20 +52,20 @@ class TestDerivedCouplings:
         assert d.theta[1] == pytest.approx(4.0 - 5.0)
 
     def test_three_branch_extra_shifts(self):
-        params = raman_params([1, 1, 1], [0.1, 0.1, 0.1], [10, 20, 10],
-                              [10, 20, 10])
+        params = RamanLadderParams([1, 1, 1], [0.1, 0.1, 0.1], [10, 20, 10],
+                                   [10, 20, 10])
         d = derive_couplings(params)
         assert d.chi_tilde == pytest.approx(1.0 / 10.0)
         assert d.omega_shift == pytest.approx(0.01 / 10.0)
         assert d.chi_eff == pytest.approx(d.chi - d.chi_tilde)
 
     def test_zeta_n_scaling(self):
-        params = raman_params(**FIG2A)
+        params = RamanLadderParams(**FIG2A)
         d = derive_couplings(params)
         assert d.zeta_n(3, 1) == pytest.approx(2.0 * d.zeta[0])
 
     def test_xi_and_phi_relations(self):
-        params = raman_params(**FIG2A)
+        params = RamanLadderParams(**FIG2A)
         d = derive_couplings(params)
         for n in range(4):
             assert d.xi(n) == pytest.approx((n + 1) * d.chi - d.varpi)
@@ -75,7 +75,7 @@ class TestDerivedCouplings:
 
 class TestFullHamiltonian:
     def test_matrix_is_hermitian(self):
-        params = raman_params(**FIG2A)
+        params = RamanLadderParams(**FIG2A)
         layout = atom_field_layout(4, 6)
         h = build_full_hamiltonian(params, layout)
         for t in (0.0, 0.37, 2.1):
@@ -83,17 +83,53 @@ class TestFullHamiltonian:
             assert np.allclose(m, m.conj().T)
 
     def test_atom_dimension_enforced(self):
-        params = raman_params(**FIG2A)
+        params = RamanLadderParams(**FIG2A)
         from fockladder import LayoutError
 
         with pytest.raises(LayoutError):
             build_full_hamiltonian(params, atom_field_layout(2, 6))
 
     def test_ajc_swaps_transitions(self):
-        jc = raman_params(**FIG2A, kind="JC")
-        ajc = raman_params(**FIG2A, kind="AJC")
-        assert jc.branches[0].cavity_transition == ("f", "g")
-        assert ajc.branches[0].cavity_transition == ("f", "e")
+        # branch 1's cavity term takes g (JC) or e (AJC) up to f, and its
+        # laser term the other level; atom index = entry index // field dim
+        levels = ("g", "e", "f", "h")
+        for kind, lowers in (("JC", ("g", "e")), ("AJC", ("e", "g"))):
+            h = build_full_hamiltonian(RamanLadderParams(**FIG2A, kind=kind), atom_field_layout(4, 6))
+            for (_, _, rows, cols, _), lower in zip(h.terms[:2], lowers):
+                assert set(rows // 7) == {levels.index("f")}
+                assert set(cols // 7) == {levels.index(lower)}
+
+
+class TestDrive:
+    def test_signs_and_levels_follow_the_branch_count(self):
+        params = RamanLadderParams(**FIG3A)
+        assert params.n_branches == 3
+        assert params.signs == (-1, 1, 1)
+        assert params.atom_levels == ("g", "e", "f", "h", "i")
+        assert params.deltas == (10.0, 20.0, 10.0)
+        assert all(type(x) is float for x in params.deltas)
+
+    @pytest.mark.parametrize("kind", ["jc", "ajc", "", None])
+    def test_unknown_kind_rejected(self, kind):
+        # a kind other than JC or AJC would otherwise build the AJC couplings
+        with pytest.raises(ValueError, match="kind"):
+            RamanLadderParams(**FIG2A, kind=kind)
+        with pytest.raises(ValueError, match="kind"):
+            LadderSpec(base=0, weights=(1.0,), zeta_ref=1.0, kind=kind)
+
+    @pytest.mark.parametrize("change", [
+        {"lambdas": [1, 0]}, {"omegas": [-0.1, 0.05]}, {"deltas": [10, 0]},
+        {"delta_tildes": [0, 5.2]}, {"omegas": [0.1]}, {"lambdas": [1], "omegas": [0.1],
+                                                        "deltas": [10], "delta_tildes": [9.9]},
+    ], ids=["lambda", "omega", "delta", "delta-tilde", "lengths", "one-branch"])
+    def test_invalid_drive_rejected(self, change):
+        with pytest.raises(ValueError):
+            RamanLadderParams(**{**FIG2A, **change})
+
+    @pytest.mark.parametrize("kind", ["JC", "AJC"])
+    def test_ladder_carries_the_drive_kind(self, kind):
+        params = solve_resonance(RamanLadderParams(**FIG2A, kind=kind), base=0)
+        assert ladder_from_conditions(params, "upper-bounded", base=0).kind == kind
 
 
 class TestLadder:
@@ -133,15 +169,14 @@ class TestLadder:
             build_engineered_hamiltonian(spec, atom_field_layout(2, 6))
 
     def test_upper_bounded_must_start_at_vacuum(self):
-        params = solve_resonance(raman_params(**FIG2A), base=0)
-        d = derive_couplings(params)
+        params = solve_resonance(RamanLadderParams(**FIG2A), base=0)
         with pytest.raises(ValueError):
-            ladder_from_conditions(d, "upper-bounded", base=3, steps=2)
+            ladder_from_conditions(params, "upper-bounded", base=3)
 
     def test_weights_from_conditions(self):
-        params = solve_resonance(raman_params(**FIG2B), base=3)
+        params = solve_resonance(RamanLadderParams(**FIG2B), base=3)
         d = derive_couplings(params)
-        spec = ladder_from_conditions(d, "sliced", base=3, steps=2)
+        spec = ladder_from_conditions(params, "sliced", base=3)
         assert spec.weights[0] == 1.0
         assert spec.zeta_ref == pytest.approx(2.0 * d.zeta[0])  # sqrt(M+1), M=3
         expected_w1 = d.zeta_n(4, 2) / spec.zeta_ref
@@ -157,31 +192,30 @@ class TestResonance:
         ids=["fig2a", "fig2b", "fig3a", "fig3b"],
     )
     def test_residuals_close(self, cfg, base):
-        params = solve_resonance(raman_params(**cfg), base)
+        params = solve_resonance(RamanLadderParams(**cfg), base)
         d = derive_couplings(params)
         for j in range(params.n_branches):
             assert abs(d.big_phi(base + j, j + 1)) <= 1e-10 * abs(d.chi_eff)
 
     def test_solved_detunings_frozen(self):
         # [DERIVED] fixed point of the resonance iteration, frozen values
-        params = solve_resonance(raman_params(**FIG2A), 0)
-        tildes = [br.delta_tilde for br in params.branches]
-        assert tildes == pytest.approx([9.898460110607108, 5.201539889392894], rel=1e-9)
+        params = solve_resonance(RamanLadderParams(**FIG2A), 0)
+        assert list(params.delta_tildes) == pytest.approx([9.898460110607108, 5.201539889392894], rel=1e-9)
 
     def test_solved_detunings_near_quoted(self):
         # the quoted values are the solved ones rounded to 3-4 digits
         for cfg, base in ((FIG2A, 0), (FIG2B, 3), (FIG3A, 0), (FIG3B, 3)):
-            params = solve_resonance(raman_params(**cfg), base)
-            for br, quoted in zip(params.branches, cfg["delta_tildes"]):
-                assert abs(br.delta_tilde - quoted) < 0.05
+            params = solve_resonance(RamanLadderParams(**cfg), base)
+            for solved, quoted in zip(params.delta_tildes, cfg["delta_tildes"]):
+                assert abs(solved - quoted) < 0.05
 
     def test_cavity_detunings_untouched(self):
-        params = solve_resonance(raman_params(**FIG3B), 3)
-        assert [br.delta for br in params.branches] == [20, 40, 20]
+        params = solve_resonance(RamanLadderParams(**FIG3B), 3)
+        assert list(params.deltas) == [20, 40, 20]
 
 
 def dressed_solve(cfg, base, kind="JC"):
-    return solve_dressed_resonance(solve_resonance(raman_params(**cfg, kind=kind), base), base)
+    return solve_dressed_resonance(solve_resonance(RamanLadderParams(**cfg, kind=kind), base), base)
 
 
 def scaled(cfg, factor):
@@ -208,10 +242,9 @@ class TestDressedResonance:
         # to chi_eff, so the detuning gap shrinks ~16x per 4x in the hierarchy
         gaps = []
         for factor in (1.0, 4.0, 16.0):
-            second = solve_resonance(raman_params(**scaled(cfg, factor)), base)
+            second = solve_resonance(RamanLadderParams(**scaled(cfg, factor)), base)
             dressed = solve_dressed_resonance(second, base)
-            gap = max(abs(a.delta_tilde - b.delta_tilde)
-                      for a, b in zip(second.branches, dressed.branches))
+            gap = max(abs(a - b) for a, b in zip(second.delta_tildes, dressed.delta_tildes))
             gaps.append(gap / abs(derive_couplings(second).chi_eff))
         assert gaps[0] > 0.01
         assert gaps[1] < gaps[0] / 8
@@ -221,13 +254,12 @@ class TestDressedResonance:
     def test_jc_and_ajc_agree(self, cfg, base):
         jc = dressed_solve(cfg, base, "JC")
         ajc = dressed_solve(cfg, base, "AJC")
-        assert [br.delta_tilde for br in ajc.branches] == pytest.approx(
-            [br.delta_tilde for br in jc.branches], rel=1e-12)
+        assert list(ajc.delta_tildes) == pytest.approx(list(jc.delta_tildes), rel=1e-12)
 
     def test_regime_reports_both_residuals(self):
         params = dressed_solve(FIG3B, 3)
         d = derive_couplings(params)
-        report = check_regime(params, d, 3, 3)
+        report = check_regime(params, 3)
         labels = [label for label, _ in report.residuals]
         assert labels == ["big_phi(3,1)", "big_phi(4,2)", "big_phi(5,3)",
                           "dressed_phi(3,1)", "dressed_phi(4,2)", "dressed_phi(5,3)"]
@@ -243,7 +275,7 @@ class TestDressedResonance:
         # the cavity-dressed shifts do not move with the laser detunings: a
         # fig2a solve diagonalizes K cavity problems, then one laser problem
         # per residual evaluation
-        second = solve_resonance(raman_params(**FIG2A), 0)
+        second = solve_resonance(RamanLadderParams(**FIG2A), 0)
         problems, evaluations = [], []
         eigvalsh, close = np.linalg.eigvalsh, raman._close_resonance
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: problems.append(h) or eigvalsh(h))
@@ -259,15 +291,13 @@ class TestDressedResonance:
 
 class TestRegime:
     def test_fig2a_passes_at_threshold_5(self):
-        params = solve_resonance(raman_params(**FIG2A), 0)
-        d = derive_couplings(params)
-        report = check_regime(params, d, 0, 2, threshold=5.0)
+        params = solve_resonance(RamanLadderParams(**FIG2A), 0)
+        report = check_regime(params, 0, threshold=5.0)
         assert report.passed
 
     def test_fig2a_fails_at_threshold_20(self):
-        params = solve_resonance(raman_params(**FIG2A), 0)
-        d = derive_couplings(params)
-        report = check_regime(params, d, 0, 2, threshold=20.0)
+        params = solve_resonance(RamanLadderParams(**FIG2A), 0)
+        report = check_regime(params, 0, threshold=20.0)
         assert not report.passed
         failing = {e.name: e.ratio for e in report.entries if not e.ok}
         assert failing["Delta2/(sqrt(nbar+1)*lambda2)"] == pytest.approx(5.0)
@@ -279,10 +309,9 @@ class TestRegime:
     )
     def test_coupling_hierarchy(self, cfg, base, floor):
         # |chi_eff| / |zeta_n| measured honestly; fig2a/fig2b sit just below 5
-        params = solve_resonance(raman_params(**cfg), base)
-        d = derive_couplings(params)
+        params = solve_resonance(RamanLadderParams(**cfg), base)
         steps = params.n_branches
-        report = check_regime(params, d, base, steps, threshold=5.0)
+        report = check_regime(params, base, threshold=5.0)
         hierarchy = [e for e in report.entries if e.name.startswith("|chi_eff|")]
         assert len(hierarchy) == steps
         for e in hierarchy:
@@ -291,9 +320,8 @@ class TestRegime:
     def test_report_as_dict_serializable(self):
         import json
 
-        params = solve_resonance(raman_params(**FIG2A), 0)
-        d = derive_couplings(params)
-        report = check_regime(params, d, 0, 2)
+        params = solve_resonance(RamanLadderParams(**FIG2A), 0)
+        report = check_regime(params, 0)
         json.dumps(report.as_dict())
 
 

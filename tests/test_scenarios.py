@@ -267,6 +267,24 @@ class TestRunner:
                 == full.summary["deviations"]["engineered_vs_analytic"])
         assert engineered.summary["leakage"]["engineered"] == full.summary["leakage"]["engineered"]
 
+    @pytest.mark.parametrize("name", ["fig2a", "fig3b"])
+    def test_ajc_run_mirrors_the_jc_run(self, name):
+        # AJC swaps the roles of g and e in the drive and in the engineered
+        # reference alike, so an AJC run from e is the JC run from g
+        runs = {}
+        for kind, atom in (("JC", "g"), ("AJC", "e")):
+            doc = preset_document(name)
+            doc.pop("check")
+            doc["parameters"].update(kind=kind, analytic=None)
+            doc["initial_state"]["atom"] = {atom: 1}
+            runs[kind] = run_scenario(parse_config(doc))
+        jc, ajc = runs["JC"], runs["AJC"]
+        assert list(ajc.series.columns) == list(jc.series.columns)
+        for column in jc.series.columns:
+            assert np.max(np.abs(ajc.series.column(column) - jc.series.column(column))) <= 1e-6
+        for key, value in jc.summary["deviations"].items():
+            assert ajc.summary["deviations"][key] == pytest.approx(value, abs=1e-6)
+
     def test_regime_only_skips_evolution(self, monkeypatch):
         # the drive half, all that ``fockladder regime`` runs, propagates nothing
         monkeypatch.setattr(scenarios, "evolve_state", None)
@@ -682,12 +700,13 @@ class TestDemos:
         traj = scope["trajectory"]
         assert np.array_equal(fockladder.fock_probabilities(traj.states[-1]), traj.populations[-1])
 
-    @pytest.mark.parametrize("demo", ["steady_fock_state.py", "atom_beam_microsimulation.py"])
+    @pytest.mark.parametrize("demo", ["steady_fock_state.py", "atom_beam_microsimulation.py",
+                                      "rabi_validation.py"])
     def test_dissipative_demo_runs(self, tmp_path, demo):
-        """The dissipative demos run to completion against the library.
+        """Every demo runs to completion against the library.
 
-        ``rabi_validation.py`` is left out: it takes about 8 s and writes
-        ``demo-output/`` into its working directory.
+        They run in ``tmp_path``, where ``rabi_validation.py`` writes its
+        ``demo-output/``.
         """
         src = Path(fockladder.__file__).resolve().parents[1]
         out = subprocess.run([sys.executable, str(src.parent / "demos" / demo)],
