@@ -38,7 +38,7 @@ T_END = 0.3
 def coarse_liouvillian():
     layout = field_layout(CUTOFF)
     spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
-    terms = list(ub_dissipator(spec, BIG_GAMMA, layout).terms)
+    terms = ub_dissipator(spec, BIG_GAMMA, layout)
     terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
     L = sparse_liouvillian(None, terms)
     dense = np.zeros(L.shape, dtype=complex)

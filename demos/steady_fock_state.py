@@ -52,8 +52,7 @@ def main():
     spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
     bath = ThermalBathParams(gamma=1.0, n_bar=0.05)
     for big_gamma in (1.0, 10.0, 63.0, 200.0, 1000.0):
-        terms = list(ub_dissipator(spec, big_gamma, layout).terms)
-        terms += thermal_terms(bath, layout)
+        terms = ub_dissipator(spec, big_gamma, layout) + thermal_terms(bath, layout)
         rho = steady_state(sparse_liouvillian(None, terms))
         print(f"   Gamma = {big_gamma:6.0f} gamma: F3 = {fidelity_fock(rho, 3):.4f}, "
               f"Q = {mandel_q(rho):.4f}")

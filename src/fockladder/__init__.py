@@ -31,8 +31,6 @@ from .raman import (
     DerivedCouplings,
     LadderSpec,
     RamanLadderParams,
-    RegimeEntry,
-    RegimeReport,
     ResonanceError,
     TimeDependentHamiltonian,
     analytic_probabilities,
@@ -64,7 +62,6 @@ from .lindblad import (
 )
 from .reservoir import (
     AtomInjectionParams,
-    EngineeredDissipator,
     ThermalBathParams,
     collision_model_evolve,
     gamma_from_injection,

@@ -93,14 +93,18 @@ LEAKAGE_LIMIT = 1e-6
 TRACE_DRIFT_LIMIT = 1e-8
 NEGATIVITY_LIMIT = 1e-7
 
-# Magnus step control of Hamiltonian runs: a block that would need more
-# than _MAX_STEPS steps over the grid fails; step exponentials, and the
-# factors of interval products, are formed _CHUNK_STEPS at a time to bound
-# memory; differences between successive doublings at rounding (below
-# _ROUNDING_FLOOR, or eps per step taken) count as converged; a doubling
-# level whose step exponentials could need more than _MAX_SQUARINGS
-# squarings (1-norm above 16 theta_16 ~ 13, four times the convergence
-# radius pi of the Magnus series) is not built.
+# Magnus step control of Hamiltonian runs: steps per sample interval double
+# from 1 through at most _MAX_LEVELS levels (n <= 2^31), and a level with
+# no converged phase grid, which builds its steps one by one, is formed only
+# while it has at most _MAX_STEPS steps per block over the grid.  Both bound
+# work, not accuracy: a level on a converged grid forms its nodes and log2 n
+# doublings, whatever its n.  Step exponentials, and the factors of interval
+# products, are formed _CHUNK_STEPS at a time to bound memory; differences
+# between successive doublings at rounding (below _ROUNDING_FLOOR, or eps per
+# step taken) count as converged; a doubling level whose step exponentials
+# could need more than _MAX_SQUARINGS squarings (1-norm above 16 theta_16 ~
+# 13, four times the convergence radius pi of the Magnus series) is not built.
+_MAX_LEVELS = 32
 _MAX_STEPS = 2**18
 _CHUNK_STEPS = 256
 _ROUNDING_FLOOR = 1e-13
@@ -693,12 +697,14 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
     about h g, where g = |static|_1 + 2 sum|amplitudes| bounds |G(t)|_1: a
     level with h g above 2^_MAX_SQUARINGS theta_16 is not built for that
     block, and differs infinitely from its neighbours, so two more levels
-    are needed to accept.  A block whose g^2 overflows raises before any
-    step is built.  Each level builds the blocks that are still open in one
-    ``_MagnusLevel``; those of each grid size advance their states by one
-    matmul per interval, through each batch of interval products as
-    ``_MagnusLevel.products`` yields it, so only the states span every
-    interval.
+    are needed to accept.  Blocks of a level with no converged grid and
+    more than _MAX_STEPS steps are not formed either, and count the same.
+    A block that has not met ``tol`` after _MAX_LEVELS levels, or whose g^2
+    overflows (before any step is built), raises.  Each level builds the
+    blocks that are still open in one ``_MagnusLevel``; those of each grid
+    size advance their states by one matmul per interval, through each
+    batch of interval products as ``_MagnusLevel.products`` yields it, so
+    only the states span every interval.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         bounds = np.array([np.abs(block.static).sum(axis=0).max() + 2.0 * np.abs(block.amplitudes).sum()
@@ -706,11 +712,11 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
         if not np.isfinite(bounds * bounds).all():
             raise IntegrationError("Magnus step generator is not finite; the couplings overflow")
     longest, intervals = float(np.max(np.diff(times))), len(times) - 1
-    n, steps, exponentials, error = 1, 0, 0, 0.0
+    steps, exponentials, error = 0, 0, 0.0
     accepted: list[np.ndarray | None] = [None] * len(blocks)
     prev: list[np.ndarray | None] = [None] * len(blocks)
     diffs: list[list[float]] = [[] for _ in blocks]
-    while intervals * n <= _MAX_STEPS:
+    for n in (2**k for k in range(_MAX_LEVELS)):
         floor = max(_ROUNDING_FLOOR, np.finfo(float).eps * intervals * n)
         open_ = [b for b, state in enumerate(accepted) if state is None]
         built = [b for b in open_ if longest / n * bounds[b] <= _THETA16 * 2.0**_MAX_SQUARINGS]
@@ -718,13 +724,15 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
         if built:
             level = _MagnusLevel([blocks[b] for b in built], times, n)
             for size in sorted(set(level.sizes)):
+                if not size and intervals * n > _MAX_STEPS:
+                    continue  # built one step at a time: left to a level with a grid
                 group = [b for b, s in enumerate(level.sizes) if s == size]
                 run = np.empty((len(times), len(group), blocks[0].dim, 1), dtype=complex)
                 run[0, :, :, 0] = phi0[[built[b] for b in group]]
                 for i, u in enumerate(chain.from_iterable(level.products(group))):
                     np.matmul(u, run[i], out=run[i + 1])
                 states.update(zip([built[b] for b in group], np.moveaxis(run[..., 0], 1, 0)))
-            steps += len(built) * intervals * n
+                steps += len(group) * intervals * n
             exponentials += level.exponentials
         for b in open_:
             current = states.get(b)
@@ -739,10 +747,10 @@ def _magnus_states(blocks: Sequence[_FrameBlock], times: np.ndarray, phi0: np.nd
             prev[b] = current
         if all(state is not None for state in accepted):
             return np.stack(accepted, axis=1), steps, exponentials, error
-        n *= 2
     last = diffs[next(b for b, state in enumerate(accepted) if state is None)]
     raise IntegrationError(
-        f"Magnus steps missed rel_tol {tol} within {_MAX_STEPS} steps per block "
+        f"Magnus steps missed rel_tol {tol} within {_MAX_LEVELS} doubling levels, "
+        f"{_MAX_STEPS} steps per block on a level without a phase grid "
         f"(last estimate {last[-1] / 63.0 if last else float('inf')})"
     )
 

@@ -133,10 +133,13 @@ def derive_couplings(params: RamanLadderParams) -> DerivedCouplings:
     varpi = om[0] ** 2 / dt[0] - om[1] ** 2 / dt[1]
     chi_tilde = sum(c ** 2 / d for c, d in zip(lam[2:], de[2:]))
     omega_shift = sum(w ** 2 / d for w, d in zip(om[2:], dt[2:]))
-    zeta = tuple(
-        complex((c * w / 2.0) * (1.0 / d + 1.0 / t)) for c, w, d, t in zip(lam, om, de, dt)
-    )
-    return DerivedCouplings(chi, chi_tilde, varpi, omega_shift, zeta, _theta(params))
+    return DerivedCouplings(chi, chi_tilde, varpi, omega_shift, _zeta(params), _theta(params))
+
+
+def _zeta(params: RamanLadderParams) -> tuple[complex, ...]:
+    """Raman ladder couplings zeta_j = (lambda_j Omega_j / 2) (1/Delta_j + 1/Delta~_j)."""
+    return tuple(complex((c * w / 2.0) * (1.0 / d + 1.0 / t)) for c, w, d, t in zip(
+        params.lambdas, params.omegas, params.deltas, params.delta_tildes))
 
 
 def _theta(params: RamanLadderParams) -> tuple[float, ...]:
@@ -344,7 +347,7 @@ def _close_resonance(params: RamanLadderParams, base: int, residuals) -> RamanLa
             for t, s, r in zip(current.delta_tildes, current.signs, res)))
         res = residuals(current, base)
         energy = max(map(abs, current.deltas + current.delta_tildes))
-        coupling = min(abs(z) for z in derive_couplings(current).zeta)
+        coupling = min(abs(z) for z in _zeta(current))
         if max(map(abs, res)) <= max(RESONANCE_REL_TOL * coupling, 16 * np.finfo(float).eps * energy):
             return current
     raise ResonanceError(
@@ -377,37 +380,6 @@ def solve_dressed_resonance(params: RamanLadderParams, base: int) -> RamanLadder
     return _close_resonance(params, base, lambda current, _: _laser_residuals(current, cavity))
 
 
-@dataclass(frozen=True)
-class RegimeEntry:
-    name: str
-    ratio: float
-    threshold: float
-
-    @property
-    def ok(self) -> bool:
-        return self.ratio >= self.threshold
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    entries: tuple[RegimeEntry, ...]
-    residuals: tuple[tuple[str, float], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "entries": [
-                {"name": e.name, "ratio": e.ratio, "threshold": e.threshold, "pass": e.ok}
-                for e in self.entries
-            ],
-            "residuals": [{"label": k, "value": v} for k, v in self.residuals],
-        }
-
-
 def _ratio(big: float, small: float) -> float:
     return float("inf") if small == 0 else float(abs(big) / abs(small))
 
@@ -417,48 +389,44 @@ def check_regime(
     base: int,
     n_bar: float = 0.0,
     threshold: float = 10.0,
-) -> RegimeReport:
-    """Validity-regime report for the adiabatic elimination and the RWA, one step per branch.
+) -> dict:
+    """Validity-regime record for the adiabatic elimination and the RWA, one step per branch.
 
-    Both orientations of the elimination inequalities are reported (the
-    primary one pairs lambda with Delta and Omega with Delta~; the ``alt``
-    entries pair them the other way round).  ``threshold`` governs the
-    elimination ratios; the coupling-hierarchy (RWA) ratios are held to
-    HIERARCHY_THRESHOLD, since their natural scale is weaker.
+    Returns the summary's ``regime`` record: ``{"passed", "entries":
+    [{"name", "ratio", "threshold", "pass"}], "residuals": [{"label",
+    "value"}]}``, where an entry passes when its ratio reaches its
+    threshold and the record when every entry does.  Both orientations of
+    the elimination inequalities are reported (the primary one pairs
+    lambda with Delta and Omega with Delta~; the ``alt`` entries pair them
+    the other way round).  ``threshold`` governs the elimination ratios;
+    the coupling-hierarchy (RWA) ratios are held to HIERARCHY_THRESHOLD,
+    since their natural scale is weaker.  The residuals are the
+    second-order ladder-step detunings big_phi, then the dressed ones.
     """
     derived = derive_couplings(params)
     steps = params.n_branches
-    entries = []
+    rows = []
     root = np.sqrt(n_bar + 1.0)
     for j, (lam, omega, delta, delta_tilde) in enumerate(
             zip(params.lambdas, params.omegas, params.deltas, params.delta_tildes), start=1):
-        entries.append(
-            RegimeEntry(f"Delta{j}/(sqrt(nbar+1)*lambda{j})", _ratio(delta, root * lam), threshold)
-        )
-        entries.append(RegimeEntry(f"Dtilde{j}/Omega{j}", _ratio(delta_tilde, omega), threshold))
-        entries.append(
-            RegimeEntry(
-                f"Dtilde{j}/(sqrt(nbar+1)*lambda{j}) [alt]",
-                _ratio(delta_tilde, root * lam),
-                threshold,
-            )
-        )
-        entries.append(RegimeEntry(f"Delta{j}/Omega{j} [alt]", _ratio(delta, omega), threshold))
+        rows += [
+            (f"Delta{j}/(sqrt(nbar+1)*lambda{j})", _ratio(delta, root * lam), threshold),
+            (f"Dtilde{j}/Omega{j}", _ratio(delta_tilde, omega), threshold),
+            (f"Dtilde{j}/(sqrt(nbar+1)*lambda{j}) [alt]", _ratio(delta_tilde, root * lam), threshold),
+            (f"Delta{j}/Omega{j} [alt]", _ratio(delta, omega), threshold),
+        ]
     for j in range(1, steps + 1):
         small = abs(derived.zeta_n(base + j, j))
-        entries.append(
-            RegimeEntry(
-                f"|chi_eff|/|zeta^{j}_{base + j}|",
-                _ratio(derived.chi_eff, small),
-                HIERARCHY_THRESHOLD,
-            )
-        )
+        rows.append((f"|chi_eff|/|zeta^{j}_{base + j}|", _ratio(derived.chi_eff, small),
+                     HIERARCHY_THRESHOLD))
+    entries = [{"name": name, "ratio": ratio, "threshold": limit, "pass": ratio >= limit}
+               for name, ratio, limit in rows]
     dressed = dressed_residuals(params, base)
-    residuals = tuple(
-        (f"big_phi({base + j},{j + 1})", derived.big_phi(base + j, j + 1))
-        for j in range(steps)
-    ) + tuple((f"dressed_phi({base + j},{j + 1})", dressed[j]) for j in range(steps))
-    return RegimeReport(tuple(entries), residuals)
+    residuals = [{"label": f"big_phi({base + j},{j + 1})", "value": derived.big_phi(base + j, j + 1)}
+                 for j in range(steps)]
+    residuals += [{"label": f"dressed_phi({base + j},{j + 1})", "value": dressed[j]}
+                  for j in range(steps)]
+    return {"passed": all(e["pass"] for e in entries), "entries": entries, "residuals": residuals}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ A beam of two-level atoms crosses the cavity one at a time, each coupled
 through an engineered ladder Hamiltonian for a transit time tau.  Coarse
 graining yields a Lindblad pump with rate Gamma = r (|zeta| tau)^2; the
 atom-by-atom micro-simulation is also available for consistency checks.
+The pumps, like the thermal bath, are lists of ``LindbladTerm``s, so a
+generator's terms are the sum of the lists.
 One collision is contracted into a map on the field state, and the atoms
 are applied through the density runs' block propagator
 (``lindblad.propagate_touched``), with its guards.
@@ -73,46 +75,34 @@ class ThermalBathParams:
             raise ValueError("gamma and n_bar must be non-negative")
 
 
-@dataclass(frozen=True)
-class EngineeredDissipator:
-    terms: tuple[LindbladTerm, ...]
-    gamma_eff: tuple[float, ...]
-
-
 def gamma_from_injection(zeta: complex, inj: AtomInjectionParams) -> float:
     """Coarse-grained pump rate Gamma = r (|zeta| tau)^2."""
     return inj.rate * (abs(zeta) * inj.tau) ** 2
 
 
-def ub_dissipator(spec: LadderSpec, gamma: float, layout: HilbertLayout) -> EngineeredDissipator:
-    """Single-jump pump with the full ladder operator A^dag at rate Gamma.
+def ub_dissipator(spec: LadderSpec, gamma: float, layout: HilbertLayout) -> list[LindbladTerm]:
+    """Single-jump pump: the one term A^dag at rate Gamma, on a field-only layout.
 
     Cross terms coupling neighbouring ladder steps are carried by the
     single collective jump operator.
     """
     if gamma < 0:
         raise ValueError("Gamma must be non-negative")
-    cutoff = layout.dim_of("field") - 1
-    adag = ladder_operator(spec, cutoff)
-    jump = ComplexOperator(layout, adag.entries) if layout.labels == ("field",) else None
-    if jump is None:
+    adag = ladder_operator(spec, layout.dim_of("field") - 1)
+    if layout.labels != ("field",):
         raise ValueError("ub_dissipator acts on a field-only layout")
-    return EngineeredDissipator(
-        terms=(LindbladTerm(gamma, jump),),
-        gamma_eff=(gamma,),
-    )
+    return [LindbladTerm(gamma, ComplexOperator(layout, adag.entries))]
 
 
 def selective_dissipators(
     channels: list[tuple[int, float]], layout: HilbertLayout
-) -> EngineeredDissipator:
-    """Independent one-step pumps |k+1><k| at rates Gamma_k (no cross terms)."""
+) -> list[LindbladTerm]:
+    """Independent one-step pumps |k+1><k| at rates Gamma_k (no cross terms), one term per channel."""
     ks = [k for k, _ in channels]
     if len(set(ks)) != len(ks):
         raise ValueError(f"duplicate ladder steps in channels {ks}")
     cutoff = layout.dim_of("field") - 1
     terms = []
-    rates = []
     for k, gamma_k in channels:
         if not 0 <= k < cutoff:
             raise ValueError(f"ladder step {k} outside 0 <= k < cutoff = {cutoff}")
@@ -121,8 +111,7 @@ def selective_dissipators(
         mat = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
         mat[k + 1, k] = 1.0
         terms.append(LindbladTerm(gamma_k, ComplexOperator(layout, mat)))
-        rates.append(gamma_k)
-    return EngineeredDissipator(tuple(terms), tuple(rates))
+    return terms
 
 
 def thermal_terms(bath: ThermalBathParams, layout: HilbertLayout) -> list[LindbladTerm]:

@@ -363,8 +363,10 @@ def _cross_rules(c: dict) -> None:
         # the engineered Hamiltonian keeps two levels above the ladder top
         room = 0 if model == "ub-liouvillian" else 2
         _fits(p["ladder"]["base"] + len(p["ladder"]["weights"]) + room, "parameters.ladder", cutoff)
+    if model == "full-raman" and len({len(p[key]) for key in _DRIVE_KEYS}) > 1:
+        _fail("parameters", "lambdas, omegas, deltas and delta_tildes differ in length")
     if model in HAMILTONIAN_MODELS:
-        levels = ("g", "e") + (AUX_LABELS[:len(p["lambdas"])] if model == "full-raman" else ())
+        levels = _drive(p).atom_levels if model == "full-raman" else ("g", "e")
         if not set(init["atom"]) <= set(levels):
             _fail("initial_state.atom", f"levels must be among {levels}")
         if p["analytic"] is not None:
@@ -377,12 +379,9 @@ def _cross_rules(c: dict) -> None:
         if max(mean, init.get("thermal_n_bar", 0)) < MEAN_PHOTON_FLOOR:
             _fail("outputs", "Q is undefined on the vacuum the run starts in")
     if model == "full-raman":
-        k = len(p["lambdas"])
-        if not len(p["omegas"]) == len(p["deltas"]) == len(p["delta_tildes"]) == k:
-            _fail("parameters", "lambdas, omegas, deltas and delta_tildes differ in length")
         if p["mode"] == "upper-bounded" and p["base"] != 0:
             _fail("parameters.base", "upper-bounded ladders start at the vacuum (base 0)")
-        _fits(p["base"] + k + 2, "parameters.base", cutoff)
+        _fits(p["base"] + len(p["lambdas"]) + 2, "parameters.base", cutoff)
         if not 0 < _norm2(init["atom"].get(label, 0j) for label in ("g", "e")) < math.inf:
             _fail("initial_state.atom", "the engineered comparison needs a g or e amplitude")
     elif model == "engineered-ladder" and p["zeta_ref"] == 0:
@@ -443,6 +442,14 @@ def _probe_columns(traj, outputs) -> dict[str, np.ndarray]:
         elif name == "purity":
             cols[name] = traj.purity()
     return cols
+
+
+_DRIVE_KEYS = ("lambdas", "omegas", "deltas", "delta_tildes")
+
+
+def _drive(p: dict) -> RamanLadderParams:
+    """The Raman drive of full-raman ``parameters``."""
+    return RamanLadderParams(*(p[key] for key in _DRIVE_KEYS), p["kind"])
 
 
 def _ladder_from_doc(doc: dict, zeta_ref: complex) -> LadderSpec:
@@ -557,10 +564,10 @@ def resonant_drive(config: ScenarioConfig, summary: dict) -> tuple[RamanLadderPa
     """
     p = config.parameters
     base = p["base"]
-    given = RamanLadderParams(p["lambdas"], p["omegas"], p["deltas"], p["delta_tildes"], p["kind"])
+    given = _drive(p)
     params = solve_dressed_resonance(given, base)
     spec = ladder_from_conditions(params, p["mode"], base)
-    report = check_regime(params, base, n_bar=p["n_bar_regime"], threshold=p["regime_threshold"])
+    regime = check_regime(params, base, n_bar=p["n_bar_regime"], threshold=p["regime_threshold"])
     derived = derive_couplings(params)
     summary["couplings"] = {
         "chi": derived.chi,
@@ -572,14 +579,14 @@ def resonant_drive(config: ScenarioConfig, summary: dict) -> tuple[RamanLadderPa
         "theta": list(derived.theta),
         **_ladder_record(spec),
     }
-    values = [value for _, value in report.residuals]  # second-order, then dressed
+    values = [res["value"] for res in regime["residuals"]]  # second-order, then dressed
     summary["detunings"] = {
         "input_delta_tilde": list(given.delta_tildes),
         "solved_delta_tilde": list(params.delta_tildes),
         "residuals": values[:spec.steps],
         "dressed_residuals": values[spec.steps:],
     }
-    summary["regime"] = report.as_dict()
+    summary["regime"] = regime
     return params, spec
 
 
@@ -633,14 +640,14 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     layout = field_layout(config.cutoff)
     bath = ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"])
     if config.model == "ub-liouvillian":
-        dissipator = ub_dissipator(_ladder_from_doc(p["ladder"], zeta_ref=1.0), p["Gamma"], layout)
+        pumps = ub_dissipator(_ladder_from_doc(p["ladder"], zeta_ref=1.0), p["Gamma"], layout)
     else:
-        dissipator = selective_dissipators(p["channels"], layout)
-    summary["gamma_eff"] = {"configured": list(dissipator.gamma_eff)}
+        pumps = selective_dissipators(p["channels"], layout)
+    summary["gamma_eff"] = {"configured": [term.rate for term in pumps]}
     if "recipe" in p:
         summary["gamma_eff"]["recipe"] = _selective_recipe_rates(p)
 
-    generator = sparse_liouvillian(None, list(dissipator.terms) + thermal_terms(bath, layout))
+    generator = sparse_liouvillian(None, pumps + thermal_terms(bath, layout))
     traj = evolve_density(generator, _initial_field_density(config), config.grid)
     # the target fidelity and Q are probed whether or not they are output
     # columns, so final and settling read the same values as the CSV would

@@ -69,11 +69,11 @@ def preset_terms(name, cutoff):
     p = load_scenario(name).parameters
     layout = field_layout(cutoff)
     if "channels" in p:
-        dis = selective_dissipators([(k, g) for k, g in p["channels"]], layout)
+        pumps = selective_dissipators([(k, g) for k, g in p["channels"]], layout)
     else:
-        dis = ub_dissipator(_ladder_from_doc(p["ladder"], zeta_ref=1.0), p["Gamma"], layout)
+        pumps = ub_dissipator(_ladder_from_doc(p["ladder"], zeta_ref=1.0), p["Gamma"], layout)
     bath = ThermalBathParams(gamma=p["gamma"], n_bar=p["n_bar"])
-    return list(dis.terms) + thermal_terms(bath, layout)
+    return pumps + thermal_terms(bath, layout)
 
 
 def dense_null_state(L):
@@ -501,7 +501,7 @@ class TestMagnusLevels:
 
     def test_grid_levels_form_only_their_nodes(self, monkeypatch):
         # the step-doubling cap run (one interval of 20, rel_tol 1e-30) builds
-        # every level up to 2^18 steps; from n = 512 on each level has a grid
+        # every level up to the level bound; from n = 512 on each level has a grid
         # whose products outgrow it before P_n, and still forms no exponential
         # beyond its nodes
         levels = []
@@ -516,7 +516,7 @@ class TestMagnusLevels:
         with pytest.raises(IntegrationError, match="Magnus steps"):
             evolve_state(h, psi0, TimeGrid(0.0, 20.0, 2), IntegratorConfig(rel_tol=1e-30))
         grids = [level for level in levels if level.sizes[0]]
-        assert [level.n for level in grids] == [2**k for k in range(9, 19)]
+        assert [level.n for level in grids] == [2**k for k in range(9, lindblad._MAX_LEVELS)]
         for level in grids:
             size, = level.sizes
             m = len(level.blocks[0].frequencies)
@@ -1266,10 +1266,9 @@ class TestSteadyState:
         # gamma = 0: the ladder top is the unique attractor
         layout = field_layout(8)
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
-        dis = ub_dissipator(spec, 10.0, layout)
         # add infinitesimal decay above the ladder to lift the degeneracy of
         # the disconnected upper Fock levels
-        terms = list(dis.terms) + [LindbladTerm(1e-3, annihilation(8))]
+        terms = ub_dissipator(spec, 10.0, layout) + [LindbladTerm(1e-3, annihilation(8))]
         rho_ss = steady_state(sparse_liouvillian(None, terms))
         assert rho_ss.entries[3, 3].real == pytest.approx(1.0, abs=1e-3)
 

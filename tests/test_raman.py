@@ -259,11 +259,11 @@ class TestDressedResonance:
     def test_regime_reports_both_residuals(self):
         params = dressed_solve(FIG3B, 3)
         d = derive_couplings(params)
-        report = check_regime(params, 3)
-        labels = [label for label, _ in report.residuals]
+        residuals = check_regime(params, 3)["residuals"]
+        labels = [res["label"] for res in residuals]
         assert labels == ["big_phi(3,1)", "big_phi(4,2)", "big_phi(5,3)",
                           "dressed_phi(3,1)", "dressed_phi(4,2)", "dressed_phi(5,3)"]
-        values = dict(report.residuals)
+        values = {res["label"]: res["value"] for res in residuals}
         # at the dressed point the second-order conditions stay open by about
         # one step coupling while the dressed ones are closed
         zeta_ref = abs(d.zeta_n(3, 1))
@@ -292,14 +292,13 @@ class TestDressedResonance:
 class TestRegime:
     def test_fig2a_passes_at_threshold_5(self):
         params = solve_resonance(RamanLadderParams(**FIG2A), 0)
-        report = check_regime(params, 0, threshold=5.0)
-        assert report.passed
+        assert check_regime(params, 0, threshold=5.0)["passed"]
 
     def test_fig2a_fails_at_threshold_20(self):
         params = solve_resonance(RamanLadderParams(**FIG2A), 0)
-        report = check_regime(params, 0, threshold=20.0)
-        assert not report.passed
-        failing = {e.name: e.ratio for e in report.entries if not e.ok}
+        regime = check_regime(params, 0, threshold=20.0)
+        assert not regime["passed"]
+        failing = {e["name"]: e["ratio"] for e in regime["entries"] if not e["pass"]}
         assert failing["Delta2/(sqrt(nbar+1)*lambda2)"] == pytest.approx(5.0)
 
     @pytest.mark.parametrize(
@@ -311,18 +310,22 @@ class TestRegime:
         # |chi_eff| / |zeta_n| measured honestly; fig2a/fig2b sit just below 5
         params = solve_resonance(RamanLadderParams(**cfg), base)
         steps = params.n_branches
-        report = check_regime(params, base, threshold=5.0)
-        hierarchy = [e for e in report.entries if e.name.startswith("|chi_eff|")]
+        entries = check_regime(params, base, threshold=5.0)["entries"]
+        hierarchy = [e for e in entries if e["name"].startswith("|chi_eff|")]
         assert len(hierarchy) == steps
         for e in hierarchy:
-            assert e.ratio >= floor
+            assert e["ratio"] >= floor
 
-    def test_report_as_dict_serializable(self):
+    def test_record_serializable(self):
         import json
 
         params = solve_resonance(RamanLadderParams(**FIG2A), 0)
-        report = check_regime(params, 0)
-        json.dumps(report.as_dict())
+        regime = check_regime(params, 0)
+        assert list(regime) == ["passed", "entries", "residuals"]
+        assert {tuple(e) for e in regime["entries"]} == {("name", "ratio", "threshold", "pass")}
+        assert {tuple(r) for r in regime["residuals"]} == {("label", "value")}
+        assert regime["passed"] == all(e["pass"] for e in regime["entries"])
+        json.dumps(regime)
 
 
 class TestAnalyticCurves:

@@ -87,10 +87,9 @@ class TestDissipators:
     def test_ub_single_collective_jump(self):
         layout = field_layout(8)
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
-        dis = ub_dissipator(spec, 63.0, layout)
-        assert len(dis.terms) == 1
-        assert dis.terms[0].rate == 63.0
-        jump = dis.terms[0].jump.entries
+        [term] = ub_dissipator(spec, 63.0, layout)
+        assert term.rate == 63.0
+        jump = term.jump.entries
         assert jump[1, 0] == 1.0 and jump[2, 1] == 1.0 and jump[3, 2] == 1.0
         assert np.count_nonzero(jump) == 3
 
@@ -101,10 +100,9 @@ class TestDissipators:
 
     def test_selective_independent_jumps(self):
         layout = field_layout(8)
-        dis = selective_dissipators([(0, 176.0), (1, 352.0)], layout)
-        assert dis.gamma_eff == (176.0, 352.0)
-        for (k, rate), term in zip([(0, 176.0), (1, 352.0)], dis.terms):
-            assert term.rate == rate
+        terms = selective_dissipators([(0, 176.0), (1, 352.0)], layout)
+        assert [term.rate for term in terms] == [176.0, 352.0]
+        for k, term in enumerate(terms):
             assert term.jump.entries[k + 1, k] == 1.0
             assert np.count_nonzero(term.jump.entries) == 1
 
@@ -136,9 +134,9 @@ class TestDissipators:
         gamma = 5.0
         weights = (1.0, 0.8, 1.2)
         spec = LadderSpec(base=0, weights=weights, zeta_ref=1.0)
-        L_coll = sparse_liouvillian(None, list(ub_dissipator(spec, gamma, layout).terms))
+        L_coll = sparse_liouvillian(None, ub_dissipator(spec, gamma, layout))
         channels = [(k, gamma * abs(w) ** 2) for k, w in enumerate(weights)]
-        L_sel = sparse_liouvillian(None, list(selective_dissipators(channels, layout).terms))
+        L_sel = sparse_liouvillian(None, selective_dissipators(channels, layout))
         rng = np.random.default_rng(3)
         pops = rng.random(8)
         rho = np.diag(pops / pops.sum()).astype(complex)
@@ -156,7 +154,7 @@ class TestDissipators:
         bath = ThermalBathParams(gamma=1.0, n_bar=0.05)
         fids = []
         for big_gamma in (1.0, 10.0, 63.0, 200.0):
-            terms = list(ub_dissipator(spec, big_gamma, layout).terms)
+            terms = ub_dissipator(spec, big_gamma, layout)
             terms += thermal_terms(bath, layout)
             rho_ss = steady_state(sparse_liouvillian(None, terms))
             fids.append(fidelity_fock(rho_ss, 3))
@@ -179,7 +177,7 @@ class TestCollisionModel:
     def coarse_grained(self, times, cutoff=10):
         layout = field_layout(cutoff)
         spec = LadderSpec(base=0, weights=(1.0, 1.0, 1.0), zeta_ref=1.0)
-        terms = list(ub_dissipator(spec, 63.0, layout).terms)
+        terms = ub_dissipator(spec, 63.0, layout)
         terms += thermal_terms(ThermalBathParams(gamma=1.0, n_bar=0.05), layout)
         grid = TimeGrid(0.0, float(times[-1]), 301)
         traj = evolve_density(sparse_liouvillian(None, terms), thermal_state(0.05, cutoff), grid)

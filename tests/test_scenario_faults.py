@@ -103,6 +103,17 @@ REJECTED = {
                               "parameters.channels[1][1]"),
     "unknown-atom-level": (_doc("fig2a", "initial_state.atom", {"x": 1.0}), (),
                            "initial_state.atom.x"),
+    # levels the drive does not have: fig2a has two auxiliary levels, f and h
+    "atom-level-past-branches": (_doc("fig2a", "initial_state.atom", {"g": 1, "i": 1}), (),
+                                 "initial_state.atom"),
+    "aux-level-on-engineered": (_doc(_engineered_run(), "initial_state.atom", {"f": 1}), (),
+                                "initial_state.atom"),
+    "full-raman-start-without-g-or-e": (_doc("fig2a", "initial_state.atom", {"f": 1}), (),
+                                        "initial_state.atom"),
+    "initial-thermal-and-fock": (_doc("fig4", "initial_state", {"thermal_n_bar": 0.05, "fock": 1}),
+                                 (), "initial_state"),
+    "initial-neither-thermal-nor-fock": (_doc("fig4", "initial_state", {}), (), "initial_state"),
+    "upper-bounded-base-1": (_doc("fig2a", "parameters.base", 1), (), "parameters.base"),
     "vanishing-field": (_doc("fig2a", "initial_state.field", {"0": 0.0, "2": 0.0}), (),
                         "initial_state.field"),
     "analytic-unknown": (_doc("fig2a", "parameters.analytic", "bogus"), (), "parameters.analytic"),
@@ -181,11 +192,9 @@ def test_regime_threshold_nan_rejected(capsys):
     # the Magnus generator's square overflows before any step is built
     _doc("fig2a", "parameters.lambdas", [1.3e154, 1.3e154]),
     # Magnus steps far outside convergence: no doubling level is built
-    _doc("fig2a", "grid.stop", 1e4),
     _doc("fig2a", "grid.stop", 1e12),
 ], ids=["fig4-Gamma", "fig4-Gamma-gamma", "fig4-grid-stop", "collision-gamma",
-        "fig2a-grid-stop", "fig2a-lambdas-overflow",
-        "fig2a-grid-stop-1e4", "fig2a-grid-stop-1e12"])
+        "fig2a-grid-stop", "fig2a-lambdas-overflow", "fig2a-grid-stop-1e12"])
 def test_non_finite_state_trips_guard(tmp_path, doc):
     # exit 3 with the guard's one line on stderr, and no numpy warning
     with warnings.catch_warnings(record=True) as caught:
@@ -221,6 +230,18 @@ def test_long_grid_accepts_estimate_at_rounding(tmp_path):
     assert code == 0, err
     summary = json.loads((tmp_path / "out" / "fig2a.json").read_text())
     assert summary["diagnostics"]["integrator"]["full"]["error_estimate"] <= 1e-7
+
+
+def test_long_window_meets_rel_tol(tmp_path):
+    # fig2a over 1e4 in |zeta_ref| t: the squaring guard lets no level build
+    # below thousands of steps per sample interval, tens of millions over the
+    # grid, but the phase grids form only their nodes and doublings
+    code, err, _ = _run(tmp_path, _doc("fig2a", "grid.stop", 1e4), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    summary = json.loads((tmp_path / "out" / "fig2a.json").read_text())
+    integrator = summary["diagnostics"]["integrator"]["full"]
+    assert integrator["steps"] > 2**18
+    assert integrator["error_estimate"] <= 1e-7
 
 
 @pytest.mark.parametrize("path", ["parameters.channels.5.1", "parameters.channels.-1.1",

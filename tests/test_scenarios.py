@@ -686,6 +686,23 @@ class TestCli:
             "--values", "a,b",
         ]) == 2
 
+    def test_sweep_without_values_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("fockladder.cli.sweep", lambda *args: pytest.fail("ran"))
+        assert cli_main([
+            "sweep", "--scenario", "fig4", "--param", "parameters.Gamma", "--values", ",",
+        ]) == 2
+        assert capsys.readouterr().err.startswith("invalid scenario: --values: ")
+
+    def test_sweep_out_creates_its_directory(self, tmp_path, capsys):
+        target = tmp_path / "new" / "table.csv"
+        assert cli_main([
+            "sweep", "--scenario", "fig4", "--param", "parameters.Gamma", "--values", "10,63",
+            "--out", str(target),
+        ]) == 0
+        assert capsys.readouterr().out == f"wrote {target}\n"
+        lines = target.read_text().splitlines()
+        assert lines[0].startswith("value,") and len(lines) == 3
+
 
 class TestDemos:
     def test_readme_quick_start(self, capsys):
