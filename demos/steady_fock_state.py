@@ -36,8 +36,8 @@ def main():
     print("   gamma*t     F3        Q")
     for t in (0.0, 0.05, 0.1, 0.2, 0.3, 1.0):
         idx = int(np.argmin(np.abs(series.times - t)))
-        f3 = series.column("F3")[idx]
-        q = series.column("Q")[idx]
+        f3 = series.columns["F3"][idx]
+        q = series.columns["Q"][idx]
         print(f"   {series.times[idx]:7.3f}  {f3:8.4f}  {q:8.4f}")
 
     steady = result.summary["steady"]

@@ -23,7 +23,6 @@ from .hilbert import (
     field_layout,
     field_superposition,
     fock_state,
-    number_operator,
     product_state,
     thermal_state,
 )
@@ -91,10 +90,8 @@ from .observables import (
     fidelity_fock,
     fock_probabilities,
     mandel_q,
-    mean_photon,
     photon_mandel_q,
     photon_mean,
-    purity,
     trace_distance,
 )
 

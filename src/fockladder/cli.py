@@ -15,7 +15,6 @@ misses its embedded check targets.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import sys
@@ -35,13 +34,13 @@ from .scenarios import (
     evaluate_check,
     list_presets,
     load_scenario,
-    parse_config,
     preset_document,
     resonant_drive,
     run_scenario,
     series_to_csv,
     summary_to_json,
     sweep,
+    with_value,
 )
 
 EXIT_OK = 0
@@ -56,11 +55,7 @@ _GUARD_ERRORS = (LeakageError, IntegrationError, DegenerateSteadyStateError, Res
 
 def _load_with_overrides(scenario: str, args) -> "ScenarioConfig":
     config = load_scenario(scenario)
-    if args.cutoff is None:
-        return config
-    doc = copy.deepcopy(config.raw)
-    doc["cutoff"] = args.cutoff
-    return parse_config(doc)
+    return config if args.cutoff is None else with_value(config, "cutoff", args.cutoff)
 
 
 def _make_dir(path: Path) -> None:
@@ -117,9 +112,7 @@ def _cmd_regime(args) -> int:
     if config.model != "full-raman":
         raise ScenarioValidationError("model", "regime checks apply to full-raman scenarios")
     if args.threshold is not None:
-        doc = copy.deepcopy(config.raw)
-        doc["parameters"]["regime_threshold"] = args.threshold
-        config = parse_config(doc)
+        config = with_value(config, "parameters.regime_threshold", args.threshold)
     summary: dict = {}
     resonant_drive(config, summary)  # no propagation
     report = summary["regime"]

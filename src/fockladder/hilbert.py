@@ -101,20 +101,8 @@ class ComplexOperator:
             )
         object.__setattr__(self, "entries", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def dag(self) -> "ComplexOperator":
         return ComplexOperator(self.layout, self.entries.conj().T)
-
-    def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_layout(other)
-        return ComplexOperator(self.layout, self.entries @ other.entries)
-
-    def _check_layout(self, other: "ComplexOperator") -> None:
-        if other.layout != self.layout:
-            raise LayoutError("operator layouts differ")
 
 
 @dataclass(frozen=True)
@@ -169,11 +157,6 @@ def annihilation(cutoff: int) -> ComplexOperator:
     for n in range(1, cutoff + 1):
         a[n - 1, n] = np.sqrt(n)
     return ComplexOperator(field_layout(cutoff), a)
-
-
-def number_operator(cutoff: int) -> ComplexOperator:
-    a = annihilation(cutoff)
-    return a.dag() @ a
 
 
 def atomic_sigma(r: str, s: str, levels: tuple[str, ...]) -> ComplexOperator:

@@ -1,8 +1,8 @@
 """Scalar diagnostics over states and trajectories.
 
-Fock probabilities, Fock-state fidelity, Mandel Q, purity, trace distance
-and steady-state detection over sampled observable series.  Field
-populations come from ``hilbert.field_populations``, the reader that
+Fock probabilities, Fock-state fidelity, Mandel Q, trace distance and
+steady-state detection over one sampled column.  Field populations
+come from ``hilbert.field_populations``, the reader that
 ``Trajectory.populations`` uses, so a single state and a trajectory
 sample give the same bits.  Mandel Q has one vacuum rule:
 ``photon_mandel_q`` is NaN wherever the mean photon number is below
@@ -47,10 +47,6 @@ def fidelity_fock(rho: StateVector | DensityOperator, n: int) -> float:
     return float(pops[n])
 
 
-def mean_photon(state: StateVector | DensityOperator) -> float:
-    return float(photon_mean(fock_probabilities(state)))
-
-
 def mandel_q(state: StateVector | DensityOperator) -> float:
     """Q = (<n^2> - <n>^2 - <n>) / <n>; -1 for Fock states, 0 for coherent.
 
@@ -81,10 +77,6 @@ def photon_mandel_q(pops: np.ndarray) -> np.ndarray:
     return np.where(mean >= MEAN_PHOTON_FLOOR, q, np.nan)
 
 
-def purity(rho: DensityOperator) -> float:
-    return float(np.real(np.trace(rho.entries @ rho.entries)))
-
-
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the trace norm of a - b."""
     if a.layout != b.layout:
@@ -109,17 +101,13 @@ class ObservableSeries:
                 raise ValueError(f"column {name!r} length mismatch")
             self.columns[name] = col
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
 
-
-def detect_steady(series: ObservableSeries, window: float, eps: float) -> float | None:
-    """Earliest sample time after which every column stays within eps.
+def detect_steady(times: np.ndarray, values: np.ndarray, window: float, eps: float) -> float | None:
+    """Earliest sample time after which ``values`` stays within eps.
 
     Requires at least one full trailing window of evidence; returns None
-    when the series never settles.
+    when the column never settles.
     """
-    times = series.times
     if times.size == 0:
         raise ValueError("empty series")
     span = times[-1] - times[0]
@@ -128,10 +116,7 @@ def detect_steady(series: ObservableSeries, window: float, eps: float) -> float 
     # the earliest start is searched only while a full window remains after it
     short = np.flatnonzero(times[-1] - times < window)
     limit = short[0] if short.size else times.size
-    settled = np.ones(limit, dtype=bool)
-    for c in series.columns.values():
-        tail = c[::-1]
-        spread = np.maximum.accumulate(tail)[::-1] - np.minimum.accumulate(tail)[::-1]
-        settled &= spread[:limit] < eps
-    first = np.flatnonzero(settled)
+    tail = values[::-1]
+    spread = np.maximum.accumulate(tail)[::-1] - np.minimum.accumulate(tail)[::-1]
+    first = np.flatnonzero(spread[:limit] < eps)
     return float(times[first[0]]) if first.size else None

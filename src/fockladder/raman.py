@@ -384,12 +384,7 @@ def _ratio(big: float, small: float) -> float:
     return float("inf") if small == 0 else float(abs(big) / abs(small))
 
 
-def check_regime(
-    params: RamanLadderParams,
-    base: int,
-    n_bar: float = 0.0,
-    threshold: float = 10.0,
-) -> dict:
+def check_regime(params: RamanLadderParams, base: int, threshold: float = 10.0) -> dict:
     """Validity-regime record for the adiabatic elimination and the RWA, one step per branch.
 
     Returns the summary's ``regime`` record: ``{"passed", "entries":
@@ -398,34 +393,33 @@ def check_regime(
     threshold and the record when every entry does.  Both orientations of
     the elimination inequalities are reported (the primary one pairs
     lambda with Delta and Omega with Delta~; the ``alt`` entries pair them
-    the other way round).  ``threshold`` governs the elimination ratios;
+    the other way round); their names keep the factor sqrt(nbar+1) of the
+    elimination inequalities, which is 1 at the vacuum occupation the
+    ratios are taken at.  ``threshold`` governs the elimination ratios;
     the coupling-hierarchy (RWA) ratios are held to HIERARCHY_THRESHOLD,
     since their natural scale is weaker.  The residuals are the
     second-order ladder-step detunings big_phi, then the dressed ones.
     """
     derived = derive_couplings(params)
-    steps = params.n_branches
     rows = []
-    root = np.sqrt(n_bar + 1.0)
     for j, (lam, omega, delta, delta_tilde) in enumerate(
             zip(params.lambdas, params.omegas, params.deltas, params.delta_tildes), start=1):
         rows += [
-            (f"Delta{j}/(sqrt(nbar+1)*lambda{j})", _ratio(delta, root * lam), threshold),
+            (f"Delta{j}/(sqrt(nbar+1)*lambda{j})", _ratio(delta, lam), threshold),
             (f"Dtilde{j}/Omega{j}", _ratio(delta_tilde, omega), threshold),
-            (f"Dtilde{j}/(sqrt(nbar+1)*lambda{j}) [alt]", _ratio(delta_tilde, root * lam), threshold),
+            (f"Dtilde{j}/(sqrt(nbar+1)*lambda{j}) [alt]", _ratio(delta_tilde, lam), threshold),
             (f"Delta{j}/Omega{j} [alt]", _ratio(delta, omega), threshold),
         ]
-    for j in range(1, steps + 1):
+    for j in range(1, params.n_branches + 1):
         small = abs(derived.zeta_n(base + j, j))
         rows.append((f"|chi_eff|/|zeta^{j}_{base + j}|", _ratio(derived.chi_eff, small),
                      HIERARCHY_THRESHOLD))
     entries = [{"name": name, "ratio": ratio, "threshold": limit, "pass": ratio >= limit}
                for name, ratio, limit in rows]
-    dressed = dressed_residuals(params, base)
-    residuals = [{"label": f"big_phi({base + j},{j + 1})", "value": derived.big_phi(base + j, j + 1)}
-                 for j in range(steps)]
-    residuals += [{"label": f"dressed_phi({base + j},{j + 1})", "value": dressed[j]}
-                  for j in range(steps)]
+    residuals = [{"label": f"{kind}({base + j},{j + 1})", "value": value}
+                 for kind, values in (("big_phi", second_order_residuals(params, base)),
+                                      ("dressed_phi", dressed_residuals(params, base)))
+                 for j, value in enumerate(values)]
     return {"passed": all(e["pass"] for e in entries), "entries": entries, "residuals": residuals}
 
 

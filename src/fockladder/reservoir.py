@@ -75,9 +75,9 @@ class ThermalBathParams:
             raise ValueError("gamma and n_bar must be non-negative")
 
 
-def gamma_from_injection(zeta: complex, inj: AtomInjectionParams) -> float:
-    """Coarse-grained pump rate Gamma = r (|zeta| tau)^2."""
-    return inj.rate * (abs(zeta) * inj.tau) ** 2
+def gamma_from_injection(zeta: complex, tau: float) -> float:
+    """Coarse-grained pump rate Gamma = r (|zeta| tau)^2 of back-to-back windows, r = 1/tau."""
+    return (1.0 / tau) * (abs(zeta) * tau) ** 2
 
 
 def ub_dissipator(spec: LadderSpec, gamma: float, layout: HilbertLayout) -> list[LindbladTerm]:

@@ -274,7 +274,7 @@ _PARAMETERS = {
         "delta_tildes": partial(_list, item=NONZERO, lo=2),
         "mode": _choice("upper-bounded", "sliced"), "base": FOCK,
         "kind": (_choice("JC", "AJC"), "JC"), "analytic": _ANALYTIC,
-        "n_bar_regime": (NON_NEGATIVE, 0.0), "regime_threshold": (NON_NEGATIVE, 10.0),
+        "regime_threshold": (NON_NEGATIVE, 10.0),
     },
     "engineered-ladder": {"ladder": _LADDER, "zeta_ref": _amplitude, "analytic": _ANALYTIC},
     "ub-liouvillian": {"ladder": _LADDER, "Gamma": NON_NEGATIVE, **_STEADY},
@@ -567,7 +567,7 @@ def resonant_drive(config: ScenarioConfig, summary: dict) -> tuple[RamanLadderPa
     given = _drive(p)
     params = solve_dressed_resonance(given, base)
     spec = ladder_from_conditions(params, p["mode"], base)
-    regime = check_regime(params, base, n_bar=p["n_bar_regime"], threshold=p["regime_threshold"])
+    regime = check_regime(params, base, threshold=p["regime_threshold"])
     derived = derive_couplings(params)
     summary["couplings"] = {
         "chi": derived.chi,
@@ -668,8 +668,7 @@ def _run_liouvillian(config: ScenarioConfig, summary: dict) -> ObservableSeries:
     summary["steady"] = {
         "window": STEADY_WINDOW,
         "eps": STEADY_EPS,
-        "detected_at": detect_steady(ObservableSeries(series.times, {fid_col: probed[fid_col]}),
-                                     STEADY_WINDOW, STEADY_EPS),
+        "detected_at": detect_steady(series.times, probed[fid_col], STEADY_WINDOW, STEADY_EPS),
         "null_space_trace_distance": trace_distance(traj.states[-1], rho_ss),
         "null_space_fidelity": float(steady_pops[target]),
         "null_space_mandel_q": _finite(photon_mandel_q(steady_pops)),
@@ -686,8 +685,7 @@ def _selective_recipe_rates(p: dict) -> list[float]:
     """
     tau = float(p["recipe"]["tau"])
     zeta_unit = float(p["recipe"]["zeta_unit"])
-    inj = AtomInjectionParams(tau=tau, atom_state=atom_state({"e": 1.0}, ("g", "e")))
-    return [gamma_from_injection(zeta_unit * np.sqrt(k + 1), inj) for k, _ in p["channels"]]
+    return [gamma_from_injection(zeta_unit * np.sqrt(k + 1), tau) for k, _ in p["channels"]]
 
 
 def _run_collision(config: ScenarioConfig, summary: dict) -> ObservableSeries:
@@ -707,7 +705,7 @@ def _run_collision(config: ScenarioConfig, summary: dict) -> ObservableSeries:
         "zeta": zeta,
         "zeta_tau": zeta_tau,
         "n_atoms": n_atoms,
-        "gamma_eff": gamma_from_injection(zeta, inj),
+        "gamma_eff": gamma_from_injection(zeta, tau),
     }
     return _finish(summary, traj.times, _density_finish(config, summary, traj))
 
@@ -958,30 +956,36 @@ def load_scenario(source) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# document edits and sweeps
+
+
+def with_value(config: ScenarioConfig, path: str, value) -> ScenarioConfig:
+    """``config`` with ``value`` at the dotted ``path`` of its document, parsed again.
+
+    Every segment but the last must exist, a list index within its list.
+    The last may also name a key an object lacks; the schema then judges
+    the key as it judges any other.
+    """
+    doc = copy.deepcopy(config.raw)
+    *head, last = path.split(".")
+    node = doc
+    for key in head:
+        node = node[_slot(node, key, path)]
+    node[last if isinstance(node, dict) else _slot(node, last, path)] = value
+    return parse_config(doc)
 
 
 def sweep(config: ScenarioConfig, param_path: str, values) -> list[dict]:
     """Run the scenario once per value of a dotted numeric parameter path."""
     rows = []
     for value in values:
-        doc = copy.deepcopy(config.raw)
-        _assign_path(doc, param_path, value)
-        result = run_scenario(parse_config(doc))
+        result = run_scenario(with_value(config, param_path, value))
         row = {"param": param_path, "value": value}
         row.update(result.summary["final"])
         if "deviations" in result.summary:
             row.update(result.summary["deviations"])
         rows.append(row)
     return rows
-
-
-def _assign_path(doc: dict, path: str, value) -> None:
-    *head, last = path.split(".")
-    node = doc
-    for key in head:
-        node = node[_slot(node, key, path)]
-    node[_slot(node, last, path)] = value
 
 
 def _slot(node, key: str, path: str):

@@ -75,8 +75,7 @@ def joint_collisions(h, inj, bath, rho0, n_atoms):
 class TestInjection:
     def test_gamma_formula(self):
         # [TRIVIAL] Gamma = r (|zeta| tau)^2
-        inj = AtomInjectionParams(tau=0.5, atom_state=EXC)
-        assert gamma_from_injection(0.1, inj) == pytest.approx(2.0 * 0.05**2)
+        assert gamma_from_injection(0.1, 0.5) == pytest.approx(2.0 * 0.05**2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

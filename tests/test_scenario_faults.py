@@ -83,6 +83,8 @@ REJECTED = {
                                "parameters"),
     "compare-engineered-string": (_doc("fig2a", "parameters.compare_engineered", "no"), (),
                                   "parameters"),
+    "n-bar-regime-string": (_doc("fig2a", "parameters.n_bar_regime", "x"), (), "parameters"),
+    "n-bar-regime-zero": (_doc("fig2a", "parameters.n_bar_regime", 0.0), (), "parameters"),
     "name-escapes-out": (_doc("fig4", "name", "../escape"), (), "name"),
     "check-list": (_doc("fig4", "check", []), ("--check",), "check"),
     "check-without-tol": (_doc("fig4", "check", {"F3": {"target": 0.9}}), ("--check",),
@@ -122,8 +124,6 @@ REJECTED = {
                            "parameters.lambdas"),
     "regime-threshold-string": (_doc("fig2a", "parameters.regime_threshold", "x"), (),
                                 "parameters.regime_threshold"),
-    "n-bar-regime-string": (_doc("fig2a", "parameters.n_bar_regime", "x"), (),
-                            "parameters.n_bar_regime"),
     "upper-bounded-base-20": (_doc("fig2a", "parameters.base", 20), (), "parameters.base"),
     "steady-window-string": (_doc("fig4", "parameters.steady_window", "a"), (), "parameters"),
     # the fixed steady window of 0.05 gamma t needs a longer grid
@@ -175,6 +175,30 @@ def test_rejected_before_propagation(tmp_path, monkeypatch, case):
     assert err.startswith(f"invalid scenario: {key}: ")
     assert elapsed < 1.0
     assert not (tmp_path / "escape.json").exists()
+
+
+@pytest.mark.parametrize("doc, reached", [
+    (preset_document("fig2a"), ["evolve_state", "evolve_state"]),
+    (preset_document("fig4"), ["evolve_density", "steady_state"]),
+    (preset_document("fig6b"), ["evolve_density", "steady_state"]),
+    (collision_document(0.2, 0.05), ["collision_model_evolve"]),
+], ids=["fig2a", "fig4", "fig6b", "collision"])
+def test_each_model_reaches_its_propagation_entry(tmp_path, monkeypatch, doc, reached):
+    # the names the rejection test above replaces: a valid run must call
+    # them, or that test would pass without checking that nothing propagates
+    calls = []
+
+    def recording(name, fn):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return record
+
+    for name in ("evolve_state", "evolve_density", "collision_model_evolve", "steady_state"):
+        monkeypatch.setattr(scenarios, name, recording(name, getattr(scenarios, name)))
+    code, err, _ = _run(tmp_path, doc, "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert calls == reached
 
 
 def test_regime_threshold_nan_rejected(capsys):

@@ -189,7 +189,7 @@ class TestRunner:
         series = result.series
         assert set(series.columns) == {"P0", "P1"}
         # x = zeta_ref * t: P0 = cos^2 x starting from |e, 0>
-        assert np.allclose(series.column("P0"), np.cos(series.times) ** 2, atol=1e-7)
+        assert np.allclose(series.columns["P0"], np.cos(series.times) ** 2, atol=1e-7)
 
     def test_integrator_diagnostics_recorded(self):
         engineered = run_scenario(parse_config(engineered_doc())).summary
@@ -257,12 +257,12 @@ class TestRunner:
                                           "outputs")})
         engineered = run_scenario(parse_config(doc))
         for name in fig2a["outputs"]:
-            assert np.array_equal(engineered.series.column(name),
-                                  full.series.column(f"{name}_engineered"))
+            assert np.array_equal(engineered.series.columns[name],
+                                  full.series.columns[f"{name}_engineered"])
         analytic = [name for name in full.series.columns if name.endswith("_analytic")]
         assert analytic
         for name in analytic:
-            assert np.array_equal(engineered.series.column(name), full.series.column(name))
+            assert np.array_equal(engineered.series.columns[name], full.series.columns[name])
         assert (engineered.summary["deviations"]["engineered_vs_analytic"]
                 == full.summary["deviations"]["engineered_vs_analytic"])
         assert engineered.summary["leakage"]["engineered"] == full.summary["leakage"]["engineered"]
@@ -281,7 +281,7 @@ class TestRunner:
         jc, ajc = runs["JC"], runs["AJC"]
         assert list(ajc.series.columns) == list(jc.series.columns)
         for column in jc.series.columns:
-            assert np.max(np.abs(ajc.series.column(column) - jc.series.column(column))) <= 1e-6
+            assert np.max(np.abs(ajc.series.columns[column] - jc.series.columns[column])) <= 1e-6
         for key, value in jc.summary["deviations"].items():
             assert ajc.summary["deviations"][key] == pytest.approx(value, abs=1e-6)
 
@@ -385,7 +385,7 @@ class TestSerialization:
 
     def test_csv_17_digit_precision(self):
         result = run_scenario(parse_config(engineered_doc()))
-        value = result.series.column("P0")[3]
+        value = result.series.columns["P0"][3]
         csv = series_to_csv(result.series, "zeta1_t")
         assert f"{value:.17g}" in csv
 
@@ -433,6 +433,24 @@ class TestSweep:
         cfg = load_scenario("fig4")
         with pytest.raises(ScenarioValidationError):
             sweep(cfg, "parameters.nope", [1.0])
+
+    @pytest.mark.parametrize("scenario, param, code, err", [
+        # the last key may be one the document leaves unset, or one the schema rejects
+        ("fig2a", "parameters.regime_threshold", 0, ""),
+        ("fig4", "parameters.Gama", 2, "invalid scenario: parameters: unknown keys ['Gama']\n"),
+        # every other segment must exist, a list index within its list
+        ("fig6b", "parameters.channels.7.1", 2,
+         "invalid scenario: parameters.channels.7.1: list index '7' outside 0..2\n"),
+        ("fig4", "parameters.ladder.nope.x", 2,
+         "invalid scenario: parameters.ladder.nope.x: no such parameter segment 'nope'\n"),
+    ], ids=["unset-key", "unknown-key", "index-outside-list", "missing-segment"])
+    def test_sweep_sets_the_value_at_its_path(self, capsys, scenario, param, code, err):
+        assert cli_main(["sweep", "--scenario", scenario, "--param", param,
+                         "--values", "5,20"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if code == 0:
+            assert len(captured.out.splitlines()) == 3
 
 
 class TestCli:
